@@ -17,7 +17,6 @@ from . import bounds, errors, gp, kernels, spectral, tvbo
 from .kernels import (
     ClassTag,
     KernelClass,
-    LowRankKernel,
     SpatialKernel,
     TemporalKernel,
     classify,

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import ScaleMismatch
+from .gp import NOISELESS_JITTER, nystrom_expansion
 from .kernels import SpatialKernel, TemporalKernel
 from .spectral import (
     POSITIVE_EIGENVALUE_REL_THRESHOLD,
@@ -25,6 +26,7 @@ from .spectral import (
     SymMatrix,
     build_spatiotemporal_matrix,
     count_in_interval,
+    cross_covariance,
     eig_sym,
 )
 from .tvbo import RegretTrace, beta_schedule
@@ -108,7 +110,7 @@ def upper_bound_curve(trace: RegretTrace):
     reports how often the run exceeded that.
     """
     cfg = trace.config
-    noise = cfg.noise if cfg.noise > 0 else 1e-8
+    noise = cfg.noise if cfg.noise > 0 else NOISELESS_JITTER
     info = trace.sequential_information
     c1 = c1_constant(noise)
     ns = np.arange(1, len(info) + 1)
@@ -203,34 +205,24 @@ def lower_bound(spatial: SpatialKernel, temporal: TemporalKernel,
     terms[0] = terms_full[0] = truncated_gaussian_mean(0.0, math.sqrt(2.0))
 
     for k in range(1, n):
-        sub = gram[:k, :k]
-        vals, vecs = np.linalg.eigh(sub)
-        vals = vals[::-1]
-        vecs = vecs[:, ::-1]
-        keep = vals > rel_threshold * max(vals[0], 0.0)
-        lam = vals[keep]
-        phi = vecs[:, keep]
-        lam_bar = lam / k
-        phi_samples = math.sqrt(k) * phi
-
-        x_star = star_x[k]
-        x_cur = xs_all[k]
-        t_next = ts_all[k]
-        k_star = (spatial.pairwise(xs_all[:k], x_star[None, :])[:, 0]
-                  * temporal(np.abs(ts_all[:k] - t_next)))
+        vals, vecs = np.linalg.eigh(gram[:k, :k])
+        x_star = star_x[k:k + 1]
+        t_next = ts_all[k:k + 1]
+        k_star = cross_covariance(spatial, temporal, xs_all[:k], ts_all[:k],
+                                  x_star, t_next)[:, 0]
         k_cur = gram[:k, k]
-        phi_star = math.sqrt(k) * (phi.T @ k_star) / lam
-        phi_cur = math.sqrt(k) * (phi.T @ k_cur) / lam
+        lam_bar, inner, (phi_star, phi_cur) = nystrom_expansion(
+            vals[::-1], vecs[:, ::-1], fvals[:k], [k_star, k_cur],
+            rel_threshold)
 
-        inner = phi_samples.T @ fvals[:k]
         mu = float(np.sum((phi_star - phi_cur) * inner)) / k
 
         s_star = float(np.sum(lam_bar * phi_star ** 2))
         s_cur = float(np.sum(lam_bar * phi_cur ** 2))
         var_drop = min(max(2.0 - s_star - s_cur, 0.0), 2.0)
         # Mercer cross term: Cov(x*, x) = k(x*, x) - sum lam_bar phi* phi.
-        k_cross = (float(spatial.pairwise(x_star[None, :], x_cur[None, :])[0, 0])
-                   * float(temporal(0.0)))
+        k_cross = float(cross_covariance(spatial, temporal, x_star, t_next,
+                                         xs_all[k:k + 1], t_next)[0, 0])
         cov = k_cross - float(np.sum(lam_bar * phi_star * phi_cur))
         var_full = min(max(2.0 - s_star - s_cur - 2.0 * cov, 0.0), 2.0)
 
@@ -253,10 +245,15 @@ class BoundReport:
     info_spectral: float
     beta_n: float
     c1: float
-    upper: float
+    upper_curve: np.ndarray
     c1_violation_fraction: float
     empirical_regret: float
     lower: LowerBoundReport
+
+    @property
+    def upper(self) -> float:
+        """Upper bound at the last step of the run."""
+        return float(self.upper_curve[-1])
 
     def to_json(self) -> str:
         payload = {
@@ -285,7 +282,7 @@ class BoundReport:
 def bound_report(trace: RegretTrace) -> BoundReport:
     """Evaluate both bounds and the information quantities for one run."""
     cfg = trace.config
-    noise = cfg.noise if cfg.noise > 0 else 1e-8
+    noise = cfg.noise if cfg.noise > 0 else NOISELESS_JITTER
     n = len(trace.times)
     gram = build_spatiotemporal_matrix(cfg.spatial, cfg.temporal,
                                        trace.chosen_x, trace.times)
@@ -303,7 +300,7 @@ def bound_report(trace: RegretTrace) -> BoundReport:
         info_spectral=info_spec,
         beta_n=beta_n,
         c1=c1_constant(noise),
-        upper=float(curve[-1]),
+        upper_curve=curve,
         c1_violation_fraction=violations,
         empirical_regret=trace.total,
         lower=low,

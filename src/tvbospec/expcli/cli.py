@@ -8,9 +8,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tomllib
 from pathlib import Path
 
-from ..errors import InvalidConfig
+from ..errors import ConfigParseError, InvalidConfig
 from .experiments import (
     EXPERIMENTS,
     default_config,
@@ -30,18 +31,11 @@ def _load_config(path: str) -> dict:
         try:
             return json.loads(text)
         except json.JSONDecodeError as exc:
-            from ..errors import ConfigParseError
             raise ConfigParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
     try:
-        import tomllib  # python >= 3.11
-        try:
-            return tomllib.loads(text)
-        except tomllib.TOMLDecodeError as exc:
-            from ..errors import ConfigParseError
-            raise ConfigParseError(f"{path}: {exc}") from exc
-    except ModuleNotFoundError:
-        from . import _toml
-        return _toml.loads(text)
+        return tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise ConfigParseError(f"{path}: {exc}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -104,8 +98,8 @@ def main(argv=None) -> int:
             raise InvalidConfig("experiment id conflicts with the config file")
         if args.seed is not None:
             config["seed"] = args.seed
-        out = args.out or config.get("out") or f"artifacts/{config['experiment']}"
-        validate_config(config)
+        out = args.out or config.get("out") \
+            or f"artifacts/{config.get('experiment')}"
     except InvalidConfig as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2

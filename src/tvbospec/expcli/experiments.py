@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..bounds import bound_report, scaling_diagnostic, upper_bound_curve
+from ..bounds import bound_report, scaling_diagnostic
 from ..errors import InvalidConfig
 from ..kernels import SpatialKernel, TemporalKernel, kernel_from_dict
 from ..spectral import (
@@ -450,8 +450,7 @@ def run_regret(params: dict, seed: int, outdir: Path, jobs: int = 1):
             files.append(trace_path)
             if with_bounds:
                 report = bound_report(trace)
-                curve, _ = upper_bound_curve(trace)
-                ub_ok = bool(np.all(trace.cumulative <= curve))
+                ub_ok = bool(np.all(trace.cumulative <= report.upper_curve))
                 summary_rows.append((
                     label, s, trace.total, report.upper, int(ub_ok),
                     report.lower.total, report.lower.total_full_cov,

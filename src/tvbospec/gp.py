@@ -8,6 +8,7 @@ O(n^2) per added observation instead of O(n^3).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ from .spectral import (
     Scale,
     Spectrum,
     TimeGrid,
+    cross_covariance,
 )
 
 __all__ = [
@@ -29,6 +31,7 @@ __all__ = [
     "sample_prior_path",
     "prior_path_to_csv",
     "mercer_posterior",
+    "nystrom_expansion",
     "NOISELESS_JITTER",
     "DEFAULT_SAMPLING_CAP",
 ]
@@ -105,12 +108,6 @@ class Dataset:
         return cls(arr[:, :d], arr[:, d], arr[:, d + 1], noise=noise)
 
 
-def _cross_cov(spatial, temporal, xs1, ts1, xs2, ts2) -> np.ndarray:
-    ks = spatial.pairwise(xs1, xs2)
-    kt = eval_temporal(temporal, np.abs(ts1[:, None] - ts2[None, :]))
-    return ks * kt
-
-
 class GPPosterior:
     """Posterior of a product-kernel GP conditioned on a Dataset.
 
@@ -127,8 +124,8 @@ class GPPosterior:
         if _factor is not None:
             self._chol, self._alpha = _factor
         elif len(data) > 0:
-            gram = _cross_cov(spatial, temporal, data.xs, data.ts,
-                              data.xs, data.ts)
+            gram = cross_covariance(spatial, temporal, data.xs, data.ts,
+                                    data.xs, data.ts)
             gram[np.diag_indices_from(gram)] += self._noise
             try:
                 self._chol = cholesky(gram, lower=True)
@@ -143,11 +140,12 @@ class GPPosterior:
         """Posterior means and full covariance matrix at the queries."""
         xs_q = np.atleast_2d(np.asarray(xs_q, dtype=float))
         ts_q = np.atleast_1d(np.asarray(ts_q, dtype=float))
-        k_qq = _cross_cov(self.spatial, self.temporal, xs_q, ts_q, xs_q, ts_q)
+        k_qq = cross_covariance(self.spatial, self.temporal, xs_q, ts_q,
+                                xs_q, ts_q)
         if len(self.data) == 0:
             return np.zeros(len(ts_q)), k_qq
-        k_dq = _cross_cov(self.spatial, self.temporal, self.data.xs,
-                          self.data.ts, xs_q, ts_q)
+        k_dq = cross_covariance(self.spatial, self.temporal, self.data.xs,
+                                self.data.ts, xs_q, ts_q)
         a = solve_triangular(self._chol, k_dq, lower=True)
         mean = a.T @ self._alpha
         cov = k_qq - a.T @ a
@@ -160,8 +158,8 @@ class GPPosterior:
         ts_q = np.atleast_1d(np.asarray(ts_q, dtype=float))
         if len(self.data) == 0:
             return np.zeros(len(ts_q)), np.ones(len(ts_q))
-        k_dq = _cross_cov(self.spatial, self.temporal, self.data.xs,
-                          self.data.ts, xs_q, ts_q)
+        k_dq = cross_covariance(self.spatial, self.temporal, self.data.xs,
+                                self.data.ts, xs_q, ts_q)
         a = solve_triangular(self._chol, k_dq, lower=True)
         mean = a.T @ self._alpha
         var = 1.0 - np.sum(a * a, axis=0)
@@ -179,8 +177,9 @@ class GPPosterior:
         )
         if n == 0:
             return GPPosterior(self.spatial, self.temporal, new_data)
-        k_new = _cross_cov(self.spatial, self.temporal, self.data.xs,
-                           self.data.ts, x, np.atleast_1d(float(t)))[:, 0]
+        k_new = cross_covariance(self.spatial, self.temporal, self.data.xs,
+                                 self.data.ts, x,
+                                 np.atleast_1d(float(t)))[:, 0]
         l_row = solve_triangular(self._chol, k_new, lower=True)
         diag_sq = 1.0 + self._noise - float(l_row @ l_row)
         if diag_sq <= 0:
@@ -255,16 +254,39 @@ def prior_path_to_csv(path, values: np.ndarray, xs_grid,
             fh.write(",".join(cells) + "\n")
 
 
+def nystrom_expansion(vals, vecs, ys, k_queries,
+                      rel_threshold: float = POSITIVE_EIGENVALUE_REL_THRESHOLD):
+    """Truncated Mercer expansion from an n x n kernel-matrix eigensystem.
+
+    ``vals`` are the matrix eigenvalues in descending order and ``vecs`` the
+    matching eigenvector columns Phi; only eigenpairs above
+    rel_threshold * lam_max are kept.  The operator eigenvalues are
+    lam_bar_i = lam_i / n and the eigenfunctions take the values
+    sqrt(n) Phi_ji at the samples.  Returns ``(lam_bar, inner, phi_q)``:
+    the kept operator eigenvalues, the sample inner products
+    sum_j phi_i(z_j) ys_j, and for each covariance vector k_q in
+    ``k_queries`` the Nystrom extension
+    phi_i(q) = (sqrt(n)/lam_i) sum_j Phi_ji k(q, z_j), which reduces to
+    sqrt(n) Phi_ji exactly when q is the j-th sample.
+    """
+    n = len(ys)
+    keep = vals > rel_threshold * max(vals[0], 0.0)
+    lam = vals[keep]
+    phi = vecs[:, keep]
+    root_n = math.sqrt(n)
+    phi_q = [root_n * (phi.T @ k_q) / lam for k_q in k_queries]
+    return lam / n, (root_n * phi).T @ ys, phi_q
+
+
 def mercer_posterior(spectrum: Spectrum, data: Dataset, query,
                      spatial: SpatialKernel, temporal: TemporalKernel,
                      rel_threshold: float = POSITIVE_EIGENVALUE_REL_THRESHOLD):
     """Spectral approximation of the posterior mean and variance at a query.
 
     Uses operator eigenpairs estimated from the data's kernel matrix
-    spectrum: eigenvalues lam_i / n, eigenfunction values sqrt(n) * Phi_ji
-    at the samples and the Nystrom extension at off-sample queries.  The
-    variance approximation 1 - sum_i lam_bar_i phi_i(q)^2 is clipped to
-    [0, 1].
+    spectrum (see :func:`nystrom_expansion`).  The mean is
+    (1/n) sum_i phi_i(q) sum_j phi_i(z_j) y_j and the variance
+    approximation 1 - sum_i lam_bar_i phi_i(q)^2 is clipped to [0, 1].
 
     ``query`` is an (x, t) pair.  Raises MissingEigenvectors when the
     spectrum has no eigenvectors.
@@ -276,22 +298,12 @@ def mercer_posterior(spectrum: Spectrum, data: Dataset, query,
         return 0.0, 1.0
     vals = spectrum.to_matrix(n).values if spectrum.scale is Scale.OPERATOR \
         else spectrum.values
-    vecs = spectrum.vectors
-    keep = vals > rel_threshold * max(vals[0], 0.0)
-    if not np.any(keep):
-        return 0.0, 1.0
-    lam = vals[keep]
-    phi = vecs[:, keep]
     xq, tq = query
     xq = np.atleast_2d(np.asarray(xq, dtype=float))
-    k_q = _cross_cov(spatial, temporal, data.xs, data.ts,
-                     xq, np.atleast_1d(float(tq)))[:, 0]
-    # Nystrom: phi_bar_i(q) = (sqrt(n)/lam_i) sum_j Phi_ji k(q, z_j);
-    # reduces to sqrt(n) Phi_ji exactly when q is the j-th sample.
-    phi_q = np.sqrt(n) * (phi.T @ k_q) / lam
-    lam_bar = lam / n
-    phi_samples = np.sqrt(n) * phi
-    inner = phi_samples.T @ data.ys
+    k_q = cross_covariance(spatial, temporal, data.xs, data.ts,
+                           xq, np.atleast_1d(float(tq)))[:, 0]
+    lam_bar, inner, (phi_q,) = nystrom_expansion(
+        vals, spectrum.vectors, data.ys, [k_q], rel_threshold)
     mean = float(np.sum(phi_q * inner)) / n
-    var = 1.0 - float(np.sum(lam_bar * phi_q * phi_q))
+    var = 1.0 - float(np.sum(lam_bar * phi_q ** 2))
     return mean, float(np.clip(var, 0.0, 1.0))

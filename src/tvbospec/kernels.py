@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -31,7 +31,6 @@ __all__ = [
     "KernelClass",
     "TemporalKernel",
     "SpatialKernel",
-    "LowRankKernel",
     "eval_temporal",
     "spectral_density",
     "spectral_lines",
@@ -411,53 +410,8 @@ class SpatialKernel:
 
 
 # ---------------------------------------------------------------------------
-# Low-rank kernels and the cosine-transform approximation
+# Low-rank (cosine-sum) approximation by cosine-transform truncation
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LowRankKernel:
-    """A finite cosine expansion c0 + sum_j c_j cos(2 pi w_j u).
-
-    Coefficients are nonnegative (up to floating-point noise) and sum to one
-    together with the constant term.
-    """
-
-    c0: float
-    coefficients: tuple[float, ...] = field(default=())
-    frequencies: tuple[float, ...] = field(default=())
-
-    def __post_init__(self):
-        if len(self.coefficients) != len(self.frequencies):
-            raise ValueError("coefficients and frequencies must pair up")
-        if self.c0 < -_WEIGHT_TOL or any(c < -_WEIGHT_TOL for c in self.coefficients):
-            raise ValueError("low-rank coefficients must be nonnegative")
-        if any(f <= 0 for f in self.frequencies):
-            raise ValueError("cosine frequencies must be positive")
-        total = self.c0 + sum(self.coefficients)
-        if abs(total - 1.0) > _WEIGHT_TOL:
-            raise ValueError(f"coefficients must sum to 1, got {total!r}")
-
-    @property
-    def rank(self) -> int:
-        """Number of nonzero eigenvalues of any induced kernel matrix."""
-        return (1 if self.c0 > 0 else 0) + 2 * len(self.coefficients)
-
-    def __call__(self, u):
-        u = _as_array(u)
-        scalar = u.ndim == 0
-        u = np.atleast_1d(u)
-        out = np.full_like(u, self.c0)
-        for c, w in zip(self.coefficients, self.frequencies):
-            out += c * np.cos(2.0 * np.pi * w * u)
-        return float(out[0]) if scalar else out
-
-    def as_temporal(self) -> TemporalKernel:
-        lines = []
-        if self.c0 > 0:
-            lines.append((0.0, self.c0))
-        lines.extend(zip(self.frequencies, self.coefficients))
-        return TemporalKernel.cosine_sum(lines)
 
 
 def _dct1_candidates(values: np.ndarray, delta: float):
@@ -498,27 +452,19 @@ def _greedy_truncation(coeffs, freqs, target, grid, eps):
     return kept_coeffs, freqs[keep]
 
 
-def _assemble_low_rank(coeffs, freqs) -> LowRankKernel:
-    c0 = 0.0
-    cos_c = []
-    cos_f = []
-    for c, f in zip(coeffs, freqs):
-        if f == 0.0:
-            c0 += float(c)
-        else:
-            cos_c.append(float(c))
-            cos_f.append(float(f))
-    return LowRankKernel(c0=c0, coefficients=tuple(cos_c),
-                         frequencies=tuple(cos_f))
+def _assemble_low_rank(coeffs, freqs) -> TemporalKernel:
+    return TemporalKernel.cosine_sum(
+        (f, c) for f, c in zip(freqs, coeffs) if c > 0)
 
 
 def low_rank_approx(kernel: TemporalKernel, delta: float, n: int,
-                    eps: float) -> LowRankKernel:
-    """Approximate a discrete-support kernel by a low-rank cosine kernel.
+                    eps: float) -> TemporalKernel:
+    """Approximate a discrete-support kernel by a cosine-sum kernel.
 
     The returned kernel matches k(j*delta) for j in [0, n-1] within ``eps``
     in sup norm, with as few cosine terms as a smallest-first truncation
-    allows.  Accuracy is guaranteed on the sampled grid only.
+    allows; lines of zero weight are dropped.  Accuracy is guaranteed on the
+    sampled grid only.
 
     Truncation candidates come from the type-I cosine transform of the
     sampled sequence, which is sparse exactly when the sampling step is

@@ -18,7 +18,6 @@ from scipy.linalg import toeplitz
 
 from .errors import ConvergenceFailure, WrongClass
 from .kernels import (
-    LowRankKernel,
     SpatialKernel,
     TemporalFamily,
     TemporalKernel,
@@ -34,6 +33,7 @@ __all__ = [
     "SymMatrix",
     "POSITIVE_EIGENVALUE_REL_THRESHOLD",
     "build_temporal_matrix",
+    "cross_covariance",
     "build_spatiotemporal_matrix",
     "eig_sym",
     "circulant_embedding",
@@ -143,6 +143,14 @@ def build_temporal_matrix(kernel: TemporalKernel, grid: TimeGrid) -> SymMatrix:
     return SymMatrix(toeplitz(first_row))
 
 
+def cross_covariance(spatial: SpatialKernel, temporal: TemporalKernel,
+                     xs1, ts1, xs2, ts2) -> np.ndarray:
+    """Product-kernel covariances k_S(x1_i, x2_j) * k_T(|t1_i - t2_j|)."""
+    ks = spatial.pairwise(xs1, xs2)
+    kt = eval_temporal(temporal, np.abs(ts1[:, None] - ts2[None, :]))
+    return ks * kt
+
+
 def build_spatiotemporal_matrix(spatial: SpatialKernel,
                                 temporal: TemporalKernel,
                                 xs, ts) -> SymMatrix:
@@ -159,9 +167,7 @@ def build_spatiotemporal_matrix(spatial: SpatialKernel,
         raise ValueError("one spatial point per time stamp")
     if np.any(xs < -1e-12) or np.any(xs > 1 + 1e-12):
         raise ValueError("spatial points must lie in the unit cube")
-    ks = spatial.pairwise(xs, xs)
-    kt = eval_temporal(temporal, np.abs(ts[:, None] - ts[None, :]))
-    return SymMatrix(ks * kt)
+    return SymMatrix(cross_covariance(spatial, temporal, xs, ts, xs, ts))
 
 
 def eig_sym(m: SymMatrix, want_vectors: bool = False) -> Spectrum:
@@ -243,33 +249,20 @@ def approx_temporal_spectrum(kernel: TemporalKernel,
     return SampledDensitySpectrum(spectrum, freqs, raw)
 
 
-def approx_lowrank_spectrum(kernel, n: int) -> Spectrum:
-    """Spectrum approximation for a low-rank (finite cosine) kernel.
+def approx_lowrank_spectrum(kernel: TemporalKernel, n: int) -> Spectrum:
+    """Spectrum approximation for a low-rank (cosine-sum) kernel.
 
-    The n x n kernel matrix has approximate eigenvalues n*c0 (constant
-    term) and a pair n*c_j/2 per cosine, all other eigenvalues 0 - at most
-    2L+1 nonzeros in total.
+    The n x n kernel matrix has approximate eigenvalues n*c0 (total weight
+    of the zero-frequency lines) and a pair n*c_j/2 per cosine line, all
+    other eigenvalues 0 - at most 2L+1 nonzeros in total.
     """
-    if isinstance(kernel, TemporalKernel):
-        if kernel.family is not TemporalFamily.COSINE_SUM:
-            raise WrongClass("need a low-rank kernel")
-        c0 = 0.0
-        coeffs = []
-        for f, w in kernel.lines:
-            if f == 0.0:
-                c0 += w
-            else:
-                coeffs.append(w)
-        kernel = LowRankKernel(c0=c0, coefficients=tuple(coeffs),
-                               frequencies=tuple(np.arange(1, len(coeffs) + 1)))
+    if kernel.family is not TemporalFamily.COSINE_SUM:
+        raise WrongClass("need a low-rank kernel")
+    cosines = np.array([w for f, w in kernel.lines if f != 0.0])
+    pairs = np.repeat(0.5 * n * cosines, 2)[:n - 1]
     vals = np.zeros(n)
-    vals[0] = n * kernel.c0
-    k = 1
-    for c in kernel.coefficients:
-        for _ in range(2):
-            if k < n:
-                vals[k] = 0.5 * n * c
-                k += 1
+    vals[0] = n * sum(w for f, w in kernel.lines if f == 0.0)
+    vals[1:1 + len(pairs)] = pairs
     return Spectrum(np.sort(vals)[::-1], None, Scale.MATRIX)
 
 

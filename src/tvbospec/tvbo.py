@@ -12,11 +12,11 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gp import Dataset, GPPosterior, sample_prior_path
+from .gp import NOISELESS_JITTER, Dataset, GPPosterior, sample_prior_path
 from .kernels import SpatialKernel, TemporalKernel
 from .spectral import TimeGrid
 
@@ -84,15 +84,17 @@ def spatial_grid(config: TVBOConfig) -> np.ndarray:
 
 
 def ucb_select(post: GPPosterior, t_next: float, beta: float,
-               grid: np.ndarray) -> int:
-    """Index of the grid point maximizing mu + sqrt(beta) sigma.
+               grid: np.ndarray) -> tuple[int, float]:
+    """Index of the grid point maximizing mu + sqrt(beta) sigma, and the
+    posterior standard deviation sigma at that point.
 
     Negative beta is clipped to zero (pure exploitation); ties resolve to
     the lowest grid index.
     """
     mean, var = post.mean_var(grid, np.full(len(grid), t_next))
-    score = mean + math.sqrt(max(beta, 0.0)) * np.sqrt(var)
-    return int(np.argmax(score))
+    sd = np.sqrt(var)
+    j = int(np.argmax(mean + math.sqrt(max(beta, 0.0)) * sd))
+    return j, float(sd[j])
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +146,7 @@ class RegretTrace:
     @property
     def sequential_information(self) -> np.ndarray:
         """Cumulative I_n = 1/2 sum log(1 + sd_i^2 / noise), exact for GPs."""
-        noise = self.config.noise if self.config.noise > 0 else 1e-8
+        noise = self.config.noise if self.config.noise > 0 else NOISELESS_JITTER
         return 0.5 * np.cumsum(np.log1p(self.posterior_sd ** 2 / noise))
 
     def to_csv(self, path) -> None:
@@ -190,11 +192,8 @@ def run_tvbo(config: TVBOConfig) -> RegretTrace:
     for i in range(n):
         t = times[i]
         betas[i] = beta_schedule(i + 1, config.confidence, d, config.lipschitz)
-        mean, var = post.mean_var(grid, np.full(len(grid), t))
-        score = mean + math.sqrt(max(betas[i], 0.0)) * np.sqrt(var)
-        j = int(np.argmax(score))
+        j, sds[i] = ucb_select(post, t, betas[i], grid)
         chosen[i] = j
-        sds[i] = math.sqrt(max(var[j], 0.0))
         y = objective[j, i]
         if config.noise > 0:
             y += noise_rng.normal(0.0, math.sqrt(config.noise))
@@ -207,10 +206,7 @@ def run_tvbo(config: TVBOConfig) -> RegretTrace:
 
 def run_replications(config: TVBOConfig, seeds, jobs: int = 1):
     """Run independent seeded replications, returned in seed order."""
-    configs = [TVBOConfig(config.spatial, config.temporal, config.delta,
-                          config.horizon, config.confidence, config.lipschitz,
-                          config.grid_resolution, config.noise, int(s))
-               for s in seeds]
+    configs = [replace(config, seed=int(s)) for s in seeds]
     if jobs <= 1:
         return [run_tvbo(c) for c in configs]
     with ThreadPoolExecutor(max_workers=jobs) as pool:

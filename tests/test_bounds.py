@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tvbospec.errors import ScaleMismatch
+from tvbospec.gp import Dataset, mercer_posterior
 from tvbospec.bounds import (
     bound_report,
     c1_constant,
@@ -219,6 +220,30 @@ class TestLowerBound:
         sem = totals.std(ddof=1) / math.sqrt(len(totals))
         assert totals.mean() >= lows.mean() - 3 * sem
 
+    def test_mean_matches_mercer_posterior(self):
+        # mu_hat_k is the spectral posterior mean at x*_k minus the one at
+        # x_k, both conditioned on the first k noiseless objective values
+        for temporal in (TemporalKernel.rbf(1.0),
+                         TemporalKernel.periodic(period=0.5, lengthscale=0.8),
+                         TemporalKernel.cosine_sum([(0.0, 0.4), (2.3, 0.6)])):
+            cfg = TVBOConfig(spatial=SpatialKernel.rbf([0.4]),
+                             temporal=temporal, horizon=40, seed=5)
+            trace = run_tvbo(cfg)
+            report = lower_bound(cfg.spatial, cfg.temporal, trace)
+            xs, ts = trace.chosen_x, trace.times
+            fvals = trace.objective_at_chosen
+            for k in range(1, len(ts)):
+                data = Dataset(xs[:k], ts[:k], fvals[:k])
+                spec = eig_sym(build_spatiotemporal_matrix(
+                    cfg.spatial, temporal, data.xs, data.ts),
+                    want_vectors=True)
+                m_star, _ = mercer_posterior(
+                    spec, data, (trace.star_x[k], ts[k]), cfg.spatial, temporal)
+                m_cur, _ = mercer_posterior(
+                    spec, data, (xs[k], ts[k]), cfg.spatial, temporal)
+                assert abs(report.mu_hat[k] - (m_star - m_cur)) <= 1e-9, \
+                    (temporal.family, k)
+
     def test_report_serializes(self):
         cfg = TVBOConfig(spatial=SpatialKernel.rbf([0.4]),
                          temporal=TemporalKernel.rbf(1.0), horizon=8, seed=4)
@@ -228,6 +253,10 @@ class TestLowerBound:
         assert '"upper_bound"' in payload
         assert '"total_full_covariance"' in payload
         assert 0.0 <= report.c1_violation_fraction <= 1.0
+        curve, violations = upper_bound_curve(trace)
+        assert np.array_equal(report.upper_curve, curve)
+        assert report.upper == curve[-1]
+        assert report.c1_violation_fraction == violations
 
 
 class TestScalingDiagnostic:

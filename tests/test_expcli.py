@@ -6,50 +6,14 @@ import json
 import numpy as np
 import pytest
 
-from tvbospec.errors import ConfigParseError, InvalidConfig
+from tvbospec.errors import InvalidConfig
 from tvbospec.expcli import default_config, run_experiment, validate_config
-from tvbospec.expcli._toml import loads as toml_loads
 from tvbospec.expcli.cli import main
 
 
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
-
-
-class TestTomlSubset:
-    def test_basic_document(self):
-        text = """
-# top comment
-experiment = "fig1"
-seed = 3
-flag = true
-
-[params]
-n = 64
-delta = 0.25
-ns = [50, 100]
-
-[params.spatial]
-family = "rbf"
-lengthscales = [0.2, 0.3]
-"""
-        doc = toml_loads(text)
-        assert doc["experiment"] == "fig1"
-        assert doc["seed"] == 3
-        assert doc["flag"] is True
-        assert doc["params"]["n"] == 64
-        assert doc["params"]["delta"] == 0.25
-        assert doc["params"]["ns"] == [50, 100]
-        assert doc["params"]["spatial"]["lengthscales"] == [0.2, 0.3]
-
-    def test_nested_arrays(self):
-        doc = toml_loads('lines = [[0.0, 0.4], [1.3, 0.6]]')
-        assert doc["lines"] == [[0.0, 0.4], [1.3, 0.6]]
-
-    def test_parse_error_has_line(self):
-        with pytest.raises(ConfigParseError, match="line 2"):
-            toml_loads('a = 1\nbroken')
 
 
 class TestValidate:
@@ -196,6 +160,14 @@ class TestCli:
         cfg.write_text('experiment = "nope"\n')
         assert main(["validate", str(cfg)]) == 2
         assert main(["run", "--config", str(cfg)]) == 2
+        empty = tmp_path / "empty.json"
+        empty.write_text("{}")
+        assert main(["run", "--config", str(empty)]) == 2
+        capsys.readouterr()
+        broken = tmp_path / "broken.toml"
+        broken.write_text('a = 1\nbroken\n')
+        assert main(["validate", str(broken)]) == 2
+        assert "line 2" in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys):
         assert main(["run", "--config", "/nonexistent/cfg.toml"]) == 2

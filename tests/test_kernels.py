@@ -10,7 +10,6 @@ from tvbospec.errors import ToleranceUnreachable, WrongClass
 from tvbospec.kernels import (
     ClassTag,
     KernelClass,
-    LowRankKernel,
     SpatialKernel,
     TemporalKernel,
     classify,
@@ -177,9 +176,9 @@ class TestLowRankApprox:
         # one cosine and a positive constant
         k = TemporalKernel.periodic(period=1.0, lengthscale=1.0)
         lr = low_rank_approx(k, 1.0 / 3.0, 64, 1e-8)
-        assert len(lr.coefficients) == 1
-        assert lr.c0 > 0
-        assert lr.frequencies[0] == pytest.approx(1.0, rel=1e-12)
+        (f0, c0), (f1, _) = lr.lines
+        assert f0 == 0.0 and c0 > 0
+        assert f1 == pytest.approx(1.0, rel=1e-12)
         grid = np.arange(64) / 3.0
         assert np.max(np.abs(lr(grid) - k(grid))) <= 1e-8
 
@@ -190,17 +189,17 @@ class TestLowRankApprox:
         k = TemporalKernel.periodic(period=1.0, lengthscale=1.0)
         b = eval_temporal(k, 0.5)
         lr = low_rank_approx(k, 0.5, 64, 1e-8)
-        assert len(lr.coefficients) == 1
-        assert lr.c0 == pytest.approx((1 + b) / 2, rel=1e-10)
-        assert lr.coefficients[0] == pytest.approx((1 - b) / 2, rel=1e-10)
-        assert lr.frequencies[0] == pytest.approx(1.0, rel=1e-12)
+        (f0, c0), (f1, c1) = lr.lines
+        assert f0 == 0.0
+        assert c0 == pytest.approx((1 + b) / 2, rel=1e-10)
+        assert c1 == pytest.approx((1 - b) / 2, rel=1e-10)
+        assert f1 == pytest.approx(1.0, rel=1e-12)
 
     def test_cosine_sum_fixed_point(self):
         k = TemporalKernel.cosine_sum([(0.0, 0.3), (0.7, 0.5), (2.1, 0.2)])
         lr = low_rank_approx(k, 0.37, 50, 1e-8)
-        assert lr.c0 == pytest.approx(0.3, abs=1e-12)
-        assert sorted(zip(lr.frequencies, lr.coefficients)) == \
-            pytest.approx([(0.7, 0.5), (2.1, 0.2)])
+        assert lr.lines[0] == pytest.approx((0.0, 0.3), abs=1e-12)
+        assert sorted(lr.lines[1:]) == pytest.approx([(0.7, 0.5), (2.1, 0.2)])
         grid = np.arange(50) * 0.37
         assert np.max(np.abs(lr(grid) - k(grid))) == 0.0
 
@@ -225,13 +224,20 @@ class TestLowRankApprox:
     def test_weights_normalized(self):
         lr = low_rank_approx(TemporalKernel.periodic(period=0.5, lengthscale=0.7),
                              0.11, 80, 1e-6)
-        assert lr.c0 + sum(lr.coefficients) == pytest.approx(1.0, abs=1e-12)
+        assert sum(w for _, w in lr.lines) == pytest.approx(1.0, abs=1e-12)
 
     def test_low_rank_kernel_validation(self):
         with pytest.raises(ValueError):
-            LowRankKernel(c0=0.5, coefficients=(0.6,), frequencies=(1.0,))
+            TemporalKernel.cosine_sum([(0.0, 0.5), (1.0, 0.6)])
         with pytest.raises(ValueError):
-            LowRankKernel(c0=0.5, coefficients=(-0.1, 0.6), frequencies=(1.0, 2.0))
+            TemporalKernel.cosine_sum([(0.0, 0.5), (1.0, -0.1), (2.0, 0.6)])
+
+    def test_serialization_round_trip(self):
+        k = TemporalKernel.periodic(period=1.0, lengthscale=0.6)
+        for delta in (1 / 3.0, 0.13):
+            lr = low_rank_approx(k, delta, 64, 1e-8)
+            text = json.dumps(kernel_to_dict(lr))
+            assert kernel_from_dict(json.loads(text)) == lr
 
 
 class TestSpatialKernel:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tvbospec.errors import WrongClass
-from tvbospec.kernels import LowRankKernel, SpatialKernel, TemporalKernel
+from tvbospec.kernels import SpatialKernel, TemporalKernel
 from tvbospec.spectral import (
     Scale,
     Spectrum,
@@ -201,19 +201,18 @@ class TestSampledDensityApprox:
 
 class TestLowRankSpectrum:
     def test_weights(self):
-        lr = LowRankKernel(c0=0.5, coefficients=(0.5,), frequencies=(1.7,))
+        lr = TemporalKernel.cosine_sum([(0.0, 0.5), (1.7, 0.5)])
         spec = approx_lowrank_spectrum(lr, 100)
         assert np.allclose(spec.values[:3], [50.0, 25.0, 25.0])
         assert np.allclose(spec.values[3:], 0.0)
 
     def test_constant_rank_one(self):
-        lr = LowRankKernel(c0=1.0)
+        lr = TemporalKernel.cosine_sum([(0.0, 1.0)])
         spec = approx_lowrank_spectrum(lr, 7)
         assert spec.values[0] == 7.0 and np.all(spec.values[1:] == 0.0)
 
     def test_two_line_count(self):
-        lr = LowRankKernel(c0=0.2, coefficients=(0.5, 0.3),
-                           frequencies=(0.9, 2.2))
+        lr = TemporalKernel.cosine_sum([(0.0, 0.2), (0.9, 0.5), (2.2, 0.3)])
         spec = approx_lowrank_spectrum(lr, 64)
         assert int(np.sum(spec.values > 0)) == 5
 
@@ -232,12 +231,12 @@ class TestLowRankSpectrum:
             L = int(rng.integers(1, 4))
             raw = rng.uniform(0.1, 1.0, L + 1)
             raw /= raw.sum()
-            lr = LowRankKernel(c0=float(raw[0]),
-                               coefficients=tuple(raw[1:]),
-                               frequencies=tuple(rng.uniform(0.3, 3.0, L)))
+            freqs = rng.uniform(0.3, 3.0, L)
+            lr = TemporalKernel.cosine_sum(
+                [(0.0, raw[0])] + list(zip(freqs, raw[1:])))
             n = int(rng.integers(2 * L + 2, 60))
             grid = TimeGrid(n, float(rng.uniform(0.05, 0.4)))
-            spec = eig_sym(build_temporal_matrix(lr.as_temporal(), grid))
+            spec = eig_sym(build_temporal_matrix(lr, grid))
             assert positive_count(spec) <= 2 * L + 1
 
     def test_periodic_commensurate_counts(self):

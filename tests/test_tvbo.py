@@ -1,5 +1,6 @@
 """GP-UCB loop: confidence schedule, selection, traces, determinism."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -56,22 +57,24 @@ class TestUcbSelect:
         post = GPPosterior(cfg.spatial, cfg.temporal,
                            Dataset(np.zeros((0, 1)), [], [], noise=0.01))
         grid = spatial_grid(cfg)
-        assert ucb_select(post, 0.1, 2.0, grid) == 0
+        assert ucb_select(post, 0.1, 2.0, grid) == (0, 1.0)
 
     def test_pure_exploitation_is_mean_argmax(self):
         cfg = _config()
         post = GPPosterior(cfg.spatial, cfg.temporal,
                            Dataset([[0.5]], [0.1], [5.0], noise=0.01))
         grid = spatial_grid(cfg)
-        mean, _ = post.mean_var(grid, np.full(len(grid), 0.2))
-        assert ucb_select(post, 0.2, 0.0, grid) == int(np.argmax(mean))
+        mean, var = post.mean_var(grid, np.full(len(grid), 0.2))
+        j, sd = ucb_select(post, 0.2, 0.0, grid)
+        assert j == int(np.argmax(mean))
+        assert sd == math.sqrt(var[j])
 
     def test_exploitation_near_observed_peak(self):
         cfg = _config(grid_resolution=41)
         post = GPPosterior(cfg.spatial, cfg.temporal,
                            Dataset([[0.5]], [0.1], [5.0], noise=0.01))
         grid = spatial_grid(cfg)
-        j = ucb_select(post, 0.1, 0.0, grid)
+        j, _ = ucb_select(post, 0.1, 0.0, grid)
         assert abs(grid[j, 0] - 0.5) <= 1.0 / 40 + 1e-12
 
     def test_negative_beta_clipped(self):
@@ -147,4 +150,5 @@ class TestReplications:
     def test_seed_order_preserved(self):
         cfg = _config(horizon=10)
         traces = run_replications(cfg, [9, 2, 5], jobs=2)
-        assert [t.config.seed for t in traces] == [9, 2, 5]
+        assert [t.config for t in traces] == \
+            [dataclasses.replace(cfg, seed=s) for s in (9, 2, 5)]
