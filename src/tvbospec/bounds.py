@@ -18,18 +18,18 @@ from scipy.special import ndtr
 
 from .errors import ScaleMismatch
 from .gp import NOISELESS_JITTER, nystrom_expansion
-from .kernels import SpatialKernel, TemporalKernel
+from .kernels import SpatialKernel, TemporalKernel, eval_temporal
 from .spectral import (
-    POSITIVE_EIGENVALUE_REL_THRESHOLD,
     Scale,
     Spectrum,
     SymMatrix,
+    approx_product_spectrum,
     build_spatiotemporal_matrix,
     count_in_interval,
     cross_covariance,
     eig_sym,
 )
-from .tvbo import RegretTrace, beta_schedule
+from .tvbo import RegretTrace
 
 __all__ = [
     "c1_constant",
@@ -163,9 +163,7 @@ class LowerBoundReport:
 
 
 def lower_bound(spatial: SpatialKernel, temporal: TemporalKernel,
-                trace: RegretTrace,
-                rel_threshold: float = POSITIVE_EIGENVALUE_REL_THRESHOLD,
-                ) -> LowerBoundReport:
+                trace: RegretTrace) -> LowerBoundReport:
     """Algorithm-independent lower bound on expected cumulative regret.
 
     At step k+1 the regret proxy max(0, fbar(x*_{k+1}) - fbar(x_{k+1})) is
@@ -191,29 +189,25 @@ def lower_bound(spatial: SpatialKernel, temporal: TemporalKernel,
     xs_all = trace.chosen_x
     ts_all = trace.times
     fvals = trace.objective_at_chosen
-    star_x = trace.star_x
 
     gram = build_spatiotemporal_matrix(spatial, temporal, xs_all, ts_all).values
+    # star[i, k] = k((x_i, t_i), (x*_k, t_k)): column k holds the step-k
+    # covariances between the optimum and every chosen point
+    star = cross_covariance(spatial, temporal, xs_all, ts_all, trace.star_x,
+                            ts_all)
 
     mu_hat = np.zeros(n)
     sig_drop = np.zeros(n)
     sig_full = np.zeros(n)
     terms = np.zeros(n)
     terms_full = np.zeros(n)
-    mu_hat[0] = 0.0
     sig_drop[0] = sig_full[0] = math.sqrt(2.0)
     terms[0] = terms_full[0] = truncated_gaussian_mean(0.0, math.sqrt(2.0))
 
     for k in range(1, n):
         vals, vecs = np.linalg.eigh(gram[:k, :k])
-        x_star = star_x[k:k + 1]
-        t_next = ts_all[k:k + 1]
-        k_star = cross_covariance(spatial, temporal, xs_all[:k], ts_all[:k],
-                                  x_star, t_next)[:, 0]
-        k_cur = gram[:k, k]
         lam_bar, inner, (phi_star, phi_cur) = nystrom_expansion(
-            vals[::-1], vecs[:, ::-1], fvals[:k], [k_star, k_cur],
-            rel_threshold)
+            vals[::-1], vecs[:, ::-1], fvals[:k], [star[:k, k], gram[:k, k]])
 
         mu = float(np.sum((phi_star - phi_cur) * inner)) / k
 
@@ -221,9 +215,7 @@ def lower_bound(spatial: SpatialKernel, temporal: TemporalKernel,
         s_cur = float(np.sum(lam_bar * phi_cur ** 2))
         var_drop = min(max(2.0 - s_star - s_cur, 0.0), 2.0)
         # Mercer cross term: Cov(x*, x) = k(x*, x) - sum lam_bar phi* phi.
-        k_cross = float(cross_covariance(spatial, temporal, x_star, t_next,
-                                         xs_all[k:k + 1], t_next)[0, 0])
-        cov = k_cross - float(np.sum(lam_bar * phi_star * phi_cur))
+        cov = float(star[k, k]) - float(np.sum(lam_bar * phi_star * phi_cur))
         var_full = min(max(2.0 - s_star - s_cur - 2.0 * cov, 0.0), 2.0)
 
         mu_hat[k] = mu
@@ -289,8 +281,6 @@ def bound_report(trace: RegretTrace) -> BoundReport:
     spec = eig_sym(gram)
     info_exact = mutual_info_exact(spec, noise)
     info_spec = mutual_info_spectral(spec.clipped().to_operator(n), n, noise)
-    beta_n = beta_schedule(n, cfg.confidence, cfg.spatial.dimension,
-                           cfg.lipschitz)
     curve, violations = upper_bound_curve(trace)
     low = lower_bound(cfg.spatial, cfg.temporal, trace)
     return BoundReport(
@@ -298,7 +288,7 @@ def bound_report(trace: RegretTrace) -> BoundReport:
         noise=noise,
         info_exact=info_exact,
         info_spectral=info_spec,
-        beta_n=beta_n,
+        beta_n=float(trace.betas[-1]),
         c1=c1_constant(noise),
         upper_curve=curve,
         c1_violation_fraction=violations,
@@ -341,8 +331,6 @@ def scaling_diagnostic(spatial: SpatialKernel, temporal: TemporalKernel,
 
 
 def _n0_proxy(spatial, temporal, xs, ts, n):
-    from .kernels import eval_temporal
-    from .spectral import approx_product_spectrum
     ks = eig_sym(SymMatrix(spatial.pairwise(xs, xs)))
     kt_m = eval_temporal(temporal, np.abs(ts[:, None] - ts[None, :]))
     kt = eig_sym(SymMatrix(kt_m))

@@ -37,10 +37,6 @@ class CapExceeded(TvbospecError):
     """A requested grid exceeds the configured sampling cap."""
 
 
-class InsufficientData(TvbospecError):
-    """Not enough observations for the requested quantity."""
-
-
 class InvalidConfig(TvbospecError):
     """An experiment configuration is structurally invalid."""
 

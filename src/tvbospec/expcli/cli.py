@@ -53,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the config seed")
     run_p.add_argument("--out", default=None, help="output directory")
     run_p.add_argument("--jobs", type=int, default=1,
-                       help="worker threads for replications")
+                       help="threads for regret replications")
 
     val_p = sub.add_parser("validate", help="check a config without running")
     val_p.add_argument("config", help="TOML or JSON config file")

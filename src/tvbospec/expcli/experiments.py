@@ -16,7 +16,7 @@ import numpy as np
 
 from ..bounds import bound_report, scaling_diagnostic
 from ..errors import InvalidConfig
-from ..kernels import SpatialKernel, TemporalKernel, kernel_from_dict
+from ..kernels import TemporalKernel, classify, kernel_from_dict
 from ..spectral import (
     SymMatrix,
     TimeGrid,
@@ -76,20 +76,9 @@ def write_manifest(outdir: Path, files) -> Path:
     return path
 
 
-def _temporal(params: dict, key: str = "temporal") -> TemporalKernel:
-    d = dict(params[key])
-    d.setdefault("kind", "temporal")
-    return kernel_from_dict(d)
-
-
-def _spatial(params: dict, key: str = "spatial") -> SpatialKernel:
-    d = dict(params[key])
-    d.setdefault("kind", "spatial")
-    return kernel_from_dict(d)
-
-
-def _uniform_points(rng, n: int, d: int) -> np.ndarray:
-    return rng.uniform(0.0, 1.0, size=(n, d))
+def _kernel(kind: str, spec):
+    """The ``kind`` ("spatial" or "temporal") kernel a config table describes."""
+    return kernel_from_dict({"kind": kind, **dict(spec)})
 
 
 # --------------------------------------------------------------------------
@@ -107,10 +96,10 @@ FIG1_DEFAULTS = {
 def run_fig1(params: dict, seed: int, outdir: Path):
     n = int(params["n"])
     delta = float(params["delta"])
-    spatial = _spatial(params)
-    temporal = _temporal(params)
+    spatial = _kernel("spatial", params["spatial"])
+    temporal = _kernel("temporal", params["temporal"])
     rng = np.random.default_rng(seed)
-    xs = _uniform_points(rng, n, spatial.dimension)
+    xs = rng.uniform(0.0, 1.0, size=(n, spatial.dimension))
     ts = (np.arange(n) + 1) * delta
 
     ks = SymMatrix(spatial.pairwise(xs, xs))
@@ -179,7 +168,7 @@ FIG3_DEFAULTS = {
 
 
 def _run_density_panels(params: dict, outdir: Path, stem: str):
-    temporal = _temporal(params)
+    temporal = _kernel("temporal", params["temporal"])
     files = []
     for panel in params["panels"]:
         n = int(panel["n"])
@@ -278,8 +267,8 @@ FIG5_DEFAULTS = {
 }
 
 
-def run_fig5(params: dict, seed: int, outdir: Path, jobs: int = 1):
-    spatial = _spatial(params)
+def run_fig5(params: dict, seed: int, outdir: Path):
+    spatial = _kernel("spatial", params["spatial"])
     interval = tuple(float(v) for v in params["interval"])
     ns = [int(n) for n in params["ns"]]
     reps = int(params["replications"])
@@ -289,21 +278,12 @@ def run_fig5(params: dict, seed: int, outdir: Path, jobs: int = 1):
     raw_rows = []
     summary = {}
     for label, kdict in params["kernels"].items():
-        temporal = kernel_from_dict({"kind": "temporal", **kdict})
+        temporal = _kernel("temporal", kdict)
         per_n = {n: {"count": [], "ipn": []} for n in ns}
-
-        def one_rep(rep, temporal=temporal):
-            return scaling_diagnostic(spatial, temporal, ns,
+        for rep in range(reps):
+            rows = scaling_diagnostic(spatial, temporal, ns,
                                       interval=interval, noise=noise,
                                       delta=delta, seed=seed + rep)
-
-        if jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                per_rep = list(pool.map(one_rep, range(reps)))
-        else:
-            per_rep = [one_rep(rep) for rep in range(reps)]
-        for rep, rows in enumerate(per_rep):
             for row in rows:
                 raw_rows.append((label, row["n"], seed + rep, row["count"],
                                  row["info_per_n"], row["n0_proxy"]))
@@ -363,12 +343,12 @@ TABLE1_DEFAULTS = {
 
 
 def run_table1(params: dict, seed: int, outdir: Path):
-    spatial = _spatial(params)
+    spatial = _kernel("spatial", params["spatial"])
     ns = [int(n) for n in params["ns"]]
     rows = []
     for label, kdict in params["kernels"].items():
-        temporal = kernel_from_dict({"kind": "temporal", **kdict})
-        cls = temporal.kernel_class
+        temporal = _kernel("temporal", kdict)
+        cls = classify(temporal)
         diag = scaling_diagnostic(spatial, temporal, ns,
                                   interval=tuple(params["interval"]),
                                   noise=float(params["noise"]),
@@ -416,7 +396,7 @@ REGRET_DEFAULTS = {
 
 
 def run_regret(params: dict, seed: int, outdir: Path, jobs: int = 1):
-    spatial = _spatial(params)
+    spatial = _kernel("spatial", params["spatial"])
     reps = int(params["replications"])
     with_bounds = bool(params.get("bounds", True))
     files = []
@@ -425,7 +405,7 @@ def run_regret(params: dict, seed: int, outdir: Path, jobs: int = 1):
     plot = SvgPlot(title="average regret per step", xlabel="iteration",
                    ylabel="R_n / n")
     for label, kdict in params["kernels"].items():
-        temporal = kernel_from_dict({"kind": "temporal", **kdict})
+        temporal = _kernel("temporal", kdict)
         config = TVBOConfig(
             spatial=spatial, temporal=temporal,
             delta=float(params["delta"]), horizon=int(params["horizon"]),
@@ -531,6 +511,23 @@ def _eigh_cost_constant() -> float:
 DESK_BUDGET_SECONDS = 120.0
 
 
+def _count(value, field: str) -> int:
+    """A size field: an int >= 1 (bools are rejected)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise InvalidConfig(
+            f"field {field} must be an integer >= 1, got {value!r}")
+    return value
+
+
+def _counts(value, field: str) -> list[int]:
+    """A nonempty list of size fields."""
+    if not isinstance(value, list) or not value:
+        raise InvalidConfig(
+            f"field {field} must be a nonempty list of integers >= 1, "
+            f"got {value!r}")
+    return [_count(v, f"{field}[{i}]") for i, v in enumerate(value)]
+
+
 def validate_config(config: dict) -> dict:
     """Structural check plus a runtime-class estimate; no side effects.
 
@@ -544,42 +541,46 @@ def validate_config(config: dict) -> dict:
         raise InvalidConfig(f"unknown experiment {exp!r}; "
                             f"known: {sorted(EXPERIMENTS)}")
     _, _, defaults = EXPERIMENTS[exp]
-    params = _merge(defaults, config.get("params", {}))
+    overrides = config.get("params", {})
+    if not isinstance(overrides, dict):
+        raise InvalidConfig(f"field params must be a table, got {overrides!r}")
+    params = _merge(defaults, overrides)
 
     # kernels must parse
-    for key in ("spatial", "temporal"):
-        if key in params:
-            try:
-                d = dict(params[key])
-                d.setdefault("kind", key)
-                kernel_from_dict(d)
-            except Exception as exc:
-                raise InvalidConfig(f"invalid {key} kernel: {exc}") from exc
+    kernels = [(key, f"invalid {key} kernel", params[key])
+               for key in ("spatial", "temporal") if key in params]
     if "kernels" in params:
         if not isinstance(params["kernels"], dict) or not params["kernels"]:
             raise InvalidConfig("field kernels must be a nonempty table")
-        for label, kdict in params["kernels"].items():
-            try:
-                kernel_from_dict({"kind": "temporal", **dict(kdict)})
-            except Exception as exc:
-                raise InvalidConfig(
-                    f"invalid temporal kernel {label!r}: {exc}") from exc
+        kernels += [("temporal", f"invalid temporal kernel {label!r}", kdict)
+                    for label, kdict in params["kernels"].items()]
+    for kind, what, spec in kernels:
+        try:
+            _kernel(kind, spec)
+        except Exception as exc:
+            raise InvalidConfig(f"{what}: {exc}") from exc
 
-    # eigendecomposition cost estimate
+    # eigendecomposition cost estimate over the size fields
     sizes = []
     if exp in ("fig2", "fig3"):
-        sizes = [int(p["n"]) for p in params["panels"]]
+        panels = params["panels"]
+        if not isinstance(panels, list) or not panels \
+                or not all(isinstance(p, dict) for p in panels):
+            raise InvalidConfig(
+                "field panels must be a nonempty list of tables")
+        sizes = [_count(p.get("n"), f"panels[{i}].n")
+                 for i, p in enumerate(panels)]
     elif exp == "fig1":
-        sizes = [int(params["n"])] * 3
+        sizes = [_count(params["n"], "n")] * 3
     elif exp == "fig4":
-        sizes = [int(n) for n in params["ns"]] * len(params["divisors"])
+        sizes = _counts(params["ns"], "ns") \
+            * len(_counts(params["divisors"], "divisors"))
     elif exp in ("fig5", "table1"):
-        reps = int(params.get("replications", 1))
-        sizes = [int(n) for n in params["ns"]] * max(reps, 1) \
-            * len(params["kernels"])
+        reps = _count(params.get("replications", 1), "replications")
+        sizes = _counts(params["ns"], "ns") * reps * len(params["kernels"])
     elif exp == "regret":
-        h = int(params["horizon"])
-        reps = int(params["replications"])
+        h = _count(params["horizon"], "horizon")
+        reps = _count(params["replications"], "replications")
         # per run: incremental posterior ~ h^3/3 equivalent plus the
         # per-step spectral lower bound ~ h^4/4
         sizes = [int(round(h ** (4 / 3)))] * (reps * len(params["kernels"]))
@@ -603,7 +604,7 @@ def run_experiment(config: dict, out, jobs: int = 1) -> dict:
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
     func = EXPERIMENTS[exp][0]
-    if exp in ("fig5", "regret"):
+    if exp == "regret":
         files = func(params, seed, outdir, jobs=jobs)
     else:
         files = func(params, seed, outdir)

@@ -1,7 +1,8 @@
-"""Minimal deterministic SVG plotting (lines, scatter, log axes).
+"""Minimal deterministic SVG plotting (lines, scatter, log y axis).
 
 Just enough to render spectrum and regret figures without a plotting
-dependency: one panel per plot, linear or log10 axes, automatic ticks,
+dependency: one panel per plot, a linear x axis, a linear or log10 y axis,
+automatic ticks,
 polyline/marker series and a legend.  Output is plain text SVG with no
 timestamps, so identical inputs yield identical bytes.
 """
@@ -22,7 +23,6 @@ class Series:
     xs: list
     ys: list
     label: str = ""
-    color: str | None = None
     marker: bool = False
     line: bool = True
 
@@ -31,10 +31,10 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _ticks(lo: float, hi: float, target: int = 5):
+def _ticks(lo: float, hi: float):
     if not math.isfinite(lo) or not math.isfinite(hi) or hi <= lo:
         return [lo]
-    raw = (hi - lo) / target
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -52,42 +52,42 @@ def _ticks(lo: float, hi: float, target: int = 5):
 class SvgPlot:
     """A single-panel plot assembled in memory and written as SVG."""
 
+    WIDTH = 640
+    HEIGHT = 420
+
     def __init__(self, title: str = "", xlabel: str = "", ylabel: str = "",
-                 width: int = 640, height: int = 420,
-                 xlog: bool = False, ylog: bool = False):
+                 ylog: bool = False):
         self.title = title
         self.xlabel = xlabel
         self.ylabel = ylabel
-        self.width = width
-        self.height = height
-        self.xlog = xlog
         self.ylog = ylog
         self.series: list[Series] = []
 
     def add(self, xs, ys, label: str = "", marker: bool = False,
-            line: bool = True, color: str | None = None) -> None:
+            line: bool = True) -> None:
         xs = [float(x) for x in xs]
         ys = [float(y) for y in ys]
         if len(xs) != len(ys):
             raise ValueError("xs and ys must have equal length")
-        self.series.append(Series(xs, ys, label, color, marker, line))
+        self.series.append(Series(xs, ys, label, marker, line))
 
     # -- rendering --------------------------------------------------------
 
-    def _transform(self, v: float, log: bool) -> float:
-        if log:
+    def _ty(self, v: float) -> float:
+        if self.ylog:
             return math.log10(max(v, 1e-300))
         return v
 
     def render(self) -> str:
+        width, height = self.WIDTH, self.HEIGHT
         margin_l, margin_r, margin_t, margin_b = 64, 16, 28, 46
-        px = self.width - margin_l - margin_r
-        py = self.height - margin_t - margin_b
+        px = width - margin_l - margin_r
+        py = height - margin_t - margin_b
 
-        pts = [(self._transform(x, self.xlog), self._transform(y, self.ylog))
+        pts = [(x, self._ty(y))
                for s in self.series
                for x, y in zip(s.xs, s.ys)
-               if (not self.xlog or x > 0) and (not self.ylog or y > 0)]
+               if not self.ylog or y > 0]
         if not pts:
             pts = [(0.0, 0.0), (1.0, 1.0)]
         xs, ys = zip(*pts)
@@ -103,37 +103,31 @@ class SvgPlot:
         ylo, yhi = ylo - ypad, yhi + ypad
 
         def sx(v):
-            return margin_l + (self._transform(v, self.xlog) - xlo) / (xhi - xlo) * px
+            return margin_l + (v - xlo) / (xhi - xlo) * px
 
         def sy(v):
-            return margin_t + py - (self._transform(v, self.ylog) - ylo) / (yhi - ylo) * py
+            return margin_t + py - (self._ty(v) - ylo) / (yhi - ylo) * py
 
         out = []
         out.append(f'<svg xmlns="http://www.w3.org/2000/svg" '
-                   f'width="{self.width}" height="{self.height}" '
-                   f'viewBox="0 0 {self.width} {self.height}">')
-        out.append(f'<rect width="{self.width}" height="{self.height}" '
+                   f'width="{width}" height="{height}" '
+                   f'viewBox="0 0 {width} {height}">')
+        out.append(f'<rect width="{width}" height="{height}" '
                    f'fill="white"/>')
         out.append(f'<rect x="{margin_l}" y="{margin_t}" width="{px}" '
                    f'height="{py}" fill="none" stroke="#333" stroke-width="1"/>')
         if self.title:
-            out.append(f'<text x="{self.width / 2}" y="18" text-anchor="middle" '
+            out.append(f'<text x="{width / 2}" y="18" text-anchor="middle" '
                        f'font-family="sans-serif" font-size="13">{self.title}</text>')
 
-        # ticks (coordinates live in transformed space; log labels are 10^t)
-        if self.xlog:
-            tick_vals = [float(e) for e in range(math.floor(xlo), math.ceil(xhi) + 1)
-                         if xlo <= e <= xhi]
-        else:
-            tick_vals = _ticks(xlo, xhi)
-        for t in tick_vals:
+        # ticks (y coordinates live in transformed space; log labels are 10^t)
+        for t in _ticks(xlo, xhi):
             x = margin_l + (t - xlo) / (xhi - xlo) * px
-            label = _fmt(10.0 ** t) if self.xlog else _fmt(t)
             out.append(f'<line x1="{x:.2f}" y1="{margin_t + py}" x2="{x:.2f}" '
                        f'y2="{margin_t + py + 4}" stroke="#333"/>')
             out.append(f'<text x="{x:.2f}" y="{margin_t + py + 16}" '
                        f'text-anchor="middle" font-family="sans-serif" '
-                       f'font-size="10">{label}</text>')
+                       f'font-size="10">{_fmt(t)}</text>')
         if self.ylog:
             tick_vals = [e for e in range(math.floor(ylo), math.ceil(yhi) + 1)
                          if ylo <= e <= yhi]
@@ -148,7 +142,7 @@ class SvgPlot:
                        f'text-anchor="end" font-family="sans-serif" '
                        f'font-size="10">{label}</text>')
         if self.xlabel:
-            out.append(f'<text x="{margin_l + px / 2}" y="{self.height - 10}" '
+            out.append(f'<text x="{margin_l + px / 2}" y="{height - 10}" '
                        f'text-anchor="middle" font-family="sans-serif" '
                        f'font-size="11">{self.xlabel}</text>')
         if self.ylabel:
@@ -159,9 +153,9 @@ class SvgPlot:
 
         # series
         for idx, s in enumerate(self.series):
-            color = s.color or _COLORS[idx % len(_COLORS)]
+            color = _COLORS[idx % len(_COLORS)]
             coords = [(sx(x), sy(y)) for x, y in zip(s.xs, s.ys)
-                      if (not self.xlog or x > 0) and (not self.ylog or y > 0)]
+                      if not self.ylog or y > 0]
             if s.line and len(coords) > 1:
                 path = " ".join(f"{x:.2f},{y:.2f}" for x, y in coords)
                 out.append(f'<polyline points="{path}" fill="none" '
@@ -174,7 +168,7 @@ class SvgPlot:
         # legend
         labeled = [s for s in self.series if s.label]
         for i, s in enumerate(labeled):
-            color = s.color or _COLORS[self.series.index(s) % len(_COLORS)]
+            color = _COLORS[self.series.index(s) % len(_COLORS)]
             lx = margin_l + 10
             ly = margin_t + 14 + 14 * i
             out.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" '

@@ -81,12 +81,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.ts)
 
-    @property
-    def step(self) -> float:
-        if len(self.ts) < 2:
-            return float("nan")
-        return float(self.ts[1] - self.ts[0])
-
     def to_csv(self, path) -> None:
         d = self.xs.shape[1]
         header = ",".join([f"x_{i + 1}" for i in range(d)] + ["t", "y"])
@@ -254,15 +248,14 @@ def prior_path_to_csv(path, values: np.ndarray, xs_grid,
             fh.write(",".join(cells) + "\n")
 
 
-def nystrom_expansion(vals, vecs, ys, k_queries,
-                      rel_threshold: float = POSITIVE_EIGENVALUE_REL_THRESHOLD):
+def nystrom_expansion(vals, vecs, ys, k_queries):
     """Truncated Mercer expansion from an n x n kernel-matrix eigensystem.
 
     ``vals`` are the matrix eigenvalues in descending order and ``vecs`` the
-    matching eigenvector columns Phi; only eigenpairs above
-    rel_threshold * lam_max are kept.  The operator eigenvalues are
-    lam_bar_i = lam_i / n and the eigenfunctions take the values
-    sqrt(n) Phi_ji at the samples.  Returns ``(lam_bar, inner, phi_q)``:
+    matching eigenvector columns Phi; only the positive eigenpairs (above
+    POSITIVE_EIGENVALUE_REL_THRESHOLD * lam_max) are kept.  The operator
+    eigenvalues are lam_bar_i = lam_i / n and the eigenfunctions take the
+    values sqrt(n) Phi_ji at the samples.  Returns ``(lam_bar, inner, phi_q)``:
     the kept operator eigenvalues, the sample inner products
     sum_j phi_i(z_j) ys_j, and for each covariance vector k_q in
     ``k_queries`` the Nystrom extension
@@ -270,7 +263,7 @@ def nystrom_expansion(vals, vecs, ys, k_queries,
     sqrt(n) Phi_ji exactly when q is the j-th sample.
     """
     n = len(ys)
-    keep = vals > rel_threshold * max(vals[0], 0.0)
+    keep = vals > POSITIVE_EIGENVALUE_REL_THRESHOLD * max(vals[0], 0.0)
     lam = vals[keep]
     phi = vecs[:, keep]
     root_n = math.sqrt(n)
@@ -279,8 +272,7 @@ def nystrom_expansion(vals, vecs, ys, k_queries,
 
 
 def mercer_posterior(spectrum: Spectrum, data: Dataset, query,
-                     spatial: SpatialKernel, temporal: TemporalKernel,
-                     rel_threshold: float = POSITIVE_EIGENVALUE_REL_THRESHOLD):
+                     spatial: SpatialKernel, temporal: TemporalKernel):
     """Spectral approximation of the posterior mean and variance at a query.
 
     Uses operator eigenpairs estimated from the data's kernel matrix
@@ -303,7 +295,7 @@ def mercer_posterior(spectrum: Spectrum, data: Dataset, query,
     k_q = cross_covariance(spatial, temporal, data.xs, data.ts,
                            xq, np.atleast_1d(float(tq)))[:, 0]
     lam_bar, inner, (phi_q,) = nystrom_expansion(
-        vals, spectrum.vectors, data.ys, [k_q], rel_threshold)
+        vals, spectrum.vectors, data.ys, [k_q])
     mean = float(np.sum(phi_q * inner)) / n
     var = 1.0 - float(np.sum(lam_bar * phi_q ** 2))
     return mean, float(np.clip(var, 0.0, 1.0))

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import special
 from scipy.fft import dct
 
-from .errors import ToleranceUnreachable, WrongClass
+from .errors import DimensionMismatch, ToleranceUnreachable, WrongClass
 
 __all__ = [
     "TemporalFamily",
@@ -88,10 +88,6 @@ class KernelClass:
             (True, True): ClassTag.LOW_RANK,
         }[(bounded, discrete)]
         return KernelClass(tag, bounded, discrete)
-
-    @property
-    def is_discrete(self) -> bool:
-        return self.support_discrete
 
 
 def _as_array(u):
@@ -188,10 +184,6 @@ class TemporalKernel:
 
     def __call__(self, u):
         return eval_temporal(self, u)
-
-    @property
-    def kernel_class(self) -> KernelClass:
-        return classify(self)
 
 
 def eval_temporal(kernel: TemporalKernel, u):
@@ -338,7 +330,7 @@ def spectral_density(kernel: TemporalKernel, omega=0.0):
     frequencies; discrete-support classes ignore ``omega`` and return the
     full spectral-line list from :func:`spectral_lines`.
     """
-    if classify(kernel).is_discrete:
+    if classify(kernel).support_discrete:
         return spectral_lines(kernel)
     w = _as_array(omega)
     scalar = w.ndim == 0
@@ -387,7 +379,6 @@ class SpatialKernel:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         if X.shape[1] != self.dimension or Y.shape[1] != self.dimension:
-            from .errors import DimensionMismatch
             raise DimensionMismatch(
                 f"points have dimension {X.shape[1]}/{Y.shape[1]}, "
                 f"kernel expects {self.dimension}")
@@ -480,7 +471,7 @@ def low_rank_approx(kernel: TemporalKernel, delta: float, n: int,
         raise ValueError("need at least two samples")
     if eps <= 0:
         raise ValueError("tolerance must be positive")
-    if not classify(kernel).is_discrete:
+    if not classify(kernel).support_discrete:
         raise WrongClass("low-rank approximation applies to discrete-support "
                          "kernels only")
     grid = np.arange(n) * delta

@@ -237,8 +237,7 @@ def approx_temporal_spectrum(kernel: TemporalKernel,
     S(.)/delta on the centered frequency grid (i - n/2)/(n delta); the
     approximation sharpens as n grows and is exact in the limit.
     """
-    cls = classify(kernel)
-    if cls.is_discrete:
+    if classify(kernel).support_discrete:
         raise WrongClass(
             "the sampled-density approximation applies to broadband and "
             "band-limited kernels; use approx_lowrank_spectrum instead")
@@ -281,10 +280,6 @@ class ProductSpectrum:
     def distinct_spatial_indices(self) -> int:
         return len({i for i, _ in self.pairs})
 
-    @property
-    def distinct_temporal_indices(self) -> int:
-        return len({j for _, j in self.pairs})
-
 
 def approx_product_spectrum(spatial: Spectrum, temporal: Spectrum,
                             n: int) -> ProductSpectrum:
@@ -326,9 +321,8 @@ def count_in_interval(spectrum: Spectrum, a: float, b: float) -> int:
     return int(np.count_nonzero((v >= a) & (v <= b)))
 
 
-def positive_count(spectrum: Spectrum,
-                   rel_threshold: float = POSITIVE_EIGENVALUE_REL_THRESHOLD) -> int:
-    """Number of eigenvalues above rel_threshold * lam_max.
+def positive_count(spectrum: Spectrum) -> int:
+    """Number of eigenvalues above POSITIVE_EIGENVALUE_REL_THRESHOLD * lam_max.
 
     Numerically tiny eigenvalues of rank-deficient kernel matrices are not
     exact zeros; this is the package-wide notion of 'positive eigenvalue'.
@@ -336,7 +330,7 @@ def positive_count(spectrum: Spectrum,
     v = spectrum.values
     if len(v) == 0 or v[0] <= 0:
         return 0
-    return int(np.count_nonzero(v > rel_threshold * v[0]))
+    return int(np.count_nonzero(v > POSITIVE_EIGENVALUE_REL_THRESHOLD * v[0]))
 
 
 def spectrum_to_csv(path, spectrum: Spectrum, pairs=None) -> None:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tvbospec.errors import ScaleMismatch
-from tvbospec.gp import Dataset, mercer_posterior
+from tvbospec.gp import Dataset, mercer_posterior, nystrom_expansion
 from tvbospec.bounds import (
     bound_report,
     c1_constant,
@@ -25,6 +25,7 @@ from tvbospec.spectral import (
     SymMatrix,
     approx_product_spectrum,
     build_spatiotemporal_matrix,
+    cross_covariance,
     eig_sym,
 )
 from tvbospec.tvbo import TVBOConfig, RegretTrace, run_replications, run_tvbo
@@ -222,7 +223,9 @@ class TestLowerBound:
 
     def test_mean_matches_mercer_posterior(self):
         # mu_hat_k is the spectral posterior mean at x*_k minus the one at
-        # x_k, both conditioned on the first k noiseless objective values
+        # x_k, both conditioned on the first k noiseless objective values;
+        # sigma_hat_full_k also subtracts twice the Mercer cross covariance
+        # k(x*_k, x_k) - sum lam_bar phi(x*_k) phi(x_k)
         for temporal in (TemporalKernel.rbf(1.0),
                          TemporalKernel.periodic(period=0.5, lengthscale=0.8),
                          TemporalKernel.cosine_sum([(0.0, 0.4), (2.3, 0.6)])):
@@ -242,6 +245,24 @@ class TestLowerBound:
                 m_cur, _ = mercer_posterior(
                     spec, data, (xs[k], ts[k]), cfg.spatial, temporal)
                 assert abs(report.mu_hat[k] - (m_star - m_cur)) <= 1e-9, \
+                    (temporal.family, k)
+
+                vals, vecs = np.linalg.eigh(build_spatiotemporal_matrix(
+                    cfg.spatial, temporal, data.xs, data.ts).values)
+                x_star, x_cur = trace.star_x[k:k + 1], xs[k:k + 1]
+                t_q = ts[k:k + 1]
+                k_star, k_cur = (
+                    cross_covariance(cfg.spatial, temporal, data.xs, data.ts,
+                                     q, t_q)[:, 0] for q in (x_star, x_cur))
+                lam_bar, _, (phi_star, phi_cur) = nystrom_expansion(
+                    vals[::-1], vecs[:, ::-1], fvals[:k], [k_star, k_cur])
+                k_cross = cross_covariance(cfg.spatial, temporal, x_star, t_q,
+                                           x_cur, t_q)[0, 0]
+                cov = k_cross - np.sum(lam_bar * phi_star * phi_cur)
+                var = (2.0 - np.sum(lam_bar * phi_star ** 2)
+                       - np.sum(lam_bar * phi_cur ** 2) - 2.0 * cov)
+                sigma_full = math.sqrt(min(max(var, 0.0), 2.0))
+                assert abs(report.sigma_hat_full[k] - sigma_full) <= 1e-9, \
                     (temporal.family, k)
 
     def test_report_serializes(self):

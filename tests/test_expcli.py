@@ -169,6 +169,24 @@ class TestCli:
         assert main(["validate", str(broken)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, field", [
+        ('experiment = "regret"\n[params]\nhorizon = -5\n', "horizon"),
+        ('experiment = "fig1"\n[params]\nn = "abc"\n', "n"),
+        ('experiment = "fig2"\n[[params.panels]]\nn = 0\ndelta = 0.1\n',
+         "panels[0].n"),
+        ('experiment = "fig5"\n[params]\nns = "abc"\n', "ns"),
+        ('experiment = "fig1"\nparams = [1]\n', "params"),
+    ], ids=["regret_horizon", "fig1_n", "fig2_panel_n", "fig5_ns", "params"])
+    def test_malformed_size_fields_exit_code(self, tmp_path, capsys, text,
+                                             field):
+        cfg = tmp_path / "cfg.toml"
+        cfg.write_text(text)
+        assert main(["validate", str(cfg)]) == 2
+        assert f"field {field} " in capsys.readouterr().err
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert f"field {field} " in capsys.readouterr().err
+
     def test_missing_config_file(self, capsys):
         assert main(["run", "--config", "/nonexistent/cfg.toml"]) == 2
 

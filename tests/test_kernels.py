@@ -109,7 +109,7 @@ class TestSpectralDensity:
     def test_bochner_positivity(self, shipped_temporal_kernels):
         ws = np.linspace(-30, 30, 4001)
         for name, k in shipped_temporal_kernels.items():
-            if classify(k).is_discrete:
+            if classify(k).support_discrete:
                 weights = [w for _, w in spectral_lines(k)]
                 assert min(weights) >= -1e-12, name
             else:
@@ -120,7 +120,7 @@ class TestSpectralDensity:
         # has 1/w^2 frequency tails and needs a much wider grid to cover
         # 99.9% of its mass
         for name, k in shipped_temporal_kernels.items():
-            if classify(k).is_discrete:
+            if classify(k).support_discrete:
                 total = sum(w for _, w in spectral_lines(k))
             else:
                 width = 500 if name == "matern12" else 60
