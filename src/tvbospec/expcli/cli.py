@@ -29,9 +29,12 @@ def _load_config(path: str) -> dict:
     text = p.read_text(encoding="utf-8")
     if p.suffix.lower() == ".json":
         try:
-            return json.loads(text)
+            config = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+        if not isinstance(config, dict):
+            raise InvalidConfig(f"config must be a table, got {config!r}")
+        return config
     try:
         return tomllib.loads(text)
     except tomllib.TOMLDecodeError as exc:

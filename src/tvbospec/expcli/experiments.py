@@ -7,6 +7,7 @@ same config and seed produce byte-identical CSVs and SVGs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
@@ -498,8 +499,10 @@ def _merge(defaults: dict, overrides: dict) -> dict:
     return out
 
 
+@functools.cache
 def _eigh_cost_constant() -> float:
-    """Measured seconds per eigendecomposition flop-unit (n^3)."""
+    """Measured seconds per eigendecomposition flop-unit (n^3), timed once
+    per process."""
     n = 200
     m = np.random.default_rng(0).standard_normal((n, n))
     m = m + m.T
@@ -511,11 +514,11 @@ def _eigh_cost_constant() -> float:
 DESK_BUDGET_SECONDS = 120.0
 
 
-def _count(value, field: str) -> int:
-    """A size field: an int >= 1 (bools are rejected)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+def _count(value, field: str, least: int = 1) -> int:
+    """An integer field >= ``least`` (bools are rejected)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise InvalidConfig(
-            f"field {field} must be an integer >= 1, got {value!r}")
+            f"field {field} must be an integer >= {least}, got {value!r}")
     return value
 
 
@@ -531,9 +534,11 @@ def _counts(value, field: str) -> list[int]:
 def validate_config(config: dict) -> dict:
     """Structural check plus a runtime-class estimate; no side effects.
 
-    Returns {"experiment", "params", "warnings", "estimated_seconds"}.
-    Raises InvalidConfig naming the offending field.
+    Returns {"experiment", "seed", "params", "warnings",
+    "estimated_seconds"}.  Raises InvalidConfig naming the offending field.
     """
+    if not isinstance(config, dict):
+        raise InvalidConfig(f"config must be a table, got {config!r}")
     if "experiment" not in config:
         raise InvalidConfig("missing field: experiment")
     exp = config["experiment"]
@@ -545,6 +550,7 @@ def validate_config(config: dict) -> dict:
     if not isinstance(overrides, dict):
         raise InvalidConfig(f"field params must be a table, got {overrides!r}")
     params = _merge(defaults, overrides)
+    seed = _count(config.get("seed", 0), "seed", least=0)
 
     # kernels must parse
     kernels = [(key, f"invalid {key} kernel", params[key])
@@ -580,6 +586,7 @@ def validate_config(config: dict) -> dict:
         sizes = _counts(params["ns"], "ns") * reps * len(params["kernels"])
     elif exp == "regret":
         h = _count(params["horizon"], "horizon")
+        _count(params["grid_resolution"], "grid_resolution", least=2)
         reps = _count(params["replications"], "replications")
         # per run: incremental posterior ~ h^3/3 equivalent plus the
         # per-step spectral lower bound ~ h^4/4
@@ -591,8 +598,8 @@ def validate_config(config: dict) -> dict:
         warnings.append(
             f"estimated eigendecomposition cost {estimate:.0f}s exceeds the "
             f"desk-scale budget of {DESK_BUDGET_SECONDS:.0f}s")
-    return {"experiment": exp, "params": params, "warnings": warnings,
-            "estimated_seconds": estimate}
+    return {"experiment": exp, "seed": seed, "params": params,
+            "warnings": warnings, "estimated_seconds": estimate}
 
 
 def run_experiment(config: dict, out, jobs: int = 1) -> dict:
@@ -600,7 +607,7 @@ def run_experiment(config: dict, out, jobs: int = 1) -> dict:
     checked = validate_config(config)
     exp = checked["experiment"]
     params = checked["params"]
-    seed = int(config.get("seed", 0))
+    seed = checked["seed"]
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
     func = EXPERIMENTS[exp][0]

@@ -61,7 +61,7 @@ class Dataset:
         ts = np.asarray(self.ts, dtype=float)
         ys = np.asarray(self.ys, dtype=float)
         if len(ts) == 0:
-            xs = xs.reshape(0, max(1, xs.shape[1] if xs.size else 1))
+            xs = xs.reshape(0, max(1, xs.shape[1]))
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ts", ts)
         object.__setattr__(self, "ys", ys)
@@ -146,14 +146,16 @@ class GPPosterior:
         cov = 0.5 * (cov + cov.T)
         return mean, cov
 
-    def mean_var(self, xs_q, ts_q):
-        """Posterior means and (clipped) marginal variances at the queries."""
-        xs_q = np.atleast_2d(np.asarray(xs_q, dtype=float))
-        ts_q = np.atleast_1d(np.asarray(ts_q, dtype=float))
+    def mean_var(self, k_dq):
+        """Posterior means and (clipped) marginal variances at q queries.
+
+        ``k_dq`` is the (n, q) block of prior covariances between the n
+        observations and the queries, as built by ``cross_covariance``.
+        Taking the block rather than the query points lets the GP-UCB loop
+        assemble it from one cached spatial row per observation.
+        """
         if len(self.data) == 0:
-            return np.zeros(len(ts_q)), np.ones(len(ts_q))
-        k_dq = cross_covariance(self.spatial, self.temporal, self.data.xs,
-                                self.data.ts, xs_q, ts_q)
+            return np.zeros(k_dq.shape[1]), np.ones(k_dq.shape[1])
         a = solve_triangular(self._chol, k_dq, lower=True)
         mean = a.T @ self._alpha
         var = 1.0 - np.sum(a * a, axis=0)

@@ -5,6 +5,11 @@ One run draws a deterministic objective from the product-kernel prior on a
 sampling instant, conditioning on noisy observations.  Regret is measured
 against the grid optimum of the noiseless objective at each instant, so
 instantaneous regrets are nonnegative by construction.
+
+Every chosen point is a grid point and every query set is the whole grid at
+one instant, so the loop computes the spatial row k_S(x_i, grid) once, when
+point i is chosen, and at each step scales the cached rows by the temporal
+factors k_T(|t_i - t|) of the observations.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gp import NOISELESS_JITTER, Dataset, GPPosterior, sample_prior_path
-from .kernels import SpatialKernel, TemporalKernel
+from .kernels import SpatialKernel, TemporalKernel, eval_temporal
 from .spectral import TimeGrid
 
 __all__ = [
@@ -83,15 +88,18 @@ def spatial_grid(config: TVBOConfig) -> np.ndarray:
     return np.array(list(itertools.product(*axes)), dtype=float)
 
 
-def ucb_select(post: GPPosterior, t_next: float, beta: float,
-               grid: np.ndarray) -> tuple[int, float]:
+def ucb_select(post: GPPosterior, k_dq: np.ndarray,
+               beta: float) -> tuple[int, float]:
     """Index of the grid point maximizing mu + sqrt(beta) sigma, and the
     posterior standard deviation sigma at that point.
 
-    Negative beta is clipped to zero (pure exploitation); ties resolve to
-    the lowest grid index.
+    ``k_dq`` holds the prior covariances between the posterior's
+    observations and every grid point at the next sampling instant (see
+    ``GPPosterior.mean_var``); ``run_tvbo`` builds it from one cached
+    spatial row per observation.  Negative beta is clipped to zero (pure
+    exploitation); ties resolve to the lowest grid index.
     """
-    mean, var = post.mean_var(grid, np.full(len(grid), t_next))
+    mean, var = post.mean_var(k_dq)
     sd = np.sqrt(var)
     j = int(np.argmax(mean + math.sqrt(max(beta, 0.0)) * sd))
     return j, float(sd[j])
@@ -189,16 +197,21 @@ def run_tvbo(config: TVBOConfig) -> RegretTrace:
     ys = np.zeros(n)
     sds = np.zeros(n)
     betas = np.zeros(n)
+    # ks_rows[i] = k_S(x_i, grid) for the i-th chosen point.
+    ks_rows = np.zeros((n, len(grid)))
     for i in range(n):
         t = times[i]
         betas[i] = beta_schedule(i + 1, config.confidence, d, config.lipschitz)
-        j, sds[i] = ucb_select(post, t, betas[i], grid)
+        k_dq = ks_rows[:i] * eval_temporal(config.temporal,
+                                           np.abs(times[:i, None] - t))
+        j, sds[i] = ucb_select(post, k_dq, betas[i])
         chosen[i] = j
         y = objective[j, i]
         if config.noise > 0:
             y += noise_rng.normal(0.0, math.sqrt(config.noise))
         ys[i] = y
         regret[i] = objective[star[i], i] - objective[j, i]
+        ks_rows[i] = config.spatial.pairwise(grid[j], grid)[0]
         post = post.extended(grid[j], t, y)
     return RegretTrace(config, grid, times, chosen, star, regret, ys, sds,
                        betas, objective)

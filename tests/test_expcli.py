@@ -176,7 +176,13 @@ class TestCli:
          "panels[0].n"),
         ('experiment = "fig5"\n[params]\nns = "abc"\n', "ns"),
         ('experiment = "fig1"\nparams = [1]\n', "params"),
-    ], ids=["regret_horizon", "fig1_n", "fig2_panel_n", "fig5_ns", "params"])
+        ('experiment = "fig4"\nseed = "abc"\n', "seed"),
+        ('experiment = "regret"\n[params]\ngrid_resolution = 0\n',
+         "grid_resolution"),
+        ('experiment = "regret"\n[params]\ngrid_resolution = true\n',
+         "grid_resolution"),
+    ], ids=["regret_horizon", "fig1_n", "fig2_panel_n", "fig5_ns", "params",
+            "seed", "grid_resolution", "grid_resolution_bool"])
     def test_malformed_size_fields_exit_code(self, tmp_path, capsys, text,
                                              field):
         cfg = tmp_path / "cfg.toml"
@@ -186,6 +192,17 @@ class TestCli:
         assert main(["run", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 2
         assert f"field {field} " in capsys.readouterr().err
+
+    def test_non_table_config_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("5")
+        assert main(["validate", str(cfg)]) == 2
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.count("config must be a table") == 3
+        with pytest.raises(InvalidConfig, match="config must be a table"):
+            validate_config(5)
 
     def test_missing_config_file(self, capsys):
         assert main(["run", "--config", "/nonexistent/cfg.toml"]) == 2

@@ -18,6 +18,7 @@ from tvbospec.spectral import (
     SymMatrix,
     TimeGrid,
     build_spatiotemporal_matrix,
+    cross_covariance,
     eig_sym,
 )
 
@@ -103,12 +104,18 @@ class TestPosterior:
             data = _random_dataset(rng, n, noise=float(rng.uniform(0.001, 0.1)))
             post = GPPosterior(sp, tp, data)
             xq = rng.uniform(0, 1, (1, 1))
-            tq = [float(data.ts[-1] + 0.25)]
-            _, before = post.mean_var(xq, tq)
+            tq = np.array([data.ts[-1] + 0.25])
+            _, before = post.mean_var(cross_covariance(
+                sp, tp, post.data.xs, post.data.ts, xq, tq))
             bigger = post.extended(rng.uniform(0, 1, (1, 1)),
                                    data.ts[-1] + 0.1, float(rng.standard_normal()))
-            _, after = bigger.mean_var(xq, tq)
+            _, after = bigger.mean_var(cross_covariance(
+                sp, tp, bigger.data.xs, bigger.data.ts, xq, tq))
             assert after[0] <= before[0] + 1e-8
+
+    def test_empty_dataset_keeps_dimension(self):
+        assert Dataset(np.zeros((0, 2)), [], []).xs.shape == (0, 2)
+        assert Dataset([], [], []).xs.shape == (0, 1)
 
     def test_dataset_validation(self):
         with pytest.raises(ValueError):

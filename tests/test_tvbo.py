@@ -8,6 +8,7 @@ import pytest
 
 from tvbospec.gp import Dataset, GPPosterior
 from tvbospec.kernels import SpatialKernel, TemporalKernel
+from tvbospec.spectral import cross_covariance
 from tvbospec.tvbo import (
     TVBOConfig,
     beta_schedule,
@@ -25,6 +26,12 @@ def _config(**kw):
                 grid_resolution=15, noise=0.01, seed=7)
     base.update(kw)
     return TVBOConfig(**base)
+
+
+def _k_dq(post, grid, t):
+    """Covariances between the observations and the grid at time t."""
+    return cross_covariance(post.spatial, post.temporal, post.data.xs,
+                            post.data.ts, grid, np.full(len(grid), t))
 
 
 class TestBetaSchedule:
@@ -57,15 +64,16 @@ class TestUcbSelect:
         post = GPPosterior(cfg.spatial, cfg.temporal,
                            Dataset(np.zeros((0, 1)), [], [], noise=0.01))
         grid = spatial_grid(cfg)
-        assert ucb_select(post, 0.1, 2.0, grid) == (0, 1.0)
+        assert ucb_select(post, _k_dq(post, grid, 0.1), 2.0) == (0, 1.0)
 
     def test_pure_exploitation_is_mean_argmax(self):
         cfg = _config()
         post = GPPosterior(cfg.spatial, cfg.temporal,
                            Dataset([[0.5]], [0.1], [5.0], noise=0.01))
         grid = spatial_grid(cfg)
-        mean, var = post.mean_var(grid, np.full(len(grid), 0.2))
-        j, sd = ucb_select(post, 0.2, 0.0, grid)
+        k_dq = _k_dq(post, grid, 0.2)
+        mean, var = post.mean_var(k_dq)
+        j, sd = ucb_select(post, k_dq, 0.0)
         assert j == int(np.argmax(mean))
         assert sd == math.sqrt(var[j])
 
@@ -74,7 +82,7 @@ class TestUcbSelect:
         post = GPPosterior(cfg.spatial, cfg.temporal,
                            Dataset([[0.5]], [0.1], [5.0], noise=0.01))
         grid = spatial_grid(cfg)
-        j, _ = ucb_select(post, 0.1, 0.0, grid)
+        j, _ = ucb_select(post, _k_dq(post, grid, 0.1), 0.0)
         assert abs(grid[j, 0] - 0.5) <= 1.0 / 40 + 1e-12
 
     def test_negative_beta_clipped(self):
@@ -82,7 +90,8 @@ class TestUcbSelect:
         post = GPPosterior(cfg.spatial, cfg.temporal,
                            Dataset([[0.5]], [0.1], [5.0], noise=0.01))
         grid = spatial_grid(cfg)
-        assert ucb_select(post, 0.2, -3.0, grid) == ucb_select(post, 0.2, 0.0, grid)
+        k_dq = _k_dq(post, grid, 0.2)
+        assert ucb_select(post, k_dq, -3.0) == ucb_select(post, k_dq, 0.0)
 
 
 class TestRunTvbo:
@@ -129,6 +138,43 @@ class TestRunTvbo:
         header = path.read_text().splitlines()[0].split(",")
         assert header == ["iteration", "t", "chosen_x_1", "star_x_1", "r",
                           "R_cumulative"]
+
+    @pytest.mark.parametrize("spatial,temporal,resolution", [
+        (SpatialKernel.rbf([0.4]), TemporalKernel.rbf(1.0), 15),
+        (SpatialKernel.rbf([0.4]), TemporalKernel.sinc_squared(2.0), 15),
+        (SpatialKernel.rbf([0.4]),
+         TemporalKernel.periodic(period=0.5, lengthscale=0.8), 15),
+        (SpatialKernel.rbf([0.4]),
+         TemporalKernel.cosine_sum([(0.0, 0.4), (1.3, 0.6)]), 15),
+        (SpatialKernel.rbf([0.3, 0.5]), TemporalKernel.rbf(1.0), 6),
+    ], ids=["rbf", "sinc_squared", "periodic", "cosine_sum", "rbf_d2"])
+    def test_cached_rows_match_per_step_covariances(self, spatial, temporal,
+                                                    resolution):
+        # Reference loop: rebuild the full observation-by-grid covariance
+        # block with cross_covariance at every step.
+        cfg = _config(spatial=spatial, temporal=temporal,
+                      grid_resolution=resolution, horizon=30)
+        trace = run_tvbo(cfg)
+        grid, d = trace.grid, spatial.dimension
+        noise_rng = np.random.default_rng(
+            np.random.SeedSequence(cfg.seed).spawn(2)[1])
+        post = GPPosterior(spatial, temporal,
+                           Dataset(np.zeros((0, d)), [], [], noise=cfg.noise))
+        chosen, ys, sds, regret = [], [], [], []
+        for i, t in enumerate(trace.times):
+            beta = beta_schedule(i + 1, cfg.confidence, d, cfg.lipschitz)
+            j, sd = ucb_select(post, _k_dq(post, grid, t), beta)
+            y = trace.objective[j, i] + noise_rng.normal(
+                0.0, math.sqrt(cfg.noise))
+            chosen.append(j)
+            ys.append(y)
+            sds.append(sd)
+            regret.append(trace.objective[:, i].max() - trace.objective[j, i])
+            post = post.extended(grid[j], t, y)
+        assert np.array_equal(trace.chosen_idx, chosen)
+        assert np.array_equal(trace.ys, ys)
+        assert np.array_equal(trace.posterior_sd, sds)
+        assert np.array_equal(trace.instantaneous, regret)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
