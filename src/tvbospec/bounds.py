@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import ScaleMismatch
-from .gp import NOISELESS_JITTER, nystrom_expansion
+from .gp import conditioning_noise, nystrom_expansion
 from .kernels import SpatialKernel, TemporalKernel, eval_temporal
 from .spectral import (
     Scale,
@@ -109,8 +109,7 @@ def upper_bound_curve(trace: RegretTrace):
     posterior standard deviations z <= sqrt(noise); the violation fraction
     reports how often the run exceeded that.
     """
-    cfg = trace.config
-    noise = cfg.noise if cfg.noise > 0 else NOISELESS_JITTER
+    noise = conditioning_noise(trace.config.noise)
     info = trace.sequential_information
     c1 = c1_constant(noise)
     ns = np.arange(1, len(info) + 1)
@@ -274,7 +273,7 @@ class BoundReport:
 def bound_report(trace: RegretTrace) -> BoundReport:
     """Evaluate both bounds and the information quantities for one run."""
     cfg = trace.config
-    noise = cfg.noise if cfg.noise > 0 else NOISELESS_JITTER
+    noise = conditioning_noise(cfg.noise)
     n = len(trace.times)
     gram = build_spatiotemporal_matrix(cfg.spatial, cfg.temporal,
                                        trace.chosen_x, trace.times)

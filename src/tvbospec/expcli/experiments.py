@@ -12,6 +12,7 @@ import hashlib
 import json
 import time
 from pathlib import Path
+from sys import float_info
 
 import numpy as np
 
@@ -79,7 +80,9 @@ def write_manifest(outdir: Path, files) -> Path:
 
 def _kernel(kind: str, spec):
     """The ``kind`` ("spatial" or "temporal") kernel a config table describes."""
-    return kernel_from_dict({"kind": kind, **dict(spec)})
+    if "kind" in spec:
+        raise ValueError("field kind is not allowed in a config kernel table")
+    return kernel_from_dict({"kind": kind, **spec})
 
 
 # --------------------------------------------------------------------------
@@ -172,9 +175,8 @@ def _run_density_panels(params: dict, outdir: Path, stem: str):
     temporal = _kernel("temporal", params["temporal"])
     files = []
     for panel in params["panels"]:
-        n = int(panel["n"])
-        delta = float(panel["delta"])
-        grid = TimeGrid(n, delta)
+        grid = TimeGrid(**panel)
+        n, delta = grid.n, grid.delta
         exact = eig_sym(build_temporal_matrix(temporal, grid))
         approx = approx_temporal_spectrum(temporal, grid)
         tag = f"{stem}_n{n}_d{delta:g}"
@@ -396,24 +398,30 @@ REGRET_DEFAULTS = {
 }
 
 
-def run_regret(params: dict, seed: int, outdir: Path, jobs: int = 1):
+def _regret_configs(params: dict, seed: int) -> dict:
+    """The TVBOConfig of each regret kernel, by label; a float field of the
+    wrong type or outside TVBOConfig's ranges raises InvalidConfig."""
+    floats = {key: _real(params[key], key)
+              for key in ("delta", "confidence", "lipschitz", "noise")}
     spatial = _kernel("spatial", params["spatial"])
+    try:
+        return {label: TVBOConfig(spatial, _kernel("temporal", kdict),
+                                  horizon=params["horizon"],
+                                  grid_resolution=params["grid_resolution"],
+                                  seed=seed, **floats)
+                for label, kdict in params["kernels"].items()}
+    except ValueError as exc:
+        raise InvalidConfig(f"field {exc}") from exc
+
+
+def run_regret(params: dict, seed: int, outdir: Path, jobs: int = 1):
     reps = int(params["replications"])
-    with_bounds = bool(params.get("bounds", True))
     files = []
     summary_rows = []
     curve_rows = []
     plot = SvgPlot(title="average regret per step", xlabel="iteration",
                    ylabel="R_n / n")
-    for label, kdict in params["kernels"].items():
-        temporal = _kernel("temporal", kdict)
-        config = TVBOConfig(
-            spatial=spatial, temporal=temporal,
-            delta=float(params["delta"]), horizon=int(params["horizon"]),
-            confidence=float(params["confidence"]),
-            lipschitz=float(params["lipschitz"]),
-            grid_resolution=int(params["grid_resolution"]),
-            noise=float(params["noise"]), seed=seed)
+    for label, config in _regret_configs(params, seed).items():
         seeds = [seed + i for i in range(reps)]
         traces = run_replications(config, seeds, jobs=jobs)
         ratio = np.stack([t.cumulative / (np.arange(len(t.times)) + 1)
@@ -429,7 +437,7 @@ def run_regret(params: dict, seed: int, outdir: Path, jobs: int = 1):
             trace_path = outdir / f"trace_{label}_seed{s}.csv"
             trace.to_csv(trace_path)
             files.append(trace_path)
-            if with_bounds:
+            if params["bounds"]:
                 report = bound_report(trace)
                 ub_ok = bool(np.all(trace.cumulative <= report.upper_curve))
                 summary_rows.append((
@@ -479,24 +487,12 @@ EXPERIMENTS = {
 
 
 def default_config(experiment: str) -> dict:
-    if experiment not in EXPERIMENTS:
+    if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
         raise InvalidConfig(f"unknown experiment {experiment!r}; "
                             f"known: {sorted(EXPERIMENTS)}")
     _, _, defaults = EXPERIMENTS[experiment]
     return {"experiment": experiment, "seed": 0,
             "params": json.loads(json.dumps(defaults))}
-
-
-def _merge(defaults: dict, overrides: dict) -> dict:
-    out = dict(defaults)
-    for key, value in overrides.items():
-        if key != "kernels" and isinstance(value, dict) \
-                and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
-        else:
-            # a user-supplied kernel table replaces the default set outright
-            out[key] = value
-    return out
 
 
 @functools.cache
@@ -522,6 +518,14 @@ def _count(value, field: str, least: int = 1) -> int:
     return value
 
 
+def _real(value, field: str) -> float:
+    """A number field a finite float can hold (bools are rejected)."""
+    if type(value) not in (int, float) or not abs(value) <= float_info.max:
+        raise InvalidConfig(
+            f"field {field} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _counts(value, field: str) -> list[int]:
     """A nonempty list of size fields."""
     if not isinstance(value, list) or not value:
@@ -539,17 +543,23 @@ def validate_config(config: dict) -> dict:
     """
     if not isinstance(config, dict):
         raise InvalidConfig(f"config must be a table, got {config!r}")
+    unknown = sorted(config.keys() - {"experiment", "seed", "params", "out"})
+    if unknown:
+        raise InvalidConfig(f"field {unknown[0]} is not a top-level field; "
+                            "known: experiment, seed, params, out")
     if "experiment" not in config:
         raise InvalidConfig("missing field: experiment")
     exp = config["experiment"]
-    if exp not in EXPERIMENTS:
-        raise InvalidConfig(f"unknown experiment {exp!r}; "
-                            f"known: {sorted(EXPERIMENTS)}")
-    _, _, defaults = EXPERIMENTS[exp]
+    defaults = default_config(exp)["params"]
     overrides = config.get("params", {})
     if not isinstance(overrides, dict):
         raise InvalidConfig(f"field params must be a table, got {overrides!r}")
-    params = _merge(defaults, overrides)
+    unknown = sorted(overrides.keys() - defaults.keys())
+    if unknown:
+        raise InvalidConfig(f"field {unknown[0]} is not a parameter of "
+                            f"{exp}; known: {sorted(defaults)}")
+    # Each override, kernel tables included, replaces its default whole.
+    params = {**defaults, **overrides}
     seed = _count(config.get("seed", 0), "seed", least=0)
 
     # kernels must parse
@@ -574,8 +584,12 @@ def validate_config(config: dict) -> dict:
                 or not all(isinstance(p, dict) for p in panels):
             raise InvalidConfig(
                 "field panels must be a nonempty list of tables")
-        sizes = [_count(p.get("n"), f"panels[{i}].n")
-                 for i, p in enumerate(panels)]
+        for i, panel in enumerate(panels):
+            sizes.append(_count(panel.get("n"), f"panels[{i}].n"))
+            try:
+                TimeGrid(**panel)
+            except (TypeError, ValueError) as exc:
+                raise InvalidConfig(f"field panels[{i}]: {exc}") from exc
     elif exp == "fig1":
         sizes = [_count(params["n"], "n")] * 3
     elif exp == "fig4":
@@ -588,6 +602,10 @@ def validate_config(config: dict) -> dict:
         h = _count(params["horizon"], "horizon")
         _count(params["grid_resolution"], "grid_resolution", least=2)
         reps = _count(params["replications"], "replications")
+        if not isinstance(params["bounds"], bool):
+            raise InvalidConfig(f"field bounds must be true or false, "
+                                f"got {params['bounds']!r}")
+        _regret_configs(params, seed)
         # per run: incremental posterior ~ h^3/3 equivalent plus the
         # per-step spectral lower bound ~ h^4/4
         sizes = [int(round(h ** (4 / 3)))] * (reps * len(params["kernels"]))

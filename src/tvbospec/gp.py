@@ -33,6 +33,7 @@ __all__ = [
     "mercer_posterior",
     "nystrom_expansion",
     "NOISELESS_JITTER",
+    "conditioning_noise",
     "DEFAULT_SAMPLING_CAP",
 ]
 
@@ -41,6 +42,11 @@ NOISELESS_JITTER = 1e-8
 
 # Largest spatial-grid-size * time-grid-size product sample_prior_path accepts.
 DEFAULT_SAMPLING_CAP = 1_000_000
+
+
+def conditioning_noise(noise: float) -> float:
+    """``noise``, or NOISELESS_JITTER in place of an exact zero."""
+    return noise if noise > 0 else NOISELESS_JITTER
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +120,7 @@ class GPPosterior:
         self.spatial = spatial
         self.temporal = temporal
         self.data = data
-        self._noise = data.noise if data.noise > 0 else NOISELESS_JITTER
+        self._noise = conditioning_noise(data.noise)
         if _factor is not None:
             self._chol, self._alpha = _factor
         elif len(data) > 0:
@@ -161,8 +167,9 @@ class GPPosterior:
         var = 1.0 - np.sum(a * a, axis=0)
         return mean, np.maximum(var, 0.0)
 
-    def extended(self, x, t, y) -> "GPPosterior":
-        """Posterior with one more observation, via rank-one Cholesky growth."""
+    def extended(self, x, t, y, k_new) -> "GPPosterior":
+        """Posterior with one more observation, via rank-one Cholesky growth;
+        ``k_new`` holds its prior covariances with the n observations."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         n = len(self.data)
         new_data = Dataset(
@@ -173,9 +180,6 @@ class GPPosterior:
         )
         if n == 0:
             return GPPosterior(self.spatial, self.temporal, new_data)
-        k_new = cross_covariance(self.spatial, self.temporal, self.data.xs,
-                                 self.data.ts, x,
-                                 np.atleast_1d(float(t)))[:, 0]
         l_row = solve_triangular(self._chol, k_new, lower=True)
         diag_sq = 1.0 + self._noise - float(l_row @ l_row)
         if diag_sq <= 0:

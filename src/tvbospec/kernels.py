@@ -15,6 +15,7 @@ low-rank (discrete finite).
 from __future__ import annotations
 
 import enum
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -186,6 +187,25 @@ class TemporalKernel:
         return eval_temporal(self, u)
 
 
+def _matern(nu: float, r):
+    """Matern correlation of smoothness nu in {1/2, 3/2, 5/2} at distance r."""
+    if nu == 0.5:
+        return np.exp(-r)
+    if nu == 1.5:
+        s = math.sqrt(3.0) * r
+        return (1.0 + s) * np.exp(-s)
+    s = math.sqrt(5.0) * r
+    return (1.0 + s + s * s / 3.0) * np.exp(-s)
+
+
+def _sinc(x):
+    """sin(x) / x, with the limit 1 at x = 0."""
+    out = np.ones_like(x)
+    nz = x != 0
+    out[nz] = np.sin(x[nz]) / x[nz]
+    return out
+
+
 def eval_temporal(kernel: TemporalKernel, u):
     """Evaluate the correlation k(u) at lags ``u`` (scalar or array).
 
@@ -200,28 +220,14 @@ def eval_temporal(kernel: TemporalKernel, u):
     if f is TemporalFamily.RBF:
         out = np.exp(-(u * u) / (2.0 * ell * ell))
     elif f is TemporalFamily.MATERN:
-        r = np.abs(u) / ell
-        if kernel.nu == 0.5:
-            out = np.exp(-r)
-        elif kernel.nu == 1.5:
-            s = math.sqrt(3.0) * r
-            out = (1.0 + s) * np.exp(-s)
-        else:  # nu == 2.5
-            s = math.sqrt(5.0) * r
-            out = (1.0 + s + s * s / 3.0) * np.exp(-s)
+        out = _matern(kernel.nu, np.abs(u) / ell)
     elif f is TemporalFamily.RATIONAL_QUADRATIC:
         a = kernel.alpha
         out = (1.0 + (u * u) / (2.0 * a * ell * ell)) ** (-a)
     elif f is TemporalFamily.SINC:
-        x = 2.0 * np.pi * kernel.bandlimit * u
-        out = np.ones_like(x)
-        nz = x != 0
-        out[nz] = np.sin(x[nz]) / x[nz]
+        out = _sinc(2.0 * np.pi * kernel.bandlimit * u)
     elif f is TemporalFamily.SINC_SQUARED:
-        x = np.pi * kernel.bandlimit * u
-        out = np.ones_like(x)
-        nz = x != 0
-        out[nz] = (np.sin(x[nz]) / x[nz]) ** 2
+        out = _sinc(np.pi * kernel.bandlimit * u) ** 2
     elif f is TemporalFamily.PERIODIC:
         s = np.sin(np.pi * u / kernel.period)
         out = np.exp(-2.0 * s * s / (ell * ell))
@@ -304,9 +310,7 @@ def spectral_lines(kernel: TemporalKernel, tol: float = 1e-12):
             else:
                 lines.append((freq, weight / 2.0))
                 lines.append((-freq, weight / 2.0))
-        lines.sort(key=lambda fw: (-fw[1], abs(fw[0]), fw[0] < 0))
-        return lines
-    if f is TemporalFamily.PERIODIC:
+    elif f is TemporalFamily.PERIODIC:
         z = 1.0 / kernel.lengthscale ** 2
         r = kernel.period
         lines = [(0.0, float(special.ive(0, z)))]
@@ -318,9 +322,10 @@ def spectral_lines(kernel: TemporalKernel, tol: float = 1e-12):
             lines.append((-p / r, w))
             total += 2.0 * w
             p += 1
-        lines.sort(key=lambda fw: (-fw[1], abs(fw[0]), fw[0] < 0))
-        return lines
-    raise WrongClass(f"{f.value} has a continuous spectral density")
+    else:
+        raise WrongClass(f"{f.value} has a continuous spectral density")
+    lines.sort(key=lambda fw: (-fw[1], abs(fw[0]), fw[0] < 0))
+    return lines
 
 
 def spectral_density(kernel: TemporalKernel, omega=0.0):
@@ -352,6 +357,8 @@ class SpatialKernel:
     nu: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "lengthscales", tuple(
+            float(l) for l in np.atleast_1d(self.lengthscales)))
         if not self.lengthscales or any(l <= 0 for l in self.lengthscales):
             raise ValueError("lengthscales must be positive, one per dimension")
         if self.family is SpatialFamily.MATERN and self.nu not in _MATERN_NUS:
@@ -363,16 +370,11 @@ class SpatialKernel:
 
     @classmethod
     def rbf(cls, lengthscales) -> "SpatialKernel":
-        if np.isscalar(lengthscales):
-            lengthscales = (float(lengthscales),)
-        return cls(SpatialFamily.RBF, tuple(float(l) for l in lengthscales))
+        return cls(SpatialFamily.RBF, lengthscales)
 
     @classmethod
     def matern(cls, nu: float, lengthscales) -> "SpatialKernel":
-        if np.isscalar(lengthscales):
-            lengthscales = (float(lengthscales),)
-        return cls(SpatialFamily.MATERN,
-                   tuple(float(l) for l in lengthscales), nu=nu)
+        return cls(SpatialFamily.MATERN, lengthscales, nu=nu)
 
     def pairwise(self, X, Y) -> np.ndarray:
         """Correlation matrix k(X[i], Y[j]) for point arrays (n, d), (m, d)."""
@@ -387,14 +389,7 @@ class SpatialKernel:
         sq = np.sum(diff * diff, axis=-1)
         if self.family is SpatialFamily.RBF:
             return np.exp(-0.5 * sq)
-        r = np.sqrt(sq)
-        if self.nu == 0.5:
-            return np.exp(-r)
-        if self.nu == 1.5:
-            s = math.sqrt(3.0) * r
-            return (1.0 + s) * np.exp(-s)
-        s = math.sqrt(5.0) * r
-        return (1.0 + s + s * s / 3.0) * np.exp(-s)
+        return _matern(self.nu, np.sqrt(sq))
 
     def __call__(self, X, Y) -> np.ndarray:
         return self.pairwise(X, Y)
@@ -505,52 +500,30 @@ def low_rank_approx(kernel: TemporalKernel, delta: float, n: int,
 # ---------------------------------------------------------------------------
 
 
+_KINDS = {"temporal": (TemporalKernel, TemporalFamily),
+          "spatial": (SpatialKernel, SpatialFamily)}
+
+
 def kernel_to_dict(kernel) -> dict:
-    """Serialize a temporal or spatial kernel to a plain JSON-able dict."""
-    if isinstance(kernel, TemporalKernel):
-        d = {"kind": "temporal", "family": kernel.family.value}
-        f = kernel.family
-        if f in (TemporalFamily.RBF, TemporalFamily.MATERN,
-                 TemporalFamily.RATIONAL_QUADRATIC, TemporalFamily.PERIODIC):
-            d["lengthscale"] = kernel.lengthscale
-        if f is TemporalFamily.MATERN:
-            d["nu"] = kernel.nu
-        if f is TemporalFamily.RATIONAL_QUADRATIC:
-            d["alpha"] = kernel.alpha
-        if f in (TemporalFamily.SINC, TemporalFamily.SINC_SQUARED):
-            d["bandlimit"] = kernel.bandlimit
-        if f is TemporalFamily.PERIODIC:
-            d["period"] = kernel.period
-        if f is TemporalFamily.COSINE_SUM:
-            d["lines"] = [[f_, w] for f_, w in kernel.lines]
-        return d
-    if isinstance(kernel, SpatialKernel):
-        d = {"kind": "spatial", "family": kernel.family.value,
-             "lengthscales": list(kernel.lengthscales)}
-        if kernel.family is SpatialFamily.MATERN:
-            d["nu"] = kernel.nu
-        return d
+    """Serialize a kernel as its kind, its family and the arguments of that
+    family's constructor (``TemporalKernel.rbf`` for a temporal RBF)."""
+    for kind, (kernel_type, _) in _KINDS.items():
+        if isinstance(kernel, kernel_type):
+            make = getattr(kernel_type, kernel.family.value)
+            return {"kind": kind, "family": kernel.family.value,
+                    **{name: getattr(kernel, name)
+                       for name in inspect.signature(make).parameters}}
     raise TypeError(f"not a kernel: {kernel!r}")
 
 
 def kernel_from_dict(d: dict):
-    """Inverse of :func:`kernel_to_dict`."""
-    kind = d.get("kind")
-    if kind == "temporal":
-        family = TemporalFamily(d["family"])
-        if family is TemporalFamily.COSINE_SUM:
-            return TemporalKernel.cosine_sum(d["lines"])
-        return TemporalKernel(
-            family,
-            lengthscale=float(d.get("lengthscale", 1.0)),
-            nu=d.get("nu"),
-            alpha=d.get("alpha"),
-            bandlimit=d.get("bandlimit"),
-            period=d.get("period"),
-        )
-    if kind == "spatial":
-        family = SpatialFamily(d["family"])
-        return SpatialKernel(family,
-                             tuple(float(l) for l in d["lengthscales"]),
-                             nu=d.get("nu"))
-    raise ValueError(f"unknown kernel kind {kind!r}")
+    """Inverse of :func:`kernel_to_dict`: the family's constructor called
+    with the remaining fields, so an omitted field takes its default and an
+    unknown or missing required field raises TypeError naming it."""
+    rest = dict(d)
+    kind = rest.pop("kind", None)
+    if kind not in _KINDS or "family" not in rest:
+        raise ValueError(f"a kernel spec needs a kind in {list(_KINDS)} and "
+                         f"a family, got {d!r}")
+    kernel_type, families = _KINDS[kind]
+    return getattr(kernel_type, families(rest.pop("family")).value)(**rest)

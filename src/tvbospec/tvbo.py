@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gp import NOISELESS_JITTER, Dataset, GPPosterior, sample_prior_path
+from .gp import Dataset, GPPosterior, conditioning_noise, sample_prior_path
 from .kernels import SpatialKernel, TemporalKernel, eval_temporal
 from .spectral import TimeGrid
 
@@ -69,16 +69,19 @@ class TVBOConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # Messages start with the field name, so callers can report it.
         if self.grid_resolution < 2:
-            raise ValueError("need at least two grid points per dimension")
+            raise ValueError("grid_resolution must be at least 2")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
         if not 0 < self.confidence < 1:
             raise ValueError("confidence must lie in (0, 1)")
+        if not self.lipschitz > 0:
+            raise ValueError("lipschitz must be positive")
         if not self.delta > 0:
-            raise ValueError("time step must be positive")
-        if self.noise < 0:
-            raise ValueError("noise variance must be nonnegative")
+            raise ValueError("delta must be positive")
+        if not self.noise >= 0:
+            raise ValueError("noise must be nonnegative")
 
 
 def spatial_grid(config: TVBOConfig) -> np.ndarray:
@@ -154,7 +157,7 @@ class RegretTrace:
     @property
     def sequential_information(self) -> np.ndarray:
         """Cumulative I_n = 1/2 sum log(1 + sd_i^2 / noise), exact for GPs."""
-        noise = self.config.noise if self.config.noise > 0 else NOISELESS_JITTER
+        noise = conditioning_noise(self.config.noise)
         return 0.5 * np.cumsum(np.log1p(self.posterior_sd ** 2 / noise))
 
     def to_csv(self, path) -> None:
@@ -212,7 +215,7 @@ def run_tvbo(config: TVBOConfig) -> RegretTrace:
         ys[i] = y
         regret[i] = objective[star[i], i] - objective[j, i]
         ks_rows[i] = config.spatial.pairwise(grid[j], grid)[0]
-        post = post.extended(grid[j], t, y)
+        post = post.extended(grid[j], t, y, k_dq[:, j])
     return RegretTrace(config, grid, times, chosen, star, regret, ys, sds,
                        betas, objective)
 

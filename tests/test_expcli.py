@@ -193,6 +193,47 @@ class TestCli:
                      "--out", str(tmp_path / "out")]) == 2
         assert f"field {field} " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, named", [
+        ('experiment = "fig1"\n[params.temporal]\nfamily = "rbf"\n'
+         'lenghtscale = 2.0\n', "'lenghtscale'"),
+        ('experiment = "regret"\n[params.kernels.rbf]\nfamily = "rbf"\n'
+         'period = 0.5\n', "'period'"),
+        ('experiment = "fig1"\n[params.temporal]\nkind = "spatial"\n'
+         'family = "rbf"\nlengthscales = [0.5]\n', "field kind "),
+        ('experiment = "fig2"\n[[params.pannels]]\nn = 10\ndelta = 0.1\n',
+         "field pannels "),
+        ('experiment = "regret"\n[params]\nhorizn = 5\n', "field horizn "),
+        ('experiment = "fig4"\nsed = 3\n', "field sed "),
+        ('experiment = "fig2"\n[[params.panels]]\nn = 10\ndelt = 0.1\n',
+         "'delt'"),
+        ('experiment = "regret"\n[params]\nnoise = -1.0\n', "field noise "),
+        ('experiment = "regret"\n[params]\ndelta = 0\n', "field delta "),
+        ('experiment = "regret"\n[params]\nconfidence = 1.5\n',
+         "field confidence "),
+        ('experiment = "regret"\n[params]\nlipschitz = -1\n',
+         "field lipschitz "),
+        ('experiment = "regret"\n[params]\nnoise = "abc"\n', "field noise "),
+        ('experiment = "regret"\n[params]\nnoise = nan\n', "field noise "),
+        ('experiment = "regret"\n[params]\ndelta = 1' + '0' * 400 + '\n',
+         "field delta "),
+        ('experiment = "regret"\n[params]\nbounds = "no"\n',
+         "field bounds "),
+        ('experiment = [1]\n', "unknown experiment [1]"),
+    ], ids=["kernel_unknown_field", "kernel_foreign_field", "kernel_kind",
+            "unknown_param", "unknown_regret_param", "unknown_top_level",
+            "panel_unknown_field", "noise_negative", "delta_zero",
+            "confidence_above_one", "lipschitz_negative", "noise_string",
+            "noise_nan", "delta_huge", "bounds_string", "experiment_list"])
+    def test_unknown_and_malformed_fields_exit_code(self, tmp_path, capsys,
+                                                    text, named):
+        cfg = tmp_path / "cfg.toml"
+        cfg.write_text(text)
+        assert main(["validate", str(cfg)]) == 2
+        assert named in capsys.readouterr().err
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert named in capsys.readouterr().err
+
     def test_non_table_config_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("5")

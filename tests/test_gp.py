@@ -89,7 +89,10 @@ class TestPosterior:
         inc = GPPosterior(sp, tp, Dataset(np.zeros((0, 1)), [], [],
                                           noise=data.noise))
         for i in range(len(data)):
-            inc = inc.extended(data.xs[i], data.ts[i], data.ys[i])
+            k_new = cross_covariance(sp, tp, inc.data.xs, inc.data.ts,
+                                     data.xs[i:i + 1], data.ts[i:i + 1])
+            inc = inc.extended(data.xs[i], data.ts[i], data.ys[i],
+                               k_new[:, 0])
         xs_q = rng.uniform(0, 1, (5, 1))
         ts_q = np.linspace(0.2, 1.0, 5)
         mb, cb = batch.predict(xs_q, ts_q)
@@ -107,8 +110,12 @@ class TestPosterior:
             tq = np.array([data.ts[-1] + 0.25])
             _, before = post.mean_var(cross_covariance(
                 sp, tp, post.data.xs, post.data.ts, xq, tq))
-            bigger = post.extended(rng.uniform(0, 1, (1, 1)),
-                                   data.ts[-1] + 0.1, float(rng.standard_normal()))
+            x_new = rng.uniform(0, 1, (1, 1))
+            t_new = data.ts[-1] + 0.1
+            k_new = cross_covariance(sp, tp, data.xs, data.ts, x_new,
+                                     np.array([t_new]))[:, 0]
+            bigger = post.extended(x_new, t_new,
+                                   float(rng.standard_normal()), k_new)
             _, after = bigger.mean_var(cross_covariance(
                 sp, tp, bigger.data.xs, bigger.data.ts, xq, tq))
             assert after[0] <= before[0] + 1e-8

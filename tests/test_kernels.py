@@ -277,3 +277,26 @@ class TestSerialization:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             kernel_from_dict({"kind": "nope"})
+
+    @pytest.mark.parametrize("d, error, field", [
+        ({"kind": "temporal", "family": "rbf", "period": 0.5},
+         TypeError, "'period'"),
+        ({"kind": "temporal", "family": "rbf", "lenghtscale": 2.0},
+         TypeError, "'lenghtscale'"),
+        ({"kind": "spatial", "family": "rbf", "lengthscales": [0.3],
+          "nu": 1.5}, TypeError, "'nu'"),
+        ({"kind": "temporal", "lengthscale": 1.0}, ValueError, "family"),
+        ({"kind": "temporal", "family": "matern"}, TypeError, "'nu'"),
+    ], ids=["foreign_field", "unknown_field", "foreign_spatial_field",
+            "missing_family", "missing_required"])
+    def test_rejected_fields_named(self, d, error, field):
+        with pytest.raises(error, match=field):
+            kernel_from_dict(d)
+
+    def test_omitted_fields_take_constructor_defaults(self):
+        assert kernel_from_dict({"kind": "temporal",
+                                 "family": "rational_quadratic"}) == \
+            TemporalKernel.rational_quadratic()
+        assert kernel_from_dict({"kind": "temporal", "family": "periodic",
+                                 "lengthscale": 0.8}) == \
+            TemporalKernel.periodic(lengthscale=0.8)

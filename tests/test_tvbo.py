@@ -151,7 +151,8 @@ class TestRunTvbo:
     def test_cached_rows_match_per_step_covariances(self, spatial, temporal,
                                                     resolution):
         # Reference loop: rebuild the full observation-by-grid covariance
-        # block with cross_covariance at every step.
+        # block and the chosen point's column with cross_covariance at
+        # every step.
         cfg = _config(spatial=spatial, temporal=temporal,
                       grid_resolution=resolution, horizon=30)
         trace = run_tvbo(cfg)
@@ -170,7 +171,10 @@ class TestRunTvbo:
             ys.append(y)
             sds.append(sd)
             regret.append(trace.objective[:, i].max() - trace.objective[j, i])
-            post = post.extended(grid[j], t, y)
+            k_new = cross_covariance(spatial, temporal, post.data.xs,
+                                     post.data.ts, grid[j:j + 1],
+                                     np.array([t]))[:, 0]
+            post = post.extended(grid[j], t, y, k_new)
         assert np.array_equal(trace.chosen_idx, chosen)
         assert np.array_equal(trace.ys, ys)
         assert np.array_equal(trace.posterior_sd, sds)
@@ -183,6 +187,8 @@ class TestRunTvbo:
             _config(horizon=0)
         with pytest.raises(ValueError):
             _config(confidence=1.0)
+        with pytest.raises(ValueError):
+            _config(lipschitz=0)
 
 
 class TestReplications:
