@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import time
 from pathlib import Path
 from sys import float_info
@@ -535,6 +536,24 @@ def _counts(value, field: str) -> list[int]:
     return [_count(v, f"{field}[{i}]") for i, v in enumerate(value)]
 
 
+def _checked(field: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a ValueError or TypeError it raises (a
+    constructor's own check) becomes an InvalidConfig naming ``field``."""
+    try:
+        return build(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfig(f"field {field}: {exc}") from exc
+
+
+def _cubed_total(sizes) -> float:
+    """The sum of count * size^3 over (size, count) pairs, exact for integer
+    sizes; inf when it exceeds float range."""
+    try:
+        return float(sum(count * size ** 3 for size, count in sizes))
+    except OverflowError:
+        return math.inf
+
+
 def validate_config(config: dict) -> dict:
     """Structural check plus a runtime-class estimate; no side effects.
 
@@ -549,6 +568,9 @@ def validate_config(config: dict) -> dict:
                             "known: experiment, seed, params, out")
     if "experiment" not in config:
         raise InvalidConfig("missing field: experiment")
+    if not isinstance(config.get("out", ""), str):
+        raise InvalidConfig(f"field out must be a string, got "
+                            f"{config['out']!r}")
     exp = config["experiment"]
     defaults = default_config(exp)["params"]
     overrides = config.get("params", {})
@@ -576,28 +598,45 @@ def validate_config(config: dict) -> dict:
         except Exception as exc:
             raise InvalidConfig(f"{what}: {exc}") from exc
 
-    # eigendecomposition cost estimate over the size fields
-    sizes = []
+    # (matrix size, eigendecompositions of that size) pairs for the cost
+    # estimate, and the other number fields of each experiment
     if exp in ("fig2", "fig3"):
         panels = params["panels"]
         if not isinstance(panels, list) or not panels \
                 or not all(isinstance(p, dict) for p in panels):
             raise InvalidConfig(
                 "field panels must be a nonempty list of tables")
+        sizes = []
         for i, panel in enumerate(panels):
-            sizes.append(_count(panel.get("n"), f"panels[{i}].n"))
-            try:
-                TimeGrid(**panel)
-            except (TypeError, ValueError) as exc:
-                raise InvalidConfig(f"field panels[{i}]: {exc}") from exc
+            sizes.append((_count(panel.get("n"), f"panels[{i}].n"), 1))
+            _checked(f"panels[{i}]", TimeGrid, **panel)
     elif exp == "fig1":
-        sizes = [_count(params["n"], "n")] * 3
+        n = _count(params["n"], "n")
+        sizes = [(n, 3)]
+        _checked("delta", TimeGrid, n, _real(params["delta"], "delta"))
     elif exp == "fig4":
-        sizes = _counts(params["ns"], "ns") \
-            * len(_counts(params["divisors"], "divisors"))
+        ns = _counts(params["ns"], "ns")
+        divisors = _counts(params["divisors"], "divisors")
+        sizes = [(n, len(divisors)) for n in ns]
+        for field in ("period", "lengthscale"):
+            _checked(field, TemporalKernel.periodic,
+                     **{field: _real(params[field], field)})
     elif exp in ("fig5", "table1"):
         reps = _count(params.get("replications", 1), "replications")
-        sizes = _counts(params["ns"], "ns") * reps * len(params["kernels"])
+        sizes = [(n, reps * len(params["kernels"]))
+                 for n in _counts(params["ns"], "ns")]
+        _checked("delta", TimeGrid, 1, _real(params["delta"], "delta"))
+        if not _real(params["noise"], "noise") > 0:
+            raise InvalidConfig(
+                f"field noise must be positive, got {params['noise']!r}")
+        interval = params["interval"]
+        if not isinstance(interval, list) or len(interval) != 2:
+            raise InvalidConfig(f"field interval must be a list [a, b], "
+                                f"got {interval!r}")
+        a, b = (_real(v, f"interval[{i}]") for i, v in enumerate(interval))
+        if not a <= b:
+            raise InvalidConfig(
+                f"field interval must satisfy a <= b, got {interval!r}")
     elif exp == "regret":
         h = _count(params["horizon"], "horizon")
         _count(params["grid_resolution"], "grid_resolution", least=2)
@@ -608,9 +647,12 @@ def validate_config(config: dict) -> dict:
         _regret_configs(params, seed)
         # per run: incremental posterior ~ h^3/3 equivalent plus the
         # per-step spectral lower bound ~ h^4/4
-        sizes = [int(round(h ** (4 / 3)))] * (reps * len(params["kernels"]))
-    const = _eigh_cost_constant()
-    estimate = 3.0 * const * sum(float(s) ** 3 for s in sizes)
+        try:
+            size = round(h ** (4 / 3))
+        except OverflowError:  # h ** (4/3) beyond float range
+            size = math.inf
+        sizes = [(size, reps * len(params["kernels"]))]
+    estimate = 3.0 * _eigh_cost_constant() * _cubed_total(sizes)
     warnings = []
     if estimate > DESK_BUDGET_SECONDS:
         warnings.append(

@@ -8,6 +8,7 @@ O(n^2) per added observation instead of O(n^3).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -201,6 +202,31 @@ def posterior(spatial: SpatialKernel, temporal: TemporalKernel,
     return GPPosterior(spatial, temporal, data).predict(xs_q, ts_q)
 
 
+def _jittered_cholesky(gram: np.ndarray, jitter: float) -> np.ndarray:
+    """Lower Cholesky factor of ``gram`` + jitter * I (``gram`` is updated)."""
+    gram[np.diag_indices_from(gram)] += jitter
+    try:
+        return cholesky(gram, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(str(exc)) from exc
+
+
+@functools.lru_cache(maxsize=1)
+def _spatial_factor(spatial: SpatialKernel, grid_bytes: bytes, shape,
+                    jitter: float) -> np.ndarray:
+    """Read-only jittered Cholesky factor of the spatial Gram matrix on the
+    float64 grid held in ``grid_bytes``.
+
+    Every prior draw of an experiment shares one spatial kernel and grid, so
+    the last factor is kept: at m grid points it holds m^2 floats (about
+    20 MB at 1600 points).
+    """
+    xs_grid = np.frombuffer(grid_bytes).reshape(shape)
+    factor = _jittered_cholesky(spatial.pairwise(xs_grid, xs_grid), jitter)
+    factor.flags.writeable = False
+    return factor
+
+
 def sample_prior_path(spatial: SpatialKernel, temporal: TemporalKernel,
                       xs_grid, time_grid: TimeGrid, seed,
                       jitter: float = 1e-10,
@@ -211,6 +237,7 @@ def sample_prior_path(spatial: SpatialKernel, temporal: TemporalKernel,
     structure factors the grid covariance as a Kronecker product, so the
     draw costs O(m^3 + n^3) instead of O((mn)^3); a small per-factor jitter
     keeps the factorizations positive definite.  Reproducible per seed.
+    The spatial factor of the last (spatial kernel, grid, jitter) is reused.
     """
     xs_grid = np.atleast_2d(np.asarray(xs_grid, dtype=float))
     if xs_grid.shape[0] == 1 and xs_grid.shape[1] > 1 and spatial.dimension == 1:
@@ -219,16 +246,10 @@ def sample_prior_path(spatial: SpatialKernel, temporal: TemporalKernel,
     if m * n > cap:
         raise CapExceeded(f"grid of {m} x {n} = {m * n} points exceeds the "
                           f"cap of {cap}")
-    ks = spatial.pairwise(xs_grid, xs_grid)
-    ks[np.diag_indices_from(ks)] += jitter
+    ls = _spatial_factor(spatial, xs_grid.tobytes(), xs_grid.shape, jitter)
     ts = time_grid.times
     kt = eval_temporal(temporal, np.abs(ts[:, None] - ts[None, :]))
-    kt[np.diag_indices_from(kt)] += jitter
-    try:
-        ls = cholesky(ks, lower=True)
-        lt = cholesky(kt, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
+    lt = _jittered_cholesky(kt, jitter)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((m, n))
     return ls @ z @ lt.T

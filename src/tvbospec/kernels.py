@@ -384,9 +384,12 @@ class SpatialKernel:
             raise DimensionMismatch(
                 f"points have dimension {X.shape[1]}/{Y.shape[1]}, "
                 f"kernel expects {self.dimension}")
-        ell = np.asarray(self.lengthscales)
-        diff = (X[:, None, :] - Y[None, :, :]) / ell
-        sq = np.sum(diff * diff, axis=-1)
+        # Scaled squared distances, one coordinate at a time into one (n, m)
+        # array; for d < 8 this adds in the order np.sum would over an
+        # (n, m, d) array, without building one.
+        sq = np.zeros((X.shape[0], Y.shape[0]))
+        for a, ell in enumerate(self.lengthscales):
+            sq += np.square((X[:, a, None] - Y[None, :, a]) / ell)
         if self.family is SpatialFamily.RBF:
             return np.exp(-0.5 * sq)
         return _matern(self.nu, np.sqrt(sq))

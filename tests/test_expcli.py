@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from tvbospec.errors import InvalidConfig
 from tvbospec.expcli import default_config, run_experiment, validate_config
 from tvbospec.expcli.cli import main
+from tvbospec.expcli.experiments import _eigh_cost_constant
 
 
 def read_csv(path):
@@ -40,6 +42,51 @@ class TestValidate:
         cfg = {"experiment": "fig5", "params": {"ns": [2000], "replications": 10}}
         report = validate_config(cfg)
         assert any("budget" in w for w in report["warnings"])
+
+    # One entry per eigendecomposition the estimate counts, as the estimate
+    # once listed them; the closed form must give the same seconds.
+    LISTED_SIZES = {
+        "fig1": [100] * 3,
+        "fig2": [100, 100, 200],
+        "fig3": [100, 100, 200],
+        "fig4": [60, 120] * 2,
+        "fig5": [50, 100, 150, 200] * 10 * 4,
+        "table1": [100, 200] * 4,
+        "regret": [int(round(200 ** (4 / 3)))] * 10 * 4,
+    }
+
+    @pytest.mark.parametrize("experiment", sorted(LISTED_SIZES))
+    def test_estimate_unchanged_on_defaults(self, experiment):
+        report = validate_config(default_config(experiment))
+        listed = sum(float(s) ** 3 for s in self.LISTED_SIZES[experiment])
+        assert report["estimated_seconds"] == \
+            3.0 * _eigh_cost_constant() * listed
+
+    def test_estimate_does_not_grow_with_replications(self):
+        _eigh_cost_constant()  # timed once, outside the traced peak
+        cfg = {"experiment": "fig5", "params": {"replications": 2_000_000}}
+        tracemalloc.start()
+        try:
+            report = validate_config(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        cubes = 50 ** 3 + 100 ** 3 + 150 ** 3 + 200 ** 3
+        assert report["estimated_seconds"] == \
+            3.0 * _eigh_cost_constant() * float(2_000_000 * 4 * cubes)
+
+    @pytest.mark.parametrize("digits", [201, 401])
+    def test_estimate_beyond_float_range_is_inf(self, tmp_path, capsys,
+                                                digits):
+        # 10**200 overflows the integer total; 10**400 overflows h ** (4/3)
+        cfg = tmp_path / "cfg.toml"
+        cfg.write_text('experiment = "regret"\n[params]\nhorizon = 1'
+                       + "0" * (digits - 1) + "\n")
+        assert main(["validate", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert "warning: estimated eigendecomposition cost inf" in out
+        assert "budget" in out
 
 
 class TestExperiments:
@@ -233,6 +280,37 @@ class TestCli:
         assert main(["run", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, field", [
+        ('experiment = "fig1"\n[params]\ndelta = "abc"\n', "delta"),
+        ('experiment = "fig1"\n[params]\ndelta = -0.1\n', "delta"),
+        ('experiment = "fig5"\n[params]\nnoise = -1.0\n', "noise"),
+        ('experiment = "fig5"\n[params]\ndelta = 0\n', "delta"),
+        ('experiment = "fig5"\n[params]\ninterval = [2.0, 1.0]\n',
+         "interval"),
+        ('experiment = "fig5"\n[params]\ninterval = "x"\n', "interval"),
+        ('experiment = "table1"\n[params]\nnoise = "abc"\n', "noise"),
+        ('experiment = "table1"\n[params]\ndelta = nan\n', "delta"),
+        ('experiment = "table1"\n[params]\ninterval = [1.0, true]\n',
+         "interval[1]"),
+        ('experiment = "fig4"\n[params]\nperiod = "x"\n', "period"),
+        ('experiment = "fig4"\n[params]\nperiod = -0.3\n', "period"),
+        ('experiment = "fig4"\n[params]\nlengthscale = 0\n', "lengthscale"),
+        ('experiment = "fig4"\nout = 5\n', "out"),
+    ], ids=["fig1_delta_string", "fig1_delta_negative", "fig5_noise_negative",
+            "fig5_delta_zero", "fig5_interval_reversed", "fig5_interval_string",
+            "table1_noise_string", "table1_delta_nan", "table1_interval_bool",
+            "fig4_period_string", "fig4_period_negative",
+            "fig4_lengthscale_zero", "out_number"])
+    def test_malformed_number_fields_exit_code(self, tmp_path, capsys, text,
+                                               field):
+        cfg = tmp_path / "cfg.toml"
+        cfg.write_text(text)
+        assert main(["validate", str(cfg)]) == 2
+        assert f"field {field}" in capsys.readouterr().err
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert f"field {field}" in capsys.readouterr().err
 
     def test_non_table_config_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

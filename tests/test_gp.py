@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cholesky
 
 from tvbospec.errors import CapExceeded, MissingEigenvectors
 from tvbospec.gp import (
@@ -13,6 +14,7 @@ from tvbospec.gp import (
     posterior,
     sample_prior_path,
 )
+from tvbospec.gp import _spatial_factor
 from tvbospec.kernels import SpatialKernel, TemporalKernel, eval_temporal
 from tvbospec.spectral import (
     SymMatrix,
@@ -189,6 +191,45 @@ class TestPriorSampling:
         with pytest.raises(CapExceeded):
             sample_prior_path(sp, tp, np.zeros((100, 1)), TimeGrid(100, 0.1),
                               seed=0, cap=50)
+
+    @staticmethod
+    def _uncached_path(spatial, temporal, xs_grid, time_grid, seed,
+                       jitter=1e-10):
+        """Both Kronecker factors built afresh, as a reference."""
+        ks = spatial.pairwise(xs_grid, xs_grid)
+        ks[np.diag_indices_from(ks)] += jitter
+        ts = time_grid.times
+        kt = eval_temporal(temporal, np.abs(ts[:, None] - ts[None, :]))
+        kt[np.diag_indices_from(kt)] += jitter
+        ls = cholesky(ks, lower=True)
+        lt = cholesky(kt, lower=True)
+        z = np.random.default_rng(seed).standard_normal(
+            (len(xs_grid), time_grid.n))
+        return ls @ z @ lt.T
+
+    def test_cached_spatial_factor_matches_uncached_draw(self):
+        # alternate kernels and grids (one call repeats, a cache hit)
+        kernels = [SpatialKernel.rbf([0.3, 0.5]),
+                   SpatialKernel.matern(1.5, [0.4, 0.2])]
+        axis = np.linspace(0, 1, 6)
+        grids = [np.array([(a, b) for a in axis for b in axis]),
+                 np.random.default_rng(3).uniform(0, 1, (30, 2))]
+        tp, tg = TemporalKernel.periodic(0.5, 0.8), TimeGrid(9, 0.1)
+        for seed, (sp, grid) in enumerate(
+                [(kernels[0], grids[0]), (kernels[1], grids[0]),
+                 (kernels[1], grids[1]), (kernels[0], grids[1]),
+                 (kernels[0], grids[1]), (kernels[0], grids[0])]):
+            got = sample_prior_path(sp, tp, grid, tg, seed=seed)
+            assert np.array_equal(
+                got, self._uncached_path(sp, tp, grid, tg, seed))
+
+    def test_cached_spatial_factor_is_read_only(self):
+        sp = SpatialKernel.rbf([0.3])
+        grid = np.linspace(0, 1, 5)[:, None]
+        factor = _spatial_factor(sp, grid.tobytes(), grid.shape, 1e-10)
+        assert not factor.flags.writeable
+        with pytest.raises(ValueError):
+            factor[0, 0] = 0.0
 
 
 class TestMercerPosterior:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from tvbospec.errors import ToleranceUnreachable, WrongClass
 from tvbospec.kernels import (
     ClassTag,
     KernelClass,
+    SpatialFamily,
     SpatialKernel,
     TemporalKernel,
     classify,
@@ -20,6 +22,7 @@ from tvbospec.kernels import (
     spectral_density,
     spectral_lines,
 )
+from tvbospec.kernels import _matern
 
 
 class TestEvaluation:
@@ -261,6 +264,45 @@ class TestSpatialKernel:
         k = SpatialKernel.rbf([0.3, 0.5])
         with pytest.raises(DimensionMismatch):
             k.pairwise(np.zeros((3, 1)), np.zeros((3, 1)))
+
+    @staticmethod
+    def _broadcast_pairwise(kernel, X, Y):
+        """The (n, m, d) broadcast formula, as a reference."""
+        diff = (X[:, None, :] - Y[None, :, :]) / np.asarray(kernel.lengthscales)
+        sq = np.sum(diff * diff, axis=-1)
+        if kernel.family is SpatialFamily.RBF:
+            return np.exp(-0.5 * sq)
+        return _matern(kernel.nu, np.sqrt(sq))
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    @pytest.mark.parametrize("nu", [None, 0.5, 1.5, 2.5],
+                             ids=["rbf", "matern12", "matern32", "matern52"])
+    def test_pairwise_matches_broadcast_formula(self, d, nu):
+        # bit for bit while np.sum adds fewer than 8 terms in order; beyond
+        # that it sums pairwise, so only the last ulps may differ
+        rng = np.random.default_rng(d)
+        ell = rng.uniform(0.8, 1.5, d)
+        k = SpatialKernel.rbf(ell) if nu is None else SpatialKernel.matern(nu, ell)
+        X = rng.uniform(0, 1, (40, d))
+        Y = rng.uniform(0, 1, (30, d))
+        got = k.pairwise(X, Y)
+        want = self._broadcast_pairwise(k, X, Y)
+        if d <= 7:
+            assert np.array_equal(got, want)
+        else:
+            assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+    def test_pairwise_memory_is_a_few_gram_matrices(self, rng):
+        n = 800
+        k = SpatialKernel.rbf([0.3, 0.4, 0.5])
+        X = rng.uniform(0, 1, (n, 3))
+        tracemalloc.start()
+        try:
+            k.pairwise(X, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * n * n * 8
 
 
 class TestSerialization:
