@@ -70,7 +70,7 @@ def main(argv=None) -> int:
 
     if args.command == "list":
         for name in sorted(EXPERIMENTS):
-            _, description, _ = EXPERIMENTS[name]
+            _, _, description, _ = EXPERIMENTS[name]
             print(f"{name:8s} {description}")
         return 0
 

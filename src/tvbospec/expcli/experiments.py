@@ -1,8 +1,12 @@
 """Experiment implementations behind the CLI.
 
-Each experiment writes deterministic CSV datasets plus SVG renderings into
-an output directory and returns the list of files written.  Reruns with the
-same config and seed produce byte-identical CSVs and SVGs.
+Each experiment's params are read once, by ``_parse_<id>(params)``, into
+typed inputs (kernels, grids, counts, floats) and the (matrix size,
+eigendecompositions) pairs of the runtime estimate; a bad value raises
+InvalidConfig naming its field.  ``run_<id>(seed, outdir, **inputs)``
+writes deterministic CSV datasets plus SVG renderings into ``outdir`` and
+returns the files written; reruns with the same config and seed produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -11,15 +15,16 @@ import functools
 import hashlib
 import json
 import math
+import re
 import time
 from pathlib import Path
-from sys import float_info
 
 import numpy as np
 
 from ..bounds import bound_report, scaling_diagnostic
 from ..errors import InvalidConfig
-from ..kernels import TemporalKernel, classify, kernel_from_dict
+from ..gp import DEFAULT_SAMPLING_CAP
+from ..kernels import TemporalKernel, _finite_real, classify, kernel_from_dict
 from ..spectral import (
     SymMatrix,
     TimeGrid,
@@ -79,11 +84,69 @@ def write_manifest(outdir: Path, files) -> Path:
     return path
 
 
-def _kernel(kind: str, spec):
-    """The ``kind`` ("spatial" or "temporal") kernel a config table describes."""
+def _count(value, field: str, least: int = 1) -> int:
+    """An integer field >= ``least`` (bools are rejected)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise InvalidConfig(
+            f"field {field} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def _real(value, field: str) -> float:
+    """A number field a finite float can hold (bools are rejected)."""
+    if not _finite_real(value):
+        raise InvalidConfig(
+            f"field {field} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _counts(value, field: str) -> list[int]:
+    """A nonempty list of size fields."""
+    if not isinstance(value, list) or not value:
+        raise InvalidConfig(
+            f"field {field} must be a nonempty list of integers >= 1, "
+            f"got {value!r}")
+    return [_count(v, f"{field}[{i}]") for i, v in enumerate(value)]
+
+
+def _checked(field, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a ValueError, TypeError or OverflowError
+    it raises becomes an InvalidConfig naming ``field``, or when ``field``
+    is None the field the message starts with."""
+    try:
+        return build(*args, **kwargs)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidConfig(f"field {field}: {exc}" if field
+                            else f"field {exc}") from exc
+
+
+def _kernel(kind: str, spec, field: str | None = None):
+    """The ``kind`` ("spatial" or "temporal") kernel the config table
+    ``spec`` at ``field`` (default: ``kind``) describes."""
+    field = field or kind
+    if not isinstance(spec, dict):
+        raise InvalidConfig(f"field {field} must be a table, got {spec!r}")
     if "kind" in spec:
-        raise ValueError("field kind is not allowed in a config kernel table")
-    return kernel_from_dict({"kind": kind, **spec})
+        raise InvalidConfig(f"field {field}: field kind is not allowed in a "
+                            "config kernel table")
+    return _checked(field, kernel_from_dict, {"kind": kind, **spec})
+
+
+# Kernel labels become file names, CSV cells and SVG text.
+_LABEL = re.compile(r"[A-Za-z0-9_-]+")
+
+
+def _kernels(table) -> dict:
+    """The temporal kernels of a ``kernels`` table, by label."""
+    if not isinstance(table, dict) or not table:
+        raise InvalidConfig(f"field kernels must be a nonempty table, "
+                            f"got {table!r}")
+    for label in table:
+        if not isinstance(label, str) or not _LABEL.fullmatch(label):
+            raise InvalidConfig(f"field kernels: label {label!r} must match "
+                                f"{_LABEL.pattern}")
+    return {label: _kernel("temporal", spec, f"kernels.{label}")
+            for label, spec in table.items()}
 
 
 # --------------------------------------------------------------------------
@@ -98,17 +161,23 @@ FIG1_DEFAULTS = {
 }
 
 
-def run_fig1(params: dict, seed: int, outdir: Path):
-    n = int(params["n"])
-    delta = float(params["delta"])
-    spatial = _kernel("spatial", params["spatial"])
-    temporal = _kernel("temporal", params["temporal"])
+def _parse_fig1(params: dict):
+    n = _count(params["n"], "n")
+    inputs = {"grid": _checked(None, TimeGrid, n,
+                               _real(params["delta"], "delta")),
+              "spatial": _kernel("spatial", params["spatial"]),
+              "temporal": _kernel("temporal", params["temporal"])}
+    return inputs, [(n, 3)]
+
+
+def run_fig1(seed: int, outdir: Path, grid, spatial, temporal):
+    n, delta = grid.n, grid.delta
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0.0, 1.0, size=(n, spatial.dimension))
     ts = (np.arange(n) + 1) * delta
 
     ks = SymMatrix(spatial.pairwise(xs, xs))
-    kt = build_temporal_matrix(temporal, TimeGrid(n, delta))
+    kt = build_temporal_matrix(temporal, grid)
     kfull = build_spatiotemporal_matrix(spatial, temporal, xs, ts)
     spec_s = eig_sym(ks)
     spec_t = eig_sym(kt)
@@ -172,11 +241,25 @@ FIG3_DEFAULTS = {
 }
 
 
-def _run_density_panels(params: dict, outdir: Path, stem: str):
-    temporal = _kernel("temporal", params["temporal"])
+def _parse_panels(params: dict):
+    panels = params["panels"]
+    if not isinstance(panels, list) or not panels \
+            or not all(isinstance(p, dict) for p in panels):
+        raise InvalidConfig("field panels must be a nonempty list of tables")
+    grids = []
+    for i, panel in enumerate(panels):
+        _count(panel.get("n"), f"panels[{i}].n")
+        if "delta" in panel:
+            _real(panel["delta"], f"panels[{i}].delta")
+        grids.append(_checked(f"panels[{i}]", TimeGrid, **panel))
+    inputs = {"temporal": _kernel("temporal", params["temporal"]),
+              "grids": grids}
+    return inputs, [(grid.n, 1) for grid in grids]
+
+
+def _run_density_panels(outdir: Path, stem: str, temporal, grids):
     files = []
-    for panel in params["panels"]:
-        grid = TimeGrid(**panel)
+    for grid in grids:
         n, delta = grid.n, grid.delta
         exact = eig_sym(build_temporal_matrix(temporal, grid))
         approx = approx_temporal_spectrum(temporal, grid)
@@ -199,12 +282,12 @@ def _run_density_panels(params: dict, outdir: Path, stem: str):
     return files
 
 
-def run_fig2(params: dict, seed: int, outdir: Path):
-    return _run_density_panels(params, outdir, "fig2")
+def run_fig2(seed: int, outdir: Path, temporal, grids):
+    return _run_density_panels(outdir, "fig2", temporal, grids)
 
 
-def run_fig3(params: dict, seed: int, outdir: Path):
-    return _run_density_panels(params, outdir, "fig3")
+def run_fig3(seed: int, outdir: Path, temporal, grids):
+    return _run_density_panels(outdir, "fig3", temporal, grids)
 
 
 # --------------------------------------------------------------------------
@@ -219,20 +302,28 @@ FIG4_DEFAULTS = {
 }
 
 
-def run_fig4(params: dict, seed: int, outdir: Path):
-    r = float(params["period"])
-    temporal = TemporalKernel.periodic(period=r,
-                                       lengthscale=float(params["lengthscale"]))
+def _parse_fig4(params: dict):
+    ns = _counts(params["ns"], "ns")
+    divisors = _counts(params["divisors"], "divisors")
+    temporal = _checked(None, TemporalKernel.periodic,
+                        **{field: _real(params[field], field)
+                           for field in ("period", "lengthscale")})
+    inputs = {"temporal": temporal, "divisors": divisors, "ns": ns}
+    return inputs, [(n, len(divisors)) for n in ns]
+
+
+def run_fig4(seed: int, outdir: Path, temporal, divisors, ns):
+    r = temporal.period
     files = []
     rows = []
     plot = SvgPlot(title="periodic kernel, commensurate sampling",
                    xlabel="index", ylabel="eigenvalue")
-    for k in params["divisors"]:
-        for n in params["ns"]:
-            grid = TimeGrid(int(n), r / int(k))
+    for k in divisors:
+        for n in ns:
+            grid = TimeGrid(n, r / k)
             spec = eig_sym(build_temporal_matrix(temporal, grid))
             cnt = positive_count(spec)
-            rows.append((int(k), int(n), cnt))
+            rows.append((k, n, cnt))
             tag = f"fig4_k{k}_n{n}"
             files.append(_write_csv(
                 outdir / f"{tag}.csv", ["index", "eigenvalue"],
@@ -271,20 +362,39 @@ FIG5_DEFAULTS = {
 }
 
 
-def run_fig5(params: dict, seed: int, outdir: Path):
-    spatial = _kernel("spatial", params["spatial"])
-    interval = tuple(float(v) for v in params["interval"])
-    ns = [int(n) for n in params["ns"]]
-    reps = int(params["replications"])
-    noise = float(params["noise"])
-    delta = float(params["delta"])
+def _parse_scaling(params: dict):
+    """The parser of fig5 and table1; only fig5 has ``replications``."""
+    ns = _counts(params["ns"], "ns")
+    noise = _real(params["noise"], "noise")
+    if not noise > 0:
+        raise InvalidConfig(f"field noise must be positive, got {noise!r}")
+    interval = params["interval"]
+    if not isinstance(interval, list) or len(interval) != 2:
+        raise InvalidConfig(f"field interval must be a list [a, b], "
+                            f"got {interval!r}")
+    a, b = (_real(v, f"interval[{i}]") for i, v in enumerate(interval))
+    if not a <= b:
+        raise InvalidConfig(
+            f"field interval must satisfy a <= b, got {interval!r}")
+    inputs = {"spatial": _kernel("spatial", params["spatial"]),
+              "kernels": _kernels(params["kernels"]), "ns": ns,
+              "delta": _checked(None, TimeGrid, 1,
+                                _real(params["delta"], "delta")).delta,
+              "noise": noise, "interval": (a, b)}
+    if "replications" in params:
+        inputs["replications"] = _count(params["replications"],
+                                        "replications")
+    count = inputs.get("replications", 1) * len(inputs["kernels"])
+    return inputs, [(n, count) for n in ns]
 
+
+def run_fig5(seed: int, outdir: Path, spatial, kernels, ns, delta, noise,
+             interval, replications):
     raw_rows = []
     summary = {}
-    for label, kdict in params["kernels"].items():
-        temporal = _kernel("temporal", kdict)
+    for label, temporal in kernels.items():
         per_n = {n: {"count": [], "ipn": []} for n in ns}
-        for rep in range(reps):
+        for rep in range(replications):
             rows = scaling_diagnostic(spatial, temporal, ns,
                                       interval=interval, noise=noise,
                                       delta=delta, seed=seed + rep)
@@ -346,17 +456,13 @@ TABLE1_DEFAULTS = {
 }
 
 
-def run_table1(params: dict, seed: int, outdir: Path):
-    spatial = _kernel("spatial", params["spatial"])
-    ns = [int(n) for n in params["ns"]]
+def run_table1(seed: int, outdir: Path, spatial, kernels, ns, delta, noise,
+               interval):
     rows = []
-    for label, kdict in params["kernels"].items():
-        temporal = _kernel("temporal", kdict)
+    for label, temporal in kernels.items():
         cls = classify(temporal)
-        diag = scaling_diagnostic(spatial, temporal, ns,
-                                  interval=tuple(params["interval"]),
-                                  noise=float(params["noise"]),
-                                  delta=float(params["delta"]), seed=seed)
+        diag = scaling_diagnostic(spatial, temporal, ns, interval=interval,
+                                  noise=noise, delta=delta, seed=seed)
         counts = {row["n"]: row["count"] for row in diag}
         ipn = {row["n"]: row["info_per_n"] for row in diag}
         guarantee = ("no-regret (R_n in o(n))" if cls.support_discrete
@@ -399,37 +505,50 @@ REGRET_DEFAULTS = {
 }
 
 
-def _regret_configs(params: dict, seed: int) -> dict:
-    """The TVBOConfig of each regret kernel, by label; a float field of the
-    wrong type or outside TVBOConfig's ranges raises InvalidConfig."""
+def _parse_regret(params: dict):
+    """Builds the TVBOConfig of each regret kernel, by label.  Its seed is
+    left at 0: ``run_replications`` sets each run's own."""
+    horizon = _count(params["horizon"], "horizon")
+    resolution = _count(params["grid_resolution"], "grid_resolution", least=2)
+    reps = _count(params["replications"], "replications")
+    if not isinstance(params["bounds"], bool):
+        raise InvalidConfig(f"field bounds must be true or false, "
+                            f"got {params['bounds']!r}")
     floats = {key: _real(params[key], key)
               for key in ("delta", "confidence", "lipschitz", "noise")}
     spatial = _kernel("spatial", params["spatial"])
-    try:
-        return {label: TVBOConfig(spatial, _kernel("temporal", kdict),
-                                  horizon=params["horizon"],
-                                  grid_resolution=params["grid_resolution"],
-                                  seed=seed, **floats)
-                for label, kdict in params["kernels"].items()}
-    except ValueError as exc:
-        raise InvalidConfig(f"field {exc}") from exc
+    points = resolution ** spatial.dimension * horizon  # of the prior draw
+    if points > DEFAULT_SAMPLING_CAP:
+        raise InvalidConfig(
+            f"field grid_resolution: {resolution}^{spatial.dimension} grid "
+            f"points x horizon {horizon} = {points} exceeds the sampling cap "
+            f"of {DEFAULT_SAMPLING_CAP}")
+    configs = {label: _checked(None, TVBOConfig, spatial, temporal,
+                               horizon=horizon, grid_resolution=resolution,
+                               **floats)
+               for label, temporal in _kernels(params["kernels"]).items()}
+    # per run: incremental posterior ~ h^3/3 equivalent plus the per-step
+    # spectral lower bound ~ h^4/4
+    sizes = [(round(horizon ** (4 / 3)), reps * len(configs))]
+    return {"configs": configs, "replications": reps,
+            "bounds": params["bounds"]}, sizes
 
 
-def run_regret(params: dict, seed: int, outdir: Path, jobs: int = 1):
-    reps = int(params["replications"])
+def run_regret(seed: int, outdir: Path, configs, replications, bounds,
+               jobs: int = 1):
     files = []
     summary_rows = []
     curve_rows = []
     plot = SvgPlot(title="average regret per step", xlabel="iteration",
                    ylabel="R_n / n")
-    for label, config in _regret_configs(params, seed).items():
-        seeds = [seed + i for i in range(reps)]
+    for label, config in configs.items():
+        seeds = [seed + i for i in range(replications)]
         traces = run_replications(config, seeds, jobs=jobs)
         ratio = np.stack([t.cumulative / (np.arange(len(t.times)) + 1)
                           for t in traces])
         mean_ratio = ratio.mean(axis=0)
-        sem_ratio = (ratio.std(axis=0, ddof=1) / np.sqrt(reps)
-                     if reps > 1 else np.zeros_like(mean_ratio))
+        sem_ratio = (ratio.std(axis=0, ddof=1) / np.sqrt(replications)
+                     if replications > 1 else np.zeros_like(mean_ratio))
         for i in range(len(mean_ratio)):
             curve_rows.append((label, i + 1, mean_ratio[i], sem_ratio[i]))
         plot.add(range(1, len(mean_ratio) + 1), mean_ratio, label=label)
@@ -438,7 +557,7 @@ def run_regret(params: dict, seed: int, outdir: Path, jobs: int = 1):
             trace_path = outdir / f"trace_{label}_seed{s}.csv"
             trace.to_csv(trace_path)
             files.append(trace_path)
-            if params["bounds"]:
+            if bounds:
                 report = bound_report(trace)
                 ub_ok = bool(np.all(trace.cumulative <= report.upper_curve))
                 summary_rows.append((
@@ -469,21 +588,26 @@ def run_regret(params: dict, seed: int, outdir: Path, jobs: int = 1):
 # registry, validation, dispatch
 # --------------------------------------------------------------------------
 
+# id: (run, parse, description, default params)
 EXPERIMENTS = {
-    "fig1": (run_fig1, "spatio-temporal spectrum vs product approximation",
+    "fig1": (run_fig1, _parse_fig1,
+             "spatio-temporal spectrum vs product approximation",
              FIG1_DEFAULTS),
-    "fig2": (run_fig2, "broadband temporal spectra vs sampled density",
-             FIG2_DEFAULTS),
-    "fig3": (run_fig3, "band-limited temporal spectra and Nyquist zeros",
+    "fig2": (run_fig2, _parse_panels,
+             "broadband temporal spectra vs sampled density", FIG2_DEFAULTS),
+    "fig3": (run_fig3, _parse_panels,
+             "band-limited temporal spectra and Nyquist zeros",
              FIG3_DEFAULTS),
-    "fig4": (run_fig4, "periodic kernel rank under commensurate sampling",
+    "fig4": (run_fig4, _parse_fig4,
+             "periodic kernel rank under commensurate sampling",
              FIG4_DEFAULTS),
-    "fig5": (run_fig5, "eigenvalue-count and information scaling in n",
-             FIG5_DEFAULTS),
-    "table1": (run_table1, "taxonomy table with measured scaling columns",
+    "fig5": (run_fig5, _parse_scaling,
+             "eigenvalue-count and information scaling in n", FIG5_DEFAULTS),
+    "table1": (run_table1, _parse_scaling,
+               "taxonomy table with measured scaling columns",
                TABLE1_DEFAULTS),
-    "regret": (run_regret, "seeded GP-UCB runs with regret bounds",
-               REGRET_DEFAULTS),
+    "regret": (run_regret, _parse_regret,
+               "seeded GP-UCB runs with regret bounds", REGRET_DEFAULTS),
 }
 
 
@@ -491,7 +615,7 @@ def default_config(experiment: str) -> dict:
     if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
         raise InvalidConfig(f"unknown experiment {experiment!r}; "
                             f"known: {sorted(EXPERIMENTS)}")
-    _, _, defaults = EXPERIMENTS[experiment]
+    *_, defaults = EXPERIMENTS[experiment]
     return {"experiment": experiment, "seed": 0,
             "params": json.loads(json.dumps(defaults))}
 
@@ -511,40 +635,6 @@ def _eigh_cost_constant() -> float:
 DESK_BUDGET_SECONDS = 120.0
 
 
-def _count(value, field: str, least: int = 1) -> int:
-    """An integer field >= ``least`` (bools are rejected)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise InvalidConfig(
-            f"field {field} must be an integer >= {least}, got {value!r}")
-    return value
-
-
-def _real(value, field: str) -> float:
-    """A number field a finite float can hold (bools are rejected)."""
-    if type(value) not in (int, float) or not abs(value) <= float_info.max:
-        raise InvalidConfig(
-            f"field {field} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _counts(value, field: str) -> list[int]:
-    """A nonempty list of size fields."""
-    if not isinstance(value, list) or not value:
-        raise InvalidConfig(
-            f"field {field} must be a nonempty list of integers >= 1, "
-            f"got {value!r}")
-    return [_count(v, f"{field}[{i}]") for i, v in enumerate(value)]
-
-
-def _checked(field: str, build, *args, **kwargs):
-    """``build(*args, **kwargs)``; a ValueError or TypeError it raises (a
-    constructor's own check) becomes an InvalidConfig naming ``field``."""
-    try:
-        return build(*args, **kwargs)
-    except (TypeError, ValueError) as exc:
-        raise InvalidConfig(f"field {field}: {exc}") from exc
-
-
 def _cubed_total(sizes) -> float:
     """The sum of count * size^3 over (size, count) pairs, exact for integer
     sizes; inf when it exceeds float range."""
@@ -557,8 +647,10 @@ def _cubed_total(sizes) -> float:
 def validate_config(config: dict) -> dict:
     """Structural check plus a runtime-class estimate; no side effects.
 
-    Returns {"experiment", "seed", "params", "warnings",
-    "estimated_seconds"}.  Raises InvalidConfig naming the offending field.
+    Returns {"experiment", "seed", "params", "inputs", "warnings",
+    "estimated_seconds"}: ``inputs`` are the parsed params that
+    ``run_experiment`` passes to the experiment.  Raises InvalidConfig
+    naming the offending field.
     """
     if not isinstance(config, dict):
         raise InvalidConfig(f"config must be a table, got {config!r}")
@@ -584,74 +676,7 @@ def validate_config(config: dict) -> dict:
     params = {**defaults, **overrides}
     seed = _count(config.get("seed", 0), "seed", least=0)
 
-    # kernels must parse
-    kernels = [(key, f"invalid {key} kernel", params[key])
-               for key in ("spatial", "temporal") if key in params]
-    if "kernels" in params:
-        if not isinstance(params["kernels"], dict) or not params["kernels"]:
-            raise InvalidConfig("field kernels must be a nonempty table")
-        kernels += [("temporal", f"invalid temporal kernel {label!r}", kdict)
-                    for label, kdict in params["kernels"].items()]
-    for kind, what, spec in kernels:
-        try:
-            _kernel(kind, spec)
-        except Exception as exc:
-            raise InvalidConfig(f"{what}: {exc}") from exc
-
-    # (matrix size, eigendecompositions of that size) pairs for the cost
-    # estimate, and the other number fields of each experiment
-    if exp in ("fig2", "fig3"):
-        panels = params["panels"]
-        if not isinstance(panels, list) or not panels \
-                or not all(isinstance(p, dict) for p in panels):
-            raise InvalidConfig(
-                "field panels must be a nonempty list of tables")
-        sizes = []
-        for i, panel in enumerate(panels):
-            sizes.append((_count(panel.get("n"), f"panels[{i}].n"), 1))
-            _checked(f"panels[{i}]", TimeGrid, **panel)
-    elif exp == "fig1":
-        n = _count(params["n"], "n")
-        sizes = [(n, 3)]
-        _checked("delta", TimeGrid, n, _real(params["delta"], "delta"))
-    elif exp == "fig4":
-        ns = _counts(params["ns"], "ns")
-        divisors = _counts(params["divisors"], "divisors")
-        sizes = [(n, len(divisors)) for n in ns]
-        for field in ("period", "lengthscale"):
-            _checked(field, TemporalKernel.periodic,
-                     **{field: _real(params[field], field)})
-    elif exp in ("fig5", "table1"):
-        reps = _count(params.get("replications", 1), "replications")
-        sizes = [(n, reps * len(params["kernels"]))
-                 for n in _counts(params["ns"], "ns")]
-        _checked("delta", TimeGrid, 1, _real(params["delta"], "delta"))
-        if not _real(params["noise"], "noise") > 0:
-            raise InvalidConfig(
-                f"field noise must be positive, got {params['noise']!r}")
-        interval = params["interval"]
-        if not isinstance(interval, list) or len(interval) != 2:
-            raise InvalidConfig(f"field interval must be a list [a, b], "
-                                f"got {interval!r}")
-        a, b = (_real(v, f"interval[{i}]") for i, v in enumerate(interval))
-        if not a <= b:
-            raise InvalidConfig(
-                f"field interval must satisfy a <= b, got {interval!r}")
-    elif exp == "regret":
-        h = _count(params["horizon"], "horizon")
-        _count(params["grid_resolution"], "grid_resolution", least=2)
-        reps = _count(params["replications"], "replications")
-        if not isinstance(params["bounds"], bool):
-            raise InvalidConfig(f"field bounds must be true or false, "
-                                f"got {params['bounds']!r}")
-        _regret_configs(params, seed)
-        # per run: incremental posterior ~ h^3/3 equivalent plus the
-        # per-step spectral lower bound ~ h^4/4
-        try:
-            size = round(h ** (4 / 3))
-        except OverflowError:  # h ** (4/3) beyond float range
-            size = math.inf
-        sizes = [(size, reps * len(params["kernels"]))]
+    inputs, sizes = EXPERIMENTS[exp][1](params)
     estimate = 3.0 * _eigh_cost_constant() * _cubed_total(sizes)
     warnings = []
     if estimate > DESK_BUDGET_SECONDS:
@@ -659,22 +684,20 @@ def validate_config(config: dict) -> dict:
             f"estimated eigendecomposition cost {estimate:.0f}s exceeds the "
             f"desk-scale budget of {DESK_BUDGET_SECONDS:.0f}s")
     return {"experiment": exp, "seed": seed, "params": params,
-            "warnings": warnings, "estimated_seconds": estimate}
+            "inputs": inputs, "warnings": warnings,
+            "estimated_seconds": estimate}
 
 
 def run_experiment(config: dict, out, jobs: int = 1) -> dict:
     """Run one experiment; returns the manifest as a dict."""
     checked = validate_config(config)
     exp = checked["experiment"]
-    params = checked["params"]
-    seed = checked["seed"]
+    inputs = checked["inputs"]
+    if exp == "regret":
+        inputs = {**inputs, "jobs": jobs}
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
-    func = EXPERIMENTS[exp][0]
-    if exp == "regret":
-        files = func(params, seed, outdir, jobs=jobs)
-    else:
-        files = func(params, seed, outdir)
+    files = EXPERIMENTS[exp][0](checked["seed"], outdir, **inputs)
     manifest_path = write_manifest(outdir, files)
     with open(manifest_path, "r", encoding="utf-8") as fh:
         return json.load(fh)

@@ -30,7 +30,6 @@ __all__ = [
     "GPPosterior",
     "posterior",
     "sample_prior_path",
-    "prior_path_to_csv",
     "mercer_posterior",
     "nystrom_expansion",
     "NOISELESS_JITTER",
@@ -87,26 +86,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.ts)
-
-    def to_csv(self, path) -> None:
-        d = self.xs.shape[1]
-        header = ",".join([f"x_{i + 1}" for i in range(d)] + ["t", "y"])
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            for i in range(len(self)):
-                cells = ([repr(float(v)) for v in self.xs[i]]
-                         + [repr(float(self.ts[i])), repr(float(self.ys[i]))])
-                fh.write(",".join(cells) + "\n")
-
-    @classmethod
-    def from_csv(cls, path, noise: float = 0.0) -> "Dataset":
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-            d = sum(1 for h in header if h.startswith("x_"))
-            rows = [list(map(float, line.strip().split(",")))
-                    for line in fh if line.strip()]
-        arr = np.asarray(rows, dtype=float).reshape(len(rows), d + 2)
-        return cls(arr[:, :d], arr[:, d], arr[:, d + 1], noise=noise)
 
 
 class GPPosterior:
@@ -253,26 +232,6 @@ def sample_prior_path(spatial: SpatialKernel, temporal: TemporalKernel,
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((m, n))
     return ls @ z @ lt.T
-
-
-def prior_path_to_csv(path, values: np.ndarray, xs_grid,
-                      time_grid: TimeGrid) -> None:
-    """Write an (m, n) prior path as CSV with grid headers.
-
-    The header row carries the sampling times; each data row starts with the
-    spatial coordinates of its grid point.
-    """
-    xs_grid = np.atleast_2d(np.asarray(xs_grid, dtype=float))
-    values = np.asarray(values, dtype=float)
-    d = xs_grid.shape[1]
-    header = [f"x_{i + 1}" for i in range(d)] + \
-        [f"t={float(t)!r}" for t in time_grid.times]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(values.shape[0]):
-            cells = [repr(float(v)) for v in xs_grid[i]]
-            cells += [repr(float(v)) for v in values[i]]
-            fh.write(",".join(cells) + "\n")
 
 
 def nystrom_expansion(vals, vecs, ys, k_queries):

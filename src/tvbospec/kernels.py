@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import inspect
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +96,14 @@ def _as_array(u):
     return np.asarray(u, dtype=float)
 
 
+def _finite_real(value) -> bool:
+    """Whether ``value`` is an int or float (numpy's included, bools not)
+    that a finite float can hold; checked without converting it."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class TemporalKernel:
     """A stationary temporal correlation function.
@@ -103,7 +112,8 @@ class TemporalKernel:
     constructors are the intended entry points.  ``lines`` holds
     (frequency, weight) pairs for the cosine-sum family, with nonnegative
     frequencies and weights summing to one (the zero-frequency entry is the
-    constant term).
+    constant term).  Every number must be finite and not a bool; error
+    messages start with the field name.
     """
 
     family: TemporalFamily
@@ -116,35 +126,51 @@ class TemporalKernel:
 
     def __post_init__(self):
         f = self.family
+        for name in ("lengthscale", "nu", "alpha", "bandlimit", "period"):
+            value = getattr(self, name)
+            if value is not None and not _finite_real(value):
+                raise ValueError(
+                    f"{name} must be a finite number, got {value!r}")
         if f in (TemporalFamily.RBF, TemporalFamily.MATERN,
                  TemporalFamily.RATIONAL_QUADRATIC, TemporalFamily.PERIODIC):
             if not self.lengthscale > 0:
                 raise ValueError("lengthscale must be positive")
         if f is TemporalFamily.MATERN:
             if self.nu not in _MATERN_NUS:
-                raise ValueError(f"Matern smoothness must be one of {_MATERN_NUS}")
+                raise ValueError(f"nu must be one of {_MATERN_NUS}")
         if f is TemporalFamily.RATIONAL_QUADRATIC:
             if self.alpha is None or not self.alpha > 0.5:
-                raise ValueError("rational quadratic needs shape alpha > 0.5 "
-                                 "(spectral density diverges at 0 otherwise)")
+                raise ValueError("alpha must exceed 0.5 (the spectral "
+                                 "density diverges at 0 otherwise)")
         if f in (TemporalFamily.SINC, TemporalFamily.SINC_SQUARED):
             if self.bandlimit is None or not self.bandlimit > 0:
-                raise ValueError("band-limited kernels need a positive bandlimit")
+                raise ValueError("bandlimit must be positive")
         if f is TemporalFamily.PERIODIC:
             if self.period is None or not self.period > 0:
-                raise ValueError("periodic kernel needs a positive period")
+                raise ValueError("period must be positive")
         if f is TemporalFamily.COSINE_SUM:
-            if not self.lines:
-                raise ValueError("cosine-sum kernel needs at least one line")
+            try:
+                lines = [tuple(line) for line in self.lines]
+            except TypeError:  # not a sequence of sequences
+                lines = []
+            if not lines or not all(len(line) == 2
+                                    and all(map(_finite_real, line))
+                                    for line in lines):
+                raise ValueError("lines must be a nonempty list of "
+                                 "(frequency, weight) pairs of finite "
+                                 f"numbers, got {self.lines!r}")
+            object.__setattr__(self, "lines", tuple(
+                (float(freq), float(weight)) for freq, weight in lines))
             total = 0.0
             for freq, weight in self.lines:
                 if freq < 0:
-                    raise ValueError("line frequencies must be nonnegative")
+                    raise ValueError("lines must have nonnegative frequencies")
                 if not 0 < weight <= 1:
-                    raise ValueError("line weights must lie in (0, 1]")
+                    raise ValueError("lines must have weights in (0, 1]")
                 total += weight
             if abs(total - 1.0) > _WEIGHT_TOL:
-                raise ValueError(f"line weights must sum to 1, got {total!r}")
+                raise ValueError(
+                    f"lines must have weights summing to 1, got {total!r}")
 
     # -- constructors -----------------------------------------------------
 
@@ -178,8 +204,7 @@ class TemporalKernel:
 
     @classmethod
     def cosine_sum(cls, lines) -> "TemporalKernel":
-        return cls(TemporalFamily.COSINE_SUM,
-                   lines=tuple((float(f), float(w)) for f, w in lines))
+        return cls(TemporalFamily.COSINE_SUM, lines=lines)
 
     # -- evaluation -------------------------------------------------------
 
@@ -357,12 +382,15 @@ class SpatialKernel:
     nu: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "lengthscales", tuple(
-            float(l) for l in np.atleast_1d(self.lengthscales)))
-        if not self.lengthscales or any(l <= 0 for l in self.lengthscales):
-            raise ValueError("lengthscales must be positive, one per dimension")
+        given = self.lengthscales
+        values = (given,) if np.ndim(given) == 0 else tuple(given)
+        if not values or not all(_finite_real(l) and l > 0 for l in values):
+            raise ValueError("lengthscales must be positive finite numbers, "
+                             f"one per dimension, got {given!r}")
+        object.__setattr__(self, "lengthscales",
+                           tuple(float(l) for l in values))
         if self.family is SpatialFamily.MATERN and self.nu not in _MATERN_NUS:
-            raise ValueError(f"Matern smoothness must be one of {_MATERN_NUS}")
+            raise ValueError(f"nu must be one of {_MATERN_NUS}")
 
     @property
     def dimension(self) -> int:
@@ -525,8 +553,11 @@ def kernel_from_dict(d: dict):
     unknown or missing required field raises TypeError naming it."""
     rest = dict(d)
     kind = rest.pop("kind", None)
-    if kind not in _KINDS or "family" not in rest:
-        raise ValueError(f"a kernel spec needs a kind in {list(_KINDS)} and "
-                         f"a family, got {d!r}")
+    if kind not in _KINDS:
+        raise ValueError(f"kind must be one of {list(_KINDS)}, got {kind!r}")
     kernel_type, families = _KINDS[kind]
-    return getattr(kernel_type, families(rest.pop("family")).value)(**rest)
+    names = [family.value for family in families]
+    family = rest.pop("family", None)
+    if family not in names:
+        raise ValueError(f"family must be one of {names}, got {family!r}")
+    return getattr(kernel_type, families(family).value)(**rest)

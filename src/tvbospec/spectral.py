@@ -43,7 +43,6 @@ __all__ = [
     "approx_product_spectrum",
     "count_in_interval",
     "positive_count",
-    "spectrum_to_csv",
 ]
 
 # Relative cutoff under which an eigenvalue counts as numerically zero.
@@ -128,9 +127,9 @@ class TimeGrid:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("need at least one sample")
+            raise ValueError("n must be at least 1")
         if not self.delta > 0:
-            raise ValueError("time step must be positive")
+            raise ValueError("delta must be positive")
 
     @property
     def times(self) -> np.ndarray:
@@ -331,16 +330,3 @@ def positive_count(spectrum: Spectrum) -> int:
     if len(v) == 0 or v[0] <= 0:
         return 0
     return int(np.count_nonzero(v > POSITIVE_EIGENVALUE_REL_THRESHOLD * v[0]))
-
-
-def spectrum_to_csv(path, spectrum: Spectrum, pairs=None) -> None:
-    """Write (index, eigenvalue[, provenance_i, provenance_j]) rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if pairs is None:
-            fh.write("index,eigenvalue\n")
-            for i, v in enumerate(spectrum.values, start=1):
-                fh.write(f"{i},{float(v)!r}\n")
-        else:
-            fh.write("index,eigenvalue,provenance_i,provenance_j\n")
-            for i, (v, (pi, pj)) in enumerate(zip(spectrum.values, pairs), start=1):
-                fh.write(f"{i},{float(v)!r},{pi},{pj}\n")

@@ -2,20 +2,78 @@
 
 import csv
 import json
+import math
+import re
+import tomllib
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tvbospec.errors import InvalidConfig
-from tvbospec.expcli import default_config, run_experiment, validate_config
+from tvbospec.expcli import (
+    EXPERIMENTS,
+    default_config,
+    run_experiment,
+    validate_config,
+)
 from tvbospec.expcli.cli import main
 from tvbospec.expcli.experiments import _eigh_cost_constant
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
+
+
+def _mutations(value):
+    """Wrong-type and out-of-range replacements for a default value."""
+    if isinstance(value, bool):
+        return ["x", 1]
+    if isinstance(value, int):
+        return ["x", True, -1]
+    if isinstance(value, float):
+        return ["x", True, -1.0, math.inf]
+    if isinstance(value, str):
+        return [5, "nope"]
+    if isinstance(value, list):
+        return ["x", [], [-1]]
+    return ["x", {}]
+
+
+def _default_field_cases():
+    """(experiment, path, replacement, named) for every top-level param,
+    every field of every default kernel table and every panel field;
+    ``named`` is the error pattern that must name the field."""
+    cases = []
+    for exp in sorted(EXPERIMENTS):
+        for key, value in default_config(exp)["params"].items():
+            fields = [((key,), value, key, None)]
+            if key in ("spatial", "temporal"):
+                fields += [((key, f), v, key, f) for f, v in value.items()]
+            elif key == "kernels":
+                for label, table in value.items():
+                    outer = f"kernels.{label}"
+                    fields.append(((key, label), table, outer, None))
+                    fields += [((key, label, f), v, outer, f)
+                               for f, v in table.items()]
+            elif key == "panels":
+                fields += [((key, i, f), v, f"panels[{i}]", f)
+                           for i, panel in enumerate(value)
+                           for f, v in panel.items()]
+            for path, default, outer, inner in fields:
+                named = rf"field {re.escape(outer)}[ :.\[]"
+                if inner is not None:
+                    named += rf"(?s:.*)\b{inner}\b"
+                cases += [(exp, path, bad, named)
+                          for bad in _mutations(default)]
+    return cases
+
+
+DEFAULT_FIELD_CASES = _default_field_cases()
 
 
 class TestValidate:
@@ -79,14 +137,30 @@ class TestValidate:
     @pytest.mark.parametrize("digits", [201, 401])
     def test_estimate_beyond_float_range_is_inf(self, tmp_path, capsys,
                                                 digits):
-        # 10**200 overflows the integer total; 10**400 overflows h ** (4/3)
+        # a size of 10**200 or 10**400 overflows the integer total (a regret
+        # horizon that large exceeds the sampling cap, see
+        # TestCli::test_unknown_and_malformed_fields_exit_code)
         cfg = tmp_path / "cfg.toml"
-        cfg.write_text('experiment = "regret"\n[params]\nhorizon = 1'
-                       + "0" * (digits - 1) + "\n")
+        cfg.write_text('experiment = "fig5"\n[params]\nns = [1'
+                       + "0" * (digits - 1) + "]\n")
         assert main(["validate", str(cfg)]) == 0
         out = capsys.readouterr().out
         assert "warning: estimated eigendecomposition cost inf" in out
         assert "budget" in out
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.toml")),
+                             ids=lambda p: p.name)
+    def test_shipped_configs_are_the_defaults(self, path):
+        # configs/ holds the package defaults, written out in full
+        config = tomllib.loads(path.read_text(encoding="utf-8"))
+        validate_config(config)
+        assert config["params"] == \
+            default_config(config["experiment"])["params"]
+
+    def test_sampling_cap_boundary_passes(self):
+        # 25 grid points x horizon 40000 is exactly the cap
+        validate_config({"experiment": "regret",
+                         "params": {"horizon": 40000}})
 
 
 class TestExperiments:
@@ -266,11 +340,45 @@ class TestCli:
         ('experiment = "regret"\n[params]\nbounds = "no"\n',
          "field bounds "),
         ('experiment = [1]\n', "unknown experiment [1]"),
+        # kernel labels become file names, CSV cells and SVG text
+        ('experiment = "fig5"\n[params.kernels."a,b"]\nfamily = "rbf"\n',
+         "field kernels: label 'a,b' must match"),
+        ('experiment = "fig5"\n[params.kernels."c\\nd"]\nfamily = "rbf"\n',
+         "field kernels: label 'c\\nd' must match"),
+        ('experiment = "regret"\n[params.kernels."../escaped"]\n'
+         'family = "rbf"\n', "field kernels: label '../escaped' must match"),
+        ('experiment = "table1"\n[params.kernels."<b>&amp"]\n'
+         'family = "rbf"\n', "field kernels: label '<b>&amp' must match"),
+        # the prior draw of a regret run must fit the sampling cap
+        ('experiment = "regret"\n[params.spatial]\nfamily = "rbf"\n'
+         'lengthscales = [0.4, 0.4, 0.4]\n',
+         "field grid_resolution: 25^3 grid points x horizon 200 = 3125000 "
+         "exceeds the sampling cap of 1000000"),
+        ('experiment = "regret"\n[params]\nhorizon = 40001\n',
+         "field grid_resolution: 25^1 grid points x horizon 40001"),
+        ('experiment = "regret"\n[params]\nhorizon = 1' + '0' * 200 + '\n',
+         "field grid_resolution: 25^1 grid points x horizon 1000"),
+        # kernel number fields must be finite numbers, not bools
+        ('experiment = "fig1"\n[params.temporal]\nfamily = "rbf"\n'
+         'lengthscale = 1' + '0' * 400 + '\n',
+         "field temporal: lengthscale must be a finite number"),
+        ('experiment = "fig1"\n[params.temporal]\nfamily = "rbf"\n'
+         'lengthscale = inf\n',
+         "field temporal: lengthscale must be a finite number, got inf"),
+        ('experiment = "fig1"\n[params.temporal]\nfamily = "rbf"\n'
+         'lengthscale = true\n',
+         "field temporal: lengthscale must be a finite number, got True"),
+        ('experiment = "fig1"\n[params.temporal]\nfamily = "cosine_sum"\n'
+         'lines = [[inf, 1.0]]\n', "field temporal: lines must be"),
     ], ids=["kernel_unknown_field", "kernel_foreign_field", "kernel_kind",
             "unknown_param", "unknown_regret_param", "unknown_top_level",
             "panel_unknown_field", "noise_negative", "delta_zero",
             "confidence_above_one", "lipschitz_negative", "noise_string",
-            "noise_nan", "delta_huge", "bounds_string", "experiment_list"])
+            "noise_nan", "delta_huge", "bounds_string", "experiment_list",
+            "label_comma", "label_newline", "label_path", "label_markup",
+            "sampling_cap_d3", "sampling_cap_one_above",
+            "sampling_cap_huge_horizon", "lengthscale_huge_int",
+            "lengthscale_inf", "lengthscale_bool", "line_inf"])
     def test_unknown_and_malformed_fields_exit_code(self, tmp_path, capsys,
                                                     text, named):
         cfg = tmp_path / "cfg.toml"
@@ -340,3 +448,23 @@ class TestCli:
         a = (out_a / "fig1_full.csv").read_bytes()
         b = (out_b / "fig1_full.csv").read_bytes()
         assert a != b
+
+    @pytest.mark.parametrize(
+        "exp, path, bad, named", DEFAULT_FIELD_CASES,
+        ids=[f"{exp}-{'.'.join(map(str, path))}-{bad!r}"
+             for exp, path, bad, _ in DEFAULT_FIELD_CASES])
+    def test_every_default_field_mutated_exit_code(self, tmp_path, capsys,
+                                                   exp, path, bad, named):
+        config = default_config(exp)
+        table = config["params"]
+        for key in path[:-1]:
+            table = table[key]
+        table[path[-1]] = bad
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        for argv in (["validate", str(cfg)],
+                     ["run", "--config", str(cfg),
+                      "--out", str(tmp_path / "out")]):
+            assert main(argv) == 2, argv[0]
+            err = capsys.readouterr().err
+            assert re.search(named, err), (argv[0], err)

@@ -134,15 +134,6 @@ class TestPosterior:
         with pytest.raises(ValueError):
             Dataset([[1.7]], [0.1], [0.0])
 
-    def test_dataset_csv_round_trip(self, rng, tmp_path):
-        data = _random_dataset(rng, 6, d=2)
-        path = tmp_path / "data.csv"
-        data.to_csv(path)
-        back = Dataset.from_csv(path, noise=data.noise)
-        assert np.allclose(back.xs, data.xs)
-        assert np.allclose(back.ts, data.ts)
-        assert np.allclose(back.ys, data.ys)
-
 
 class TestPriorSampling:
     def test_deterministic(self):
@@ -306,18 +297,3 @@ class TestMercerPosterior:
                    for j in range(n)]
             devs.append(float(np.mean(dev)))
         assert devs[1] < devs[0], devs
-
-
-class TestPriorPathCsv:
-    def test_headers_and_shape(self, tmp_path):
-        from tvbospec.gp import prior_path_to_csv
-        from tvbospec.spectral import TimeGrid
-        sp, tp = SpatialKernel.rbf([0.3]), TemporalKernel.rbf(1.0)
-        grid = np.linspace(0, 1, 5)[:, None]
-        tg = TimeGrid(3, 0.5)
-        path_vals = sample_prior_path(sp, tp, grid, tg, seed=0)
-        out = tmp_path / "path.csv"
-        prior_path_to_csv(out, path_vals, grid, tg)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0].startswith("x_1,t=0.0,t=0.5,t=1.0")
-        assert len(lines) == 6

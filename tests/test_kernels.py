@@ -342,3 +342,49 @@ class TestSerialization:
         assert kernel_from_dict({"kind": "temporal", "family": "periodic",
                                  "lengthscale": 0.8}) == \
             TemporalKernel.periodic(lengthscale=0.8)
+
+
+class TestNumberFields:
+    """Kernel number fields must be finite numbers that are not bools."""
+
+    @pytest.mark.parametrize("bad", [True, math.inf, math.nan, 10 ** 400,
+                                     "1.0"],
+                             ids=["bool", "inf", "nan", "huge_int", "string"])
+    @pytest.mark.parametrize("build, field", [
+        (lambda v: TemporalKernel.rbf(lengthscale=v), "lengthscale"),
+        (lambda v: TemporalKernel.matern(nu=v), "nu"),
+        (lambda v: TemporalKernel.rational_quadratic(alpha=v), "alpha"),
+        (lambda v: TemporalKernel.sinc_squared(bandlimit=v), "bandlimit"),
+        (lambda v: TemporalKernel.periodic(period=v), "period"),
+        (lambda v: TemporalKernel.cosine_sum([(v, 0.5), (1.0, 0.5)]),
+         "lines"),
+        (lambda v: TemporalKernel.cosine_sum([(0.0, v)]), "lines"),
+        (lambda v: SpatialKernel.rbf([0.3, v]), "lengthscales"),
+        (lambda v: SpatialKernel.rbf(v), "lengthscales"),
+    ], ids=["lengthscale", "nu", "alpha", "bandlimit", "period",
+            "line_frequency", "line_weight", "lengthscales_entry",
+            "lengthscales_scalar"])
+    def test_rejected_and_named(self, build, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            build(bad)
+
+    def test_numpy_numbers_accepted_unconverted(self):
+        assert TemporalKernel.rbf(np.float64(0.5)) == TemporalKernel.rbf(0.5)
+        assert TemporalKernel.periodic(period=2).period == 2
+        assert SpatialKernel.rbf(np.array([0.3, 0.4])).lengthscales == \
+            (0.3, 0.4)
+        lines = TemporalKernel.cosine_sum(
+            (f, w) for f, w in np.array([[0.0, 0.25], [1.0, 0.75]])).lines
+        assert lines == ((0.0, 0.25), (1.0, 0.75))
+        assert all(type(v) is float for line in lines for v in line)
+
+    @pytest.mark.parametrize("lines", [[], "x", 5, [(0.0, 0.5, 0.5)], [-1]],
+                             ids=["empty", "string", "number", "triple",
+                                  "not_pairs"])
+    def test_malformed_lines_named(self, lines):
+        with pytest.raises(ValueError, match="^lines "):
+            TemporalKernel.cosine_sum(lines)
+
+    def test_unknown_family_named(self):
+        with pytest.raises(ValueError, match="^family must be one of"):
+            kernel_from_dict({"kind": "temporal", "family": "nope"})

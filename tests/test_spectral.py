@@ -22,7 +22,6 @@ from tvbospec.spectral import (
     count_in_interval,
     eig_sym,
     positive_count,
-    spectrum_to_csv,
 )
 
 
@@ -326,14 +325,6 @@ class TestSpectrumType:
     def test_monotonicity_enforced(self):
         with pytest.raises(ValueError):
             Spectrum(np.array([1.0, 2.0]))
-
-    def test_csv_export(self, tmp_path):
-        spec = Spectrum(np.array([2.0, 1.0]))
-        path = tmp_path / "spec.csv"
-        spectrum_to_csv(path, spec, pairs=[(1, 1), (2, 1)])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "index,eigenvalue,provenance_i,provenance_j"
-        assert lines[1] == "1,2.0,1,1"
 
     def test_symmetry_validation(self):
         bad = np.array([[1.0, 0.2], [0.3, 1.0]])
