@@ -296,42 +296,61 @@ def bound_report(trace: RegretTrace) -> BoundReport:
     )
 
 
-def scaling_diagnostic(spatial: SpatialKernel, temporal: TemporalKernel,
-                       ns, interval=(1.0, 2.0), noise: float = 0.01,
-                       delta: float = 0.1, seed: int = 0):
+def scaling_diagnostic(spatial: SpatialKernel, temporals, ns, seeds,
+                       interval=(1.0, 2.0), noise: float = 0.01,
+                       delta: float = 0.1):
     """Eigenvalue counts in an interval and I/n across matrix sizes.
 
-    For each n, draws spatial points uniformly (seeded), builds the
-    spatio-temporal kernel matrix on the fixed-frequency time grid,
-    and reports the count of eigenvalues in [a, b], the exact mutual
-    information per observation, and the number of distinct spatial
-    eigenvalue indices used by the product approximation (a proxy for the
-    constant n0 controlling how the product spectrum is assembled).
+    ``temporals`` maps labels to temporal kernels.  For each seed, one
+    ``default_rng(seed)`` draws the spatial points of every n in turn
+    (uniform in the unit cube); the spatio-temporal kernel matrix pairs them
+    with the fixed-frequency times (1..n) * delta.  Each row reports the
+    count of eigenvalues in [a, b], the exact mutual information and its
+    value per observation, and the number of distinct spatial eigenvalue
+    indices used by the product approximation (a proxy for the constant n0
+    controlling how the product spectrum is assembled).
+
+    Returns {label: rows}, each list ordered seed by seed, then n by n; a
+    row is {"seed", "n", "count", "info", "info_per_n", "n0_proxy"}.
+
+    Each factor spectrum is computed once: the spatial one per (seed, n),
+    shared by all kernels, and the temporal one per (kernel, n), shared by
+    all seeds.  Only the spectra are kept, never the factor matrices.
     """
-    ns = list(ns)
+    ns = [int(n) for n in ns]
     a, b = interval
     if b < a:
         raise ValueError("interval must satisfy a <= b")
-    rng = np.random.default_rng(seed)
-    rows = []
-    for n in ns:
-        xs = rng.uniform(0.0, 1.0, size=(int(n), spatial.dimension))
-        ts = (np.arange(int(n)) + 1) * delta
-        spec = eig_sym(build_spatiotemporal_matrix(spatial, temporal, xs, ts))
-        info = mutual_info_exact(spec, noise)
-        rows.append({
-            "n": int(n),
-            "count": count_in_interval(spec, a, b),
-            "info": info,
-            "info_per_n": info / n,
-            "n0_proxy": _n0_proxy(spatial, temporal, xs, ts, int(n)),
-        })
-    return rows
-
-
-def _n0_proxy(spatial, temporal, xs, ts, n):
-    ks = eig_sym(SymMatrix(spatial.pairwise(xs, xs)))
-    kt_m = eval_temporal(temporal, np.abs(ts[:, None] - ts[None, :]))
-    kt = eig_sym(SymMatrix(kt_m))
-    prod = approx_product_spectrum(ks, kt, n)
-    return prod.distinct_spatial_indices
+    times = [(np.arange(n) + 1) * delta for n in ns]
+    samples = []  # (seed, [(points, spatial spectrum) for each n])
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        per_n = []
+        for n in ns:
+            xs = rng.uniform(0.0, 1.0, size=(n, spatial.dimension))
+            per_n.append((xs, eig_sym(SymMatrix(spatial.pairwise(xs, xs)))))
+        samples.append((seed, per_n))
+    out = {}
+    for label, temporal in temporals.items():
+        temporal_specs = [
+            eig_sym(SymMatrix(eval_temporal(
+                temporal, np.abs(ts[:, None] - ts[None, :]))))
+            for ts in times]
+        rows = []
+        for seed, per_n in samples:
+            for n, ts, (xs, spatial_spec), temporal_spec in zip(
+                    ns, times, per_n, temporal_specs):
+                spec = eig_sym(build_spatiotemporal_matrix(spatial, temporal,
+                                                           xs, ts))
+                info = mutual_info_exact(spec, noise)
+                prod = approx_product_spectrum(spatial_spec, temporal_spec, n)
+                rows.append({
+                    "seed": seed,
+                    "n": n,
+                    "count": count_in_interval(spec, a, b),
+                    "info": info,
+                    "info_per_n": info / n,
+                    "n0_proxy": prod.distinct_spatial_indices,
+                })
+        out[label] = rows
+    return out

@@ -101,12 +101,25 @@ def _real(value, field: str) -> float:
 
 
 def _counts(value, field: str) -> list[int]:
-    """A nonempty list of size fields."""
+    """A nonempty list of distinct size fields."""
     if not isinstance(value, list) or not value:
         raise InvalidConfig(
             f"field {field} must be a nonempty list of integers >= 1, "
             f"got {value!r}")
-    return [_count(v, f"{field}[{i}]") for i, v in enumerate(value)]
+    counts = [_count(v, f"{field}[{i}]") for i, v in enumerate(value)]
+    _distinct(counts, field)
+    return counts
+
+
+def _distinct(keys, field: str) -> None:
+    """Refuses a list whose entries repeat a key: each entry names its own
+    artifacts or rows."""
+    seen = {}
+    for i, key in enumerate(keys):
+        if key in seen:
+            raise InvalidConfig(f"field {field}[{i}] repeats {field}"
+                                f"[{seen[key]}] ({key})")
+        seen[key] = i
 
 
 def _checked(field, build, *args, **kwargs):
@@ -252,9 +265,15 @@ def _parse_panels(params: dict):
         if "delta" in panel:
             _real(panel["delta"], f"panels[{i}].delta")
         grids.append(_checked(f"panels[{i}]", TimeGrid, **panel))
+    _distinct([_panel_tag(grid) for grid in grids], "panels")
     inputs = {"temporal": _kernel("temporal", params["temporal"]),
               "grids": grids}
     return inputs, [(grid.n, 1) for grid in grids]
+
+
+def _panel_tag(grid) -> str:
+    """The part of a panel's artifact names that its grid sets."""
+    return f"n{grid.n}_d{grid.delta:g}"
 
 
 def _run_density_panels(outdir: Path, stem: str, temporal, grids):
@@ -263,7 +282,7 @@ def _run_density_panels(outdir: Path, stem: str, temporal, grids):
         n, delta = grid.n, grid.delta
         exact = eig_sym(build_temporal_matrix(temporal, grid))
         approx = approx_temporal_spectrum(temporal, grid)
-        tag = f"{stem}_n{n}_d{delta:g}"
+        tag = f"{stem}_{_panel_tag(grid)}"
         files.append(_write_csv(
             outdir / f"{tag}.csv",
             ["index", "eigenvalue", "approx_sorted", "frequency",
@@ -390,19 +409,18 @@ def _parse_scaling(params: dict):
 
 def run_fig5(seed: int, outdir: Path, spatial, kernels, ns, delta, noise,
              interval, replications):
+    diag = scaling_diagnostic(spatial, kernels, ns,
+                              [seed + rep for rep in range(replications)],
+                              interval=interval, noise=noise, delta=delta)
     raw_rows = []
     summary = {}
-    for label, temporal in kernels.items():
+    for label, rows in diag.items():
         per_n = {n: {"count": [], "ipn": []} for n in ns}
-        for rep in range(replications):
-            rows = scaling_diagnostic(spatial, temporal, ns,
-                                      interval=interval, noise=noise,
-                                      delta=delta, seed=seed + rep)
-            for row in rows:
-                raw_rows.append((label, row["n"], seed + rep, row["count"],
-                                 row["info_per_n"], row["n0_proxy"]))
-                per_n[row["n"]]["count"].append(row["count"])
-                per_n[row["n"]]["ipn"].append(row["info_per_n"])
+        for row in rows:
+            raw_rows.append((label, row["n"], row["seed"], row["count"],
+                             row["info_per_n"], row["n0_proxy"]))
+            per_n[row["n"]]["count"].append(row["count"])
+            per_n[row["n"]]["ipn"].append(row["info_per_n"])
         summary[label] = per_n
 
     files = []
@@ -458,13 +476,13 @@ TABLE1_DEFAULTS = {
 
 def run_table1(seed: int, outdir: Path, spatial, kernels, ns, delta, noise,
                interval):
+    diag = scaling_diagnostic(spatial, kernels, ns, [seed],
+                              interval=interval, noise=noise, delta=delta)
     rows = []
     for label, temporal in kernels.items():
         cls = classify(temporal)
-        diag = scaling_diagnostic(spatial, temporal, ns, interval=interval,
-                                  noise=noise, delta=delta, seed=seed)
-        counts = {row["n"]: row["count"] for row in diag}
-        ipn = {row["n"]: row["info_per_n"] for row in diag}
+        counts = {row["n"]: row["count"] for row in diag[label]}
+        ipn = {row["n"]: row["info_per_n"] for row in diag[label]}
         guarantee = ("no-regret (R_n in o(n))" if cls.support_discrete
                      else "linear regret (E[R_n] in Theta(n))")
         rows.append((label, cls.tag.value, cls.support_bounded,

@@ -212,15 +212,27 @@ class TemporalKernel:
         return eval_temporal(self, u)
 
 
-def _matern(nu: float, r):
-    """Matern correlation of smoothness nu in {1/2, 3/2, 5/2} at distance r."""
+def _matern(nu: float, r: np.ndarray) -> np.ndarray:
+    """Matern correlation of smoothness nu in {1/2, 3/2, 5/2} at distances r.
+
+    Works in place: the float array ``r`` is overwritten and may be returned.
+    With s = sqrt(2 nu) r the values are exp(-s), (1 + s) exp(-s) and
+    (1 + s + s^2 / 3) exp(-s), computed in that order of operations, with
+    at most two more arrays of r's shape alive at once.
+    """
     if nu == 0.5:
-        return np.exp(-r)
+        return np.exp(np.negative(r, out=r), out=r)
     if nu == 1.5:
-        s = math.sqrt(3.0) * r
-        return (1.0 + s) * np.exp(-s)
-    s = math.sqrt(5.0) * r
-    return (1.0 + s + s * s / 3.0) * np.exp(-s)
+        s = np.multiply(math.sqrt(3.0), r, out=r)
+        poly = 1.0 + s
+    else:
+        s = np.multiply(math.sqrt(5.0), r, out=r)
+        quad = s * s
+        quad /= 3.0
+        poly = 1.0 + s
+        poly += quad
+    poly *= np.exp(np.negative(s, out=s), out=s)
+    return poly
 
 
 def _sinc(x):
@@ -420,7 +432,7 @@ class SpatialKernel:
             sq += np.square((X[:, a, None] - Y[None, :, a]) / ell)
         if self.family is SpatialFamily.RBF:
             return np.exp(-0.5 * sq)
-        return _matern(self.nu, np.sqrt(sq))
+        return _matern(self.nu, np.sqrt(sq, out=sq))
 
     def __call__(self, X, Y) -> np.ndarray:
         return self.pairwise(X, Y)

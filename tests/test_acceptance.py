@@ -63,16 +63,12 @@ SEEDS = list(range(10))
 
 @pytest.fixture(scope="module")
 def fig5_diagnostics():
-    """count/information rows for the four class examples, 10 seeds each,
-    plus the wall time spent producing them."""
+    """count/information rows for the four class examples, 10 seeds each
+    (ordered seed by seed, then n), plus the wall time spent producing them."""
     start = time.perf_counter()
-    rows = {}
-    for label, kt in FIG5_KERNELS.items():
-        per_seed = [scaling_diagnostic(FIG5_SPATIAL, kt, [50, 100, 200],
-                                       interval=(1.0, 2.0), noise=0.01,
-                                       delta=0.1, seed=s)
-                    for s in SEEDS]
-        rows[label] = per_seed
+    rows = scaling_diagnostic(FIG5_SPATIAL, FIG5_KERNELS, [50, 100, 200],
+                              SEEDS, interval=(1.0, 2.0), noise=0.01,
+                              delta=0.1)
     return rows, time.perf_counter() - start
 
 
@@ -195,9 +191,9 @@ def test_a6_scaling_dichotomy(fig5_diagnostics):
     start = time.perf_counter()
     means = {}
     per_seed_counts = {}
-    for label, per_seed in fig5_diagnostics.items():
-        counts = {n: [row["count"] for rows in per_seed for row in rows
-                      if row["n"] == n] for n in (100, 200)}
+    for label, rows in fig5_diagnostics.items():
+        counts = {n: [row["count"] for row in rows if row["n"] == n]
+                  for n in (100, 200)}
         per_seed_counts[label] = counts
         means[label] = {n: float(np.mean(c)) for n, c in counts.items()}
     grow_ok = all(means[k][200] >= 1.5 * means[k][100]
@@ -218,9 +214,9 @@ def test_a7_mutual_information_dichotomy(fig5_diagnostics):
     fig5_diagnostics, setup_elapsed = fig5_diagnostics
     start = time.perf_counter()
     ipn = {}
-    for label, per_seed in fig5_diagnostics.items():
-        ipn[label] = {n: float(np.mean([row["info_per_n"] for rows in per_seed
-                                        for row in rows if row["n"] == n]))
+    for label, rows in fig5_diagnostics.items():
+        ipn[label] = {n: float(np.mean([row["info_per_n"] for row in rows
+                                        if row["n"] == n]))
                       for n in (50, 100, 200)}
     discrete_ok = all(ipn[k][200] <= 0.6 * ipn[k][50]
                       for k in ("periodic", "cosine_sum"))

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import tvbospec.bounds as bounds_module
 from tvbospec.errors import ScaleMismatch
+from tvbospec.expcli.experiments import FIG5_DEFAULTS
 from tvbospec.gp import Dataset, mercer_posterior, nystrom_expansion
 from tvbospec.bounds import (
     bound_report,
@@ -18,13 +20,19 @@ from tvbospec.bounds import (
     upper_bound,
     upper_bound_curve,
 )
-from tvbospec.kernels import SpatialKernel, TemporalKernel
+from tvbospec.kernels import (
+    SpatialKernel,
+    TemporalKernel,
+    eval_temporal,
+    kernel_from_dict,
+)
 from tvbospec.spectral import (
     Scale,
     Spectrum,
     SymMatrix,
     approx_product_spectrum,
     build_spatiotemporal_matrix,
+    count_in_interval,
     cross_covariance,
     eig_sym,
 )
@@ -280,30 +288,96 @@ class TestLowerBound:
         assert report.c1_violation_fraction == violations
 
 
+def _scaling_oracle(spatial, temporal, ns, interval=(1.0, 2.0), noise=0.01,
+                    delta=0.1, seed=0):
+    """The per-(kernel, seed) diagnostic, recomputing both factor spectra
+    for every row, as a reference for the shared-spectra loop."""
+    a, b = interval
+    rng = np.random.default_rng(seed)
+    rows = []
+    for n in ns:
+        xs = rng.uniform(0.0, 1.0, size=(int(n), spatial.dimension))
+        ts = (np.arange(int(n)) + 1) * delta
+        spec = eig_sym(build_spatiotemporal_matrix(spatial, temporal, xs, ts))
+        info = mutual_info_exact(spec, noise)
+        ks = eig_sym(SymMatrix(spatial.pairwise(xs, xs)))
+        kt = eig_sym(SymMatrix(eval_temporal(
+            temporal, np.abs(ts[:, None] - ts[None, :]))))
+        rows.append({
+            "seed": seed,
+            "n": int(n),
+            "count": count_in_interval(spec, a, b),
+            "info": info,
+            "info_per_n": info / n,
+            "n0_proxy": approx_product_spectrum(ks, kt, int(n))
+            .distinct_spatial_indices,
+        })
+    return rows
+
+
+FIG5_SPATIAL = kernel_from_dict({"kind": "spatial",
+                                 **FIG5_DEFAULTS["spatial"]})
+FIG5_TEMPORALS = {label: kernel_from_dict({"kind": "temporal", **spec})
+                  for label, spec in FIG5_DEFAULTS["kernels"].items()}
+
+
 class TestScalingDiagnostic:
+    @pytest.mark.parametrize("ns, seeds", [([50, 100, 150, 200], [0, 1, 2]),
+                                           ([100, 200], [0])],
+                             ids=["fig5", "table1"])
+    def test_rows_equal_per_kernel_and_seed_oracle(self, ns, seeds):
+        got = scaling_diagnostic(FIG5_SPATIAL, FIG5_TEMPORALS, ns, seeds)
+        assert list(got) == list(FIG5_TEMPORALS)
+        for label, temporal in FIG5_TEMPORALS.items():
+            want = [row for seed in seeds
+                    for row in _scaling_oracle(FIG5_SPATIAL, temporal, ns,
+                                               seed=seed)]
+            assert got[label] == want
+
+    def test_each_factor_spectrum_computed_once(self, monkeypatch):
+        orders = []
+        original = bounds_module.eig_sym
+
+        def counting(matrix, *args, **kwargs):
+            orders.append(matrix.order)
+            return original(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(bounds_module, "eig_sym", counting)
+        ns, seeds = [20, 30, 40], [5, 6]
+        scaling_diagnostic(FIG5_SPATIAL, FIG5_TEMPORALS, ns, seeds)
+        k, s = len(FIG5_TEMPORALS), len(seeds)
+        # per n: full matrices per (kernel, seed), spatial factors per
+        # seed, temporal factors per kernel
+        assert len(orders) == k * s * len(ns) + s * len(ns) + k * len(ns)
+        assert sorted(orders) == sorted(ns * (k * s + s + k))
+
     def test_discrete_count_stable(self):
         sp = SpatialKernel.rbf([0.7])
         tp = TemporalKernel.cosine_sum([(0.0, 0.4), (1.3, 0.6)])
-        rows = scaling_diagnostic(sp, tp, [50, 100, 150, 200], seed=0)
+        rows = scaling_diagnostic(sp, {"cos": tp}, [50, 100, 150, 200],
+                                  [0])["cos"]
         counts = [r["count"] for r in rows if r["n"] >= 100]
         assert len(set(counts)) == 1
 
     def test_broadband_count_grows(self):
         sp = SpatialKernel.rbf([0.7])
         tp = TemporalKernel.rbf(1.0)
-        rows = {r["n"]: r for r in scaling_diagnostic(sp, tp, [100, 200], seed=0)}
+        rows = {r["n"]: r for r in scaling_diagnostic(sp, {"rbf": tp},
+                                                      [100, 200], [0])["rbf"]}
         assert rows[200]["count"] >= 1.5 * rows[100]["count"]
 
     def test_interval_above_spectrum(self):
         sp = SpatialKernel.rbf([0.7])
         tp = TemporalKernel.rbf(1.0)
-        rows = scaling_diagnostic(sp, tp, [40, 80], interval=(1e9, 2e9), seed=0)
+        rows = scaling_diagnostic(sp, {"rbf": tp}, [40, 80], [0],
+                                  interval=(1e9, 2e9))["rbf"]
         assert all(r["count"] == 0 for r in rows)
 
     def test_rows_report_information(self):
         sp = SpatialKernel.rbf([0.7])
         tp = TemporalKernel.rbf(1.0)
-        rows = scaling_diagnostic(sp, tp, [60], seed=1)
+        rows = scaling_diagnostic(sp, {"rbf": tp}, [60], [1])["rbf"]
+        assert rows[0]["seed"] == 1
         assert rows[0]["info"] > 0
         assert rows[0]["info_per_n"] == pytest.approx(rows[0]["info"] / 60)
         assert rows[0]["n0_proxy"] >= 1

@@ -370,6 +370,22 @@ class TestCli:
          "field temporal: lengthscale must be a finite number, got True"),
         ('experiment = "fig1"\n[params.temporal]\nfamily = "cosine_sum"\n'
          'lines = [[inf, 1.0]]\n', "field temporal: lines must be"),
+        # each entry names its own artifacts or rows, so none may repeat
+        ('experiment = "fig4"\n[params]\ndivisors = [3, 3]\nns = [12]\n',
+         "field divisors[1] repeats divisors[0]"),
+        ('experiment = "fig4"\n[params]\nns = [12, 24, 12]\n',
+         "field ns[2] repeats ns[0]"),
+        ('experiment = "fig5"\n[params]\nns = [30, 30]\nreplications = 2\n',
+         "field ns[1] repeats ns[0]"),
+        ('experiment = "table1"\n[params]\nns = [30, 30]\n',
+         "field ns[1] repeats ns[0]"),
+        ('experiment = "fig2"\n[[params.panels]]\nn = 10\ndelta = 0.1\n'
+         '[[params.panels]]\nn = 10\ndelta = 0.1000000001\n',
+         "field panels[1] repeats panels[0]"),
+        ('experiment = "fig3"\n[[params.panels]]\nn = 10\ndelta = 0.25\n'
+         '[[params.panels]]\nn = 20\ndelta = 0.25\n'
+         '[[params.panels]]\nn = 10\ndelta = 0.25\n',
+         "field panels[2] repeats panels[0]"),
     ], ids=["kernel_unknown_field", "kernel_foreign_field", "kernel_kind",
             "unknown_param", "unknown_regret_param", "unknown_top_level",
             "panel_unknown_field", "noise_negative", "delta_zero",
@@ -378,7 +394,10 @@ class TestCli:
             "label_comma", "label_newline", "label_path", "label_markup",
             "sampling_cap_d3", "sampling_cap_one_above",
             "sampling_cap_huge_horizon", "lengthscale_huge_int",
-            "lengthscale_inf", "lengthscale_bool", "line_inf"])
+            "lengthscale_inf", "lengthscale_bool", "line_inf",
+            "fig4_divisors_repeat", "fig4_ns_repeat", "fig5_ns_repeat",
+            "table1_ns_repeat", "fig2_panel_tag_repeat",
+            "fig3_panel_repeat"])
     def test_unknown_and_malformed_fields_exit_code(self, tmp_path, capsys,
                                                     text, named):
         cfg = tmp_path / "cfg.toml"

@@ -274,6 +274,16 @@ class TestSpatialKernel:
             return np.exp(-0.5 * sq)
         return _matern(kernel.nu, np.sqrt(sq))
 
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5])
+    def test_matern_in_place_matches_closed_forms(self, rng, nu):
+        # the in-place evaluation keeps the closed forms' operation order
+        r = rng.uniform(0.0, 5.0, (60, 70))
+        s = math.sqrt(2.0 * nu) * r
+        want = {0.5: lambda: np.exp(-s),
+                1.5: lambda: (1.0 + s) * np.exp(-s),
+                2.5: lambda: (1.0 + s + s * s / 3.0) * np.exp(-s)}[nu]()
+        assert np.array_equal(_matern(nu, r.copy()), want)
+
     @pytest.mark.parametrize("d", range(1, 10))
     @pytest.mark.parametrize("nu", [None, 0.5, 1.5, 2.5],
                              ids=["rbf", "matern12", "matern32", "matern52"])
@@ -292,9 +302,12 @@ class TestSpatialKernel:
         else:
             assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
-    def test_pairwise_memory_is_a_few_gram_matrices(self, rng):
+    @pytest.mark.parametrize("nu", [None, 0.5, 1.5, 2.5],
+                             ids=["rbf", "matern12", "matern32", "matern52"])
+    def test_pairwise_memory_is_a_few_gram_matrices(self, rng, nu):
         n = 800
-        k = SpatialKernel.rbf([0.3, 0.4, 0.5])
+        ell = [0.3, 0.4, 0.5]
+        k = SpatialKernel.rbf(ell) if nu is None else SpatialKernel.matern(nu, ell)
         X = rng.uniform(0, 1, (n, 3))
         tracemalloc.start()
         try:
