@@ -13,7 +13,7 @@ Submodules:
 - ``expcli``    reproducible experiment runner (CSV + SVG artifacts)
 """
 
-from . import bounds, errors, gp, kernels, spectral, tvbo
+from . import _blas, bounds, errors, gp, kernels, spectral, tvbo
 from .kernels import (
     ClassTag,
     KernelClass,
@@ -24,5 +24,7 @@ from .kernels import (
     spectral_density,
 )
 from .spectral import Scale, Spectrum, TimeGrid, eig_sym
+
+_blas.pin_numpy_openblas()
 
 __version__ = "0.1.0"

@@ -23,6 +23,7 @@ from .spectral import (
     Scale,
     Spectrum,
     SymMatrix,
+    _eigh,
     approx_product_spectrum,
     build_spatiotemporal_matrix,
     count_in_interval,
@@ -204,7 +205,7 @@ def lower_bound(spatial: SpatialKernel, temporal: TemporalKernel,
     terms[0] = terms_full[0] = truncated_gaussian_mean(0.0, math.sqrt(2.0))
 
     for k in range(1, n):
-        vals, vecs = np.linalg.eigh(gram[:k, :k])
+        vals, vecs = _eigh(gram[:k, :k])
         lam_bar, inner, (phi_star, phi_cur) = nystrom_expansion(
             vals[::-1], vecs[:, ::-1], fvals[:k], [star[:k, k], gram[:k, k]])
 

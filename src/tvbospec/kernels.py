@@ -425,13 +425,18 @@ class SpatialKernel:
                 f"points have dimension {X.shape[1]}/{Y.shape[1]}, "
                 f"kernel expects {self.dimension}")
         # Scaled squared distances, one coordinate at a time into one (n, m)
-        # array; for d < 8 this adds in the order np.sum would over an
-        # (n, m, d) array, without building one.
+        # array through one (n, m) buffer; for d < 8 this adds in the order
+        # np.sum would over an (n, m, d) array, without building one.
         sq = np.zeros((X.shape[0], Y.shape[0]))
+        diff = np.empty_like(sq)
         for a, ell in enumerate(self.lengthscales):
-            sq += np.square((X[:, a, None] - Y[None, :, a]) / ell)
+            np.subtract(X[:, a, None], Y[None, :, a], out=diff)
+            diff /= ell
+            sq += np.square(diff, out=diff)
+        del diff
         if self.family is SpatialFamily.RBF:
-            return np.exp(-0.5 * sq)
+            sq *= -0.5
+            return np.exp(sq, out=sq)
         return _matern(self.nu, np.sqrt(sq, out=sq))
 
     def __call__(self, X, Y) -> np.ndarray:

@@ -14,7 +14,7 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
+from scipy.linalg import eigh, toeplitz
 
 from .errors import ConvergenceFailure, WrongClass
 from .kernels import (
@@ -169,6 +169,17 @@ def build_spatiotemporal_matrix(spatial: SpatialKernel,
     return SymMatrix(cross_covariance(spatial, temporal, xs, ts, xs, ts))
 
 
+def _eigh(a: np.ndarray, vectors: bool = True):
+    """Eigenvalues of the symmetric ``a`` in ascending order, and with
+    ``vectors`` the matching eigenvector columns.
+
+    The package's one eigensolver call: LAPACK ``?syevd`` (the routine
+    ``np.linalg.eigh`` calls, with the same bits) run by scipy, so that
+    every LAPACK call shares scipy's OpenBLAS thread pool.
+    """
+    return eigh(a, driver="evd", eigvals_only=not vectors)
+
+
 def eig_sym(m: SymMatrix, want_vectors: bool = False) -> Spectrum:
     """Exact symmetric eigendecomposition, eigenvalues descending.
 
@@ -177,9 +188,9 @@ def eig_sym(m: SymMatrix, want_vectors: bool = False) -> Spectrum:
     """
     try:
         if want_vectors:
-            vals, vecs = np.linalg.eigh(m.values)
+            vals, vecs = _eigh(m.values)
         else:
-            vals = np.linalg.eigvalsh(m.values)
+            vals = _eigh(m.values, vectors=False)
             vecs = None
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc

@@ -248,6 +248,18 @@ class TestExperiments:
         assert "no-regret" in by_kernel["cosine_sum"]["regret_guarantee"]
         assert "Theta(n)" in by_kernel["sinc_squared"]["regret_guarantee"]
 
+    def test_table1_single_size_names_each_column_once(self, tmp_path):
+        cfg = default_config("table1")
+        cfg["params"]["ns"] = [20]
+        run_experiment(cfg, tmp_path)
+        with open(tmp_path / "table1.csv", encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+        assert header == ["kernel", "class", "support_bounded",
+                          "support_discrete", "count_n20", "info_per_n_n20",
+                          "regret_guarantee"]
+        rows = read_csv(tmp_path / "table1.csv")
+        assert all(len(r) == len(header) for r in rows)
+
 
 class TestCli:
     def test_list(self, capsys):
