@@ -9,7 +9,6 @@ eigenpairs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -91,14 +90,12 @@ def mutual_info_spectral(spectrum: Spectrum, n: int, noise: float) -> float:
     return float(0.5 * np.sum(np.log1p(n * vals / noise)))
 
 
-def upper_bound(n: int, beta_n: float, noise: float, info: float,
-                c1: float | None = None) -> float:
+def upper_bound(n: int, beta_n: float, noise: float, info: float) -> float:
     """High-probability cumulative-regret ceiling
-    sqrt(8 C1 beta_n noise n I) + pi^2/6."""
+    sqrt(8 C1 beta_n noise n I) + pi^2/6, with C1 = c1_constant(noise)."""
     if min(n, beta_n, noise, info) < 0:
         raise ValueError("all inputs must be nonnegative")
-    if c1 is None:
-        c1 = c1_constant(noise)
+    c1 = c1_constant(noise)
     return math.sqrt(8.0 * c1 * beta_n * noise * n * info) + math.pi ** 2 / 6.0
 
 
@@ -112,11 +109,10 @@ def upper_bound_curve(trace: RegretTrace):
     """
     noise = conditioning_noise(trace.config.noise)
     info = trace.sequential_information
-    c1 = c1_constant(noise)
     ns = np.arange(1, len(info) + 1)
     bounds = np.array([
         upper_bound(int(i), max(trace.betas[i - 1], 0.0), noise,
-                    float(info[i - 1]), c1)
+                    float(info[i - 1]))
         for i in ns
     ])
     violation_fraction = float(np.mean(trace.posterior_sd > math.sqrt(noise)))
@@ -229,46 +225,22 @@ def lower_bound(spatial: SpatialKernel, temporal: TemporalKernel,
 
 @dataclass(frozen=True, eq=False)
 class BoundReport:
-    """Everything the bound evaluators know about one run."""
+    """What the bound evaluators compute for one run.
 
-    n: int
-    noise: float
+    The run's own numbers (length, noise, confidence schedule, regret) stay
+    on its RegretTrace.
+    """
+
     info_exact: float
     info_spectral: float
-    beta_n: float
-    c1: float
     upper_curve: np.ndarray
     c1_violation_fraction: float
-    empirical_regret: float
     lower: LowerBoundReport
 
     @property
     def upper(self) -> float:
         """Upper bound at the last step of the run."""
         return float(self.upper_curve[-1])
-
-    def to_json(self) -> str:
-        payload = {
-            "n": self.n,
-            "noise": self.noise,
-            "mutual_information": {
-                "exact": self.info_exact,
-                "spectral": self.info_spectral,
-            },
-            "beta_n": self.beta_n,
-            "c1": self.c1,
-            "upper_bound": self.upper,
-            "c1_violation_fraction": self.c1_violation_fraction,
-            "empirical_cumulative_regret": self.empirical_regret,
-            "lower_bound": {
-                "total": self.lower.total,
-                "total_full_covariance": self.lower.total_full_cov,
-                "mu_hat": self.lower.mu_hat.tolist(),
-                "sigma_hat": self.lower.sigma_hat.tolist(),
-                "sigma_hat_full_covariance": self.lower.sigma_hat_full.tolist(),
-            },
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def bound_report(trace: RegretTrace) -> BoundReport:
@@ -279,21 +251,14 @@ def bound_report(trace: RegretTrace) -> BoundReport:
     gram = build_spatiotemporal_matrix(cfg.spatial, cfg.temporal,
                                        trace.chosen_x, trace.times)
     spec = eig_sym(gram)
-    info_exact = mutual_info_exact(spec, noise)
-    info_spec = mutual_info_spectral(spec.clipped().to_operator(n), n, noise)
     curve, violations = upper_bound_curve(trace)
-    low = lower_bound(cfg.spatial, cfg.temporal, trace)
     return BoundReport(
-        n=n,
-        noise=noise,
-        info_exact=info_exact,
-        info_spectral=info_spec,
-        beta_n=float(trace.betas[-1]),
-        c1=c1_constant(noise),
+        info_exact=mutual_info_exact(spec, noise),
+        info_spectral=mutual_info_spectral(spec.clipped().to_operator(n), n,
+                                           noise),
         upper_curve=curve,
         c1_violation_fraction=violations,
-        empirical_regret=trace.total,
-        lower=low,
+        lower=lower_bound(cfg.spatial, cfg.temporal, trace),
     )
 
 

@@ -24,9 +24,14 @@ __all__ = ["main"]
 
 def _load_config(path: str) -> dict:
     p = Path(path)
-    if not p.exists():
-        raise InvalidConfig(f"config file not found: {path}")
-    text = p.read_text(encoding="utf-8")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except OSError as exc:  # missing, a directory, unreadable
+        raise InvalidConfig(
+            f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidConfig(f"config file {path} is not UTF-8 text: "
+                            f"{exc.reason} at byte {exc.start}") from exc
     if p.suffix.lower() == ".json":
         try:
             config = json.loads(text)

@@ -179,6 +179,8 @@ class SvgPlot:
         out.append("</svg>")
         return "\n".join(out) + "\n"
 
-    def write(self, path) -> None:
+    def write(self, path):
+        """Write the SVG to ``path`` and return ``path``."""
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.render())
+        return path

@@ -28,7 +28,6 @@ from .spectral import (
 __all__ = [
     "Dataset",
     "GPPosterior",
-    "posterior",
     "sample_prior_path",
     "mercer_posterior",
     "nystrom_expansion",
@@ -43,10 +42,22 @@ NOISELESS_JITTER = 1e-8
 # Largest spatial-grid-size * time-grid-size product sample_prior_path accepts.
 DEFAULT_SAMPLING_CAP = 1_000_000
 
+# Diagonal jitter on each Kronecker factor of a prior draw.
+_PRIOR_JITTER = 1e-10
+
 
 def conditioning_noise(noise: float) -> float:
     """``noise``, or NOISELESS_JITTER in place of an exact zero."""
     return noise if noise > 0 else NOISELESS_JITTER
+
+
+def _jittered_cholesky(gram: np.ndarray, jitter: float) -> np.ndarray:
+    """Lower Cholesky factor of ``gram`` + jitter * I (``gram`` is updated)."""
+    gram[np.diag_indices_from(gram)] += jitter
+    try:
+        return cholesky(gram, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(str(exc)) from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,11 +117,7 @@ class GPPosterior:
         elif len(data) > 0:
             gram = cross_covariance(spatial, temporal, data.xs, data.ts,
                                     data.xs, data.ts)
-            gram[np.diag_indices_from(gram)] += self._noise
-            try:
-                self._chol = cholesky(gram, lower=True)
-            except np.linalg.LinAlgError as exc:
-                raise SingularSystem(str(exc)) from exc
+            self._chol = _jittered_cholesky(gram, self._noise)
             self._alpha = solve_triangular(self._chol, data.ys, lower=True)
         else:
             self._chol = np.zeros((0, 0))
@@ -175,24 +182,9 @@ class GPPosterior:
                            _factor=(chol, alpha))
 
 
-def posterior(spatial: SpatialKernel, temporal: TemporalKernel,
-              data: Dataset, xs_q, ts_q):
-    """Posterior means and covariance at queries; see GPPosterior.predict."""
-    return GPPosterior(spatial, temporal, data).predict(xs_q, ts_q)
-
-
-def _jittered_cholesky(gram: np.ndarray, jitter: float) -> np.ndarray:
-    """Lower Cholesky factor of ``gram`` + jitter * I (``gram`` is updated)."""
-    gram[np.diag_indices_from(gram)] += jitter
-    try:
-        return cholesky(gram, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-
-
 @functools.lru_cache(maxsize=1)
-def _spatial_factor(spatial: SpatialKernel, grid_bytes: bytes, shape,
-                    jitter: float) -> np.ndarray:
+def _spatial_factor(spatial: SpatialKernel, grid_bytes: bytes,
+                    shape) -> np.ndarray:
     """Read-only jittered Cholesky factor of the spatial Gram matrix on the
     float64 grid held in ``grid_bytes``.
 
@@ -201,34 +193,33 @@ def _spatial_factor(spatial: SpatialKernel, grid_bytes: bytes, shape,
     20 MB at 1600 points).
     """
     xs_grid = np.frombuffer(grid_bytes).reshape(shape)
-    factor = _jittered_cholesky(spatial.pairwise(xs_grid, xs_grid), jitter)
+    factor = _jittered_cholesky(spatial.pairwise(xs_grid, xs_grid),
+                                _PRIOR_JITTER)
     factor.flags.writeable = False
     return factor
 
 
 def sample_prior_path(spatial: SpatialKernel, temporal: TemporalKernel,
-                      xs_grid, time_grid: TimeGrid, seed,
-                      jitter: float = 1e-10,
-                      cap: int = DEFAULT_SAMPLING_CAP) -> np.ndarray:
+                      xs_grid, time_grid: TimeGrid, seed) -> np.ndarray:
     """One exact draw of the prior GP on a (space x time) product grid.
 
-    Returns an (m, n) matrix of function values.  The product-kernel
-    structure factors the grid covariance as a Kronecker product, so the
-    draw costs O(m^3 + n^3) instead of O((mn)^3); a small per-factor jitter
-    keeps the factorizations positive definite.  Reproducible per seed.
-    The spatial factor of the last (spatial kernel, grid, jitter) is reused.
+    ``xs_grid`` is an (m, d) array of spatial points.  Returns an (m, n)
+    matrix of function values.  The product-kernel structure factors the
+    grid covariance as a Kronecker product, so the draw costs O(m^3 + n^3)
+    instead of O((mn)^3); a 1e-10 jitter on each factor keeps the
+    factorizations positive definite.  Grids of more than
+    DEFAULT_SAMPLING_CAP points raise CapExceeded.  Reproducible per seed.
+    The spatial factor of the last (spatial kernel, grid) is reused.
     """
     xs_grid = np.atleast_2d(np.asarray(xs_grid, dtype=float))
-    if xs_grid.shape[0] == 1 and xs_grid.shape[1] > 1 and spatial.dimension == 1:
-        xs_grid = xs_grid.T
     m, n = xs_grid.shape[0], time_grid.n
-    if m * n > cap:
+    if m * n > DEFAULT_SAMPLING_CAP:
         raise CapExceeded(f"grid of {m} x {n} = {m * n} points exceeds the "
-                          f"cap of {cap}")
-    ls = _spatial_factor(spatial, xs_grid.tobytes(), xs_grid.shape, jitter)
+                          f"cap of {DEFAULT_SAMPLING_CAP}")
+    ls = _spatial_factor(spatial, xs_grid.tobytes(), xs_grid.shape)
     ts = time_grid.times
     kt = eval_temporal(temporal, np.abs(ts[:, None] - ts[None, :]))
-    lt = _jittered_cholesky(kt, jitter)
+    lt = _jittered_cholesky(kt, _PRIOR_JITTER)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((m, n))
     return ls @ z @ lt.T

@@ -206,11 +206,6 @@ class TemporalKernel:
     def cosine_sum(cls, lines) -> "TemporalKernel":
         return cls(TemporalFamily.COSINE_SUM, lines=lines)
 
-    # -- evaluation -------------------------------------------------------
-
-    def __call__(self, u):
-        return eval_temporal(self, u)
-
 
 def _matern(nu: float, r: np.ndarray) -> np.ndarray:
     """Matern correlation of smoothness nu in {1/2, 3/2, 5/2} at distances r.
@@ -289,6 +284,7 @@ def classify(kernel: TemporalKernel) -> KernelClass:
 
 
 def _continuous_density(kernel: TemporalKernel, w: np.ndarray) -> np.ndarray:
+    """S(w) of a continuous-support kernel; the caller checks the class."""
     f = kernel.family
     ell = kernel.lengthscale
     if f is TemporalFamily.RBF:
@@ -324,10 +320,9 @@ def _continuous_density(kernel: TemporalKernel, w: np.ndarray) -> np.ndarray:
         # sampling rates.
         tau = kernel.bandlimit
         return np.where((w >= -tau) & (w < tau), 1.0 / (2.0 * tau), 0.0)
-    if f is TemporalFamily.SINC_SQUARED:
-        tau = kernel.bandlimit
-        return np.maximum(0.0, 1.0 - np.abs(w) / tau) / tau
-    raise WrongClass(f"{f.value} has no continuous spectral density")
+    # SINC_SQUARED
+    tau = kernel.bandlimit
+    return np.maximum(0.0, 1.0 - np.abs(w) / tau) / tau
 
 
 def spectral_lines(kernel: TemporalKernel, tol: float = 1e-12):
@@ -365,15 +360,16 @@ def spectral_lines(kernel: TemporalKernel, tol: float = 1e-12):
     return lines
 
 
-def spectral_density(kernel: TemporalKernel, omega=0.0):
-    """Spectral density of the kernel.
+def spectral_density(kernel: TemporalKernel, omega):
+    """Spectral density S(omega) of a continuous-support kernel at the
+    frequencies ``omega`` (scalar or array).
 
-    Continuous-support classes return S(omega) evaluated at the given
-    frequencies; discrete-support classes ignore ``omega`` and return the
-    full spectral-line list from :func:`spectral_lines`.
+    Raises WrongClass for a discrete-support kernel, whose spectrum is the
+    line list of :func:`spectral_lines`.
     """
     if classify(kernel).support_discrete:
-        return spectral_lines(kernel)
+        raise WrongClass(f"{kernel.family.value} has discrete spectral "
+                         "support; use spectral_lines")
     w = _as_array(omega)
     scalar = w.ndim == 0
     out = _continuous_density(kernel, np.atleast_1d(w))
@@ -438,9 +434,6 @@ class SpatialKernel:
             sq *= -0.5
             return np.exp(sq, out=sq)
         return _matern(self.nu, np.sqrt(sq, out=sq))
-
-    def __call__(self, X, Y) -> np.ndarray:
-        return self.pairwise(X, Y)
 
 
 # ---------------------------------------------------------------------------

@@ -159,8 +159,6 @@ def build_spatiotemporal_matrix(spatial: SpatialKernel,
     matching times.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    if xs.shape[0] == 1 and xs.shape[1] > 1 and spatial.dimension == 1:
-        xs = xs.T
     ts = np.asarray(ts, dtype=float)
     if xs.shape[0] != len(ts):
         raise ValueError("one spatial point per time stamp")

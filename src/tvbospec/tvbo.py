@@ -160,7 +160,8 @@ class RegretTrace:
         noise = conditioning_noise(self.config.noise)
         return 0.5 * np.cumsum(np.log1p(self.posterior_sd ** 2 / noise))
 
-    def to_csv(self, path) -> None:
+    def to_csv(self, path):
+        """Write the trace as CSV to ``path`` and return ``path``."""
         d = self.grid.shape[1]
         xcols = [f"x_{k + 1}" for k in range(d)]
         header = (["iteration", "t"] + [f"chosen_{c}" for c in xcols]
@@ -175,6 +176,7 @@ class RegretTrace:
                 cells += [repr(float(v)) for v in self.grid[self.star_idx[i]]]
                 cells += [repr(float(self.instantaneous[i])), repr(float(cum[i]))]
                 fh.write(",".join(cells) + "\n")
+        return path
 
 
 def run_tvbo(config: TVBOConfig) -> RegretTrace:

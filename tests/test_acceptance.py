@@ -17,7 +17,7 @@ from tvbospec.bounds import (
     truncated_gaussian_mean,
     upper_bound_curve,
 )
-from tvbospec.gp import Dataset, posterior
+from tvbospec.gp import Dataset, GPPosterior
 from tvbospec.kernels import SpatialKernel, TemporalKernel
 from tvbospec.spectral import (
     Spectrum,
@@ -278,7 +278,7 @@ def test_a9_oracle_equivalences():
                    noise=0.01)
     xq = rng.uniform(0, 1, (5, 1))
     tq = np.linspace(0.15, 0.55, 5)
-    mean, cov = posterior(sp, tp, data, xq, tq)
+    mean, cov = GPPosterior(sp, tp, data).predict(xq, tq)
     omean, ocov = dense_solve_oracle(sp, tp, data, xq, tq)
     checks.append(("posterior-vs-dense-solve",
                    float(max(np.max(np.abs(mean - omean)),

@@ -70,9 +70,9 @@ def _regret_arrays(temporal):
     rep = bound_report(trace)
     low = rep.lower
     return [trace.chosen_idx, trace.star_idx, trace.instantaneous, trace.ys,
-            trace.posterior_sd, trace.objective, rep.upper_curve,
-            np.array([rep.info_exact, rep.info_spectral, rep.beta_n, rep.c1,
-                      rep.c1_violation_fraction, rep.empirical_regret]),
+            trace.posterior_sd, trace.objective, trace.betas, rep.upper_curve,
+            np.array([rep.info_exact, rep.info_spectral,
+                      rep.c1_violation_fraction, trace.total]),
             low.mu_hat, low.sigma_hat, low.sigma_hat_full, low.terms,
             low.terms_full]
 

@@ -19,7 +19,7 @@ from tvbospec.expcli import (
     validate_config,
 )
 from tvbospec.expcli.cli import main
-from tvbospec.expcli.experiments import _eigh_cost_constant
+from tvbospec.expcli.experiments import _EIGH_SECONDS_PER_N3
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -118,10 +118,9 @@ class TestValidate:
         report = validate_config(default_config(experiment))
         listed = sum(float(s) ** 3 for s in self.LISTED_SIZES[experiment])
         assert report["estimated_seconds"] == \
-            3.0 * _eigh_cost_constant() * listed
+            3.0 * _EIGH_SECONDS_PER_N3 * listed
 
     def test_estimate_does_not_grow_with_replications(self):
-        _eigh_cost_constant()  # timed once, outside the traced peak
         cfg = {"experiment": "fig5", "params": {"replications": 2_000_000}}
         tracemalloc.start()
         try:
@@ -132,7 +131,7 @@ class TestValidate:
         assert peak < 1_000_000
         cubes = 50 ** 3 + 100 ** 3 + 150 ** 3 + 200 ** 3
         assert report["estimated_seconds"] == \
-            3.0 * _eigh_cost_constant() * float(2_000_000 * 4 * cubes)
+            3.0 * _EIGH_SECONDS_PER_N3 * float(2_000_000 * 4 * cubes)
 
     @pytest.mark.parametrize("digits", [201, 401])
     def test_estimate_beyond_float_range_is_inf(self, tmp_path, capsys,
@@ -464,6 +463,20 @@ class TestCli:
 
     def test_missing_config_file(self, capsys):
         assert main(["run", "--config", "/nonexistent/cfg.toml"]) == 2
+
+    @pytest.mark.parametrize("command", [["validate"], ["run", "--config"]],
+                             ids=["validate", "run"])
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_unreadable_config_path_exit_code(self, tmp_path, capsys,
+                                              command, kind):
+        path = tmp_path / "cfg.toml"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'\xff\xfeexperiment = "fig1"\n')
+        assert main([*command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid config: ") and str(path) in err
 
     def test_io_failure_exit_code(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 from scipy.linalg import cholesky
 
-from tvbospec.errors import CapExceeded, MissingEigenvectors
+from tvbospec.errors import (
+    CapExceeded,
+    DimensionMismatch,
+    MissingEigenvectors,
+)
 from tvbospec.gp import (
     Dataset,
     GPPosterior,
     mercer_posterior,
-    posterior,
     sample_prior_path,
 )
 from tvbospec.gp import _spatial_factor
@@ -56,14 +59,15 @@ class TestPosterior:
     def test_prior_recovery(self):
         sp, tp = SpatialKernel.rbf([0.3]), TemporalKernel.rbf(1.0)
         data = Dataset(np.zeros((0, 1)), [], [], noise=0.01)
-        mean, cov = posterior(sp, tp, data, [[0.2], [0.8]], [0.5, 1.5])
+        mean, cov = GPPosterior(sp, tp, data).predict([[0.2], [0.8]],
+                                                      [0.5, 1.5])
         assert np.allclose(mean, 0.0)
         assert np.allclose(np.diag(cov), 1.0)
 
     def test_noiseless_interpolation(self):
         sp, tp = SpatialKernel.rbf([0.3]), TemporalKernel.rbf(1.0)
         data = Dataset([[0.4]], [0.3], [2.5], noise=0.0)
-        mean, cov = posterior(sp, tp, data, [[0.4]], [0.3])
+        mean, cov = GPPosterior(sp, tp, data).predict([[0.4]], [0.3])
         assert mean[0] == pytest.approx(2.5, abs=1e-6)
         assert cov[0, 0] == pytest.approx(0.0, abs=1e-6)
 
@@ -72,7 +76,7 @@ class TestPosterior:
         data = _random_dataset(rng, 5)
         xs_q = rng.uniform(0, 1, (4, 1))
         ts_q = np.linspace(0.05, 0.65, 4)
-        mean, cov = posterior(sp, tp, data, xs_q, ts_q)
+        mean, cov = GPPosterior(sp, tp, data).predict(xs_q, ts_q)
         omean, ocov = dense_solve_oracle(sp, tp, data, xs_q, ts_q)
         assert np.allclose(mean, omean, atol=1e-8)
         assert np.allclose(cov, ocov, atol=1e-8)
@@ -81,7 +85,8 @@ class TestPosterior:
         sp, tp = SpatialKernel.rbf([0.25]), TemporalKernel.rbf(1.0)
         data = _random_dataset(rng, 12)
         xs_q = rng.uniform(0, 1, (6, 1))
-        _, cov = posterior(sp, tp, data, xs_q, np.linspace(0.1, 2.0, 6))
+        _, cov = GPPosterior(sp, tp, data).predict(xs_q,
+                                                 np.linspace(0.1, 2.0, 6))
         assert np.linalg.eigvalsh(cov)[0] >= -1e-8
 
     def test_incremental_matches_batch(self, rng):
@@ -177,11 +182,18 @@ class TestPriorSampling:
         se = np.sqrt((1 + expected ** 2) / reps)
         assert np.all(np.abs(emp - expected) <= 3 * se)
 
+    def test_row_grid_rejected(self):
+        # a (1, m) row is one m-dimensional point, not m points
+        sp, tp = SpatialKernel.rbf([0.3]), TemporalKernel.rbf(1.0)
+        with pytest.raises(DimensionMismatch):
+            sample_prior_path(sp, tp, [[0.1, 0.5, 0.9]], TimeGrid(3, 0.1),
+                              seed=0)
+
     def test_cap(self):
         sp, tp = SpatialKernel.rbf([0.3]), TemporalKernel.rbf(1.0)
         with pytest.raises(CapExceeded):
-            sample_prior_path(sp, tp, np.zeros((100, 1)), TimeGrid(100, 0.1),
-                              seed=0, cap=50)
+            sample_prior_path(sp, tp, np.zeros((1001, 1)),
+                              TimeGrid(1000, 0.1), seed=0)
 
     @staticmethod
     def _uncached_path(spatial, temporal, xs_grid, time_grid, seed,
@@ -217,7 +229,7 @@ class TestPriorSampling:
     def test_cached_spatial_factor_is_read_only(self):
         sp = SpatialKernel.rbf([0.3])
         grid = np.linspace(0, 1, 5)[:, None]
-        factor = _spatial_factor(sp, grid.tobytes(), grid.shape, 1e-10)
+        factor = _spatial_factor(sp, grid.tobytes(), grid.shape)
         assert not factor.flags.writeable
         with pytest.raises(ValueError):
             factor[0, 0] = 0.0
@@ -255,7 +267,8 @@ class TestMercerPosterior:
         # the exact posterior mean at observed points
         tp = TemporalKernel.rbf(1.0)
         sp, data, spec = self._setup(rng, tp, 200, 0.0)
-        exact_mean, _ = posterior(sp, tp, data, data.xs[:20], data.ts[:20])
+        exact_mean, _ = GPPosterior(sp, tp, data).predict(data.xs[:20],
+                                                          data.ts[:20])
         for j in range(20):
             mean, _ = mercer_posterior(spec, data, (data.xs[j], data.ts[j]),
                                        sp, tp)
@@ -276,7 +289,7 @@ class TestMercerPosterior:
         devs = []
         for n in (50, 100, 200):
             sp, data, spec = self._setup(rng, tp, n, 0.01)
-            _, cov = posterior(sp, tp, data, data.xs, data.ts)
+            _, cov = GPPosterior(sp, tp, data).predict(data.xs, data.ts)
             exact_var = np.diag(cov)
             dev = [abs(mercer_posterior(spec, data, (data.xs[j], data.ts[j]),
                                         sp, tp)[1] - exact_var[j])
@@ -290,7 +303,7 @@ class TestMercerPosterior:
         devs = []
         for n in (50, 200):
             sp, data, spec = self._setup(rng, tp, n, 0.01)
-            _, cov = posterior(sp, tp, data, data.xs, data.ts)
+            _, cov = GPPosterior(sp, tp, data).predict(data.xs, data.ts)
             exact_var = np.diag(cov)
             dev = [abs(mercer_posterior(spec, data, (data.xs[j], data.ts[j]),
                                         sp, tp)[1] - exact_var[j])

@@ -133,7 +133,7 @@ class TestSpectralDensity:
 
     def test_cosine_sum_lines(self):
         k = TemporalKernel.cosine_sum([(0.0, 0.5), (3.0, 0.5)])
-        lines = spectral_density(k)
+        lines = spectral_lines(k)
         assert sorted(lines) == [(-3.0, 0.25), (0.0, 0.5), (3.0, 0.25)]
 
     def test_periodic_lines_are_bessel_weights(self):
@@ -148,6 +148,10 @@ class TestSpectralDensity:
     def test_lines_refused_for_continuous(self):
         with pytest.raises(WrongClass):
             spectral_lines(TemporalKernel.rbf(1.0))
+
+    def test_density_refused_for_discrete(self):
+        with pytest.raises(WrongClass, match="spectral_lines"):
+            spectral_density(TemporalKernel.periodic(1.0), 0.0)
 
 
 class TestClassification:
@@ -183,7 +187,8 @@ class TestLowRankApprox:
         assert f0 == 0.0 and c0 > 0
         assert f1 == pytest.approx(1.0, rel=1e-12)
         grid = np.arange(64) / 3.0
-        assert np.max(np.abs(lr(grid) - k(grid))) <= 1e-8
+        assert np.max(np.abs(eval_temporal(lr, grid)
+                              - eval_temporal(k, grid))) <= 1e-8
 
     def test_periodic_commensurate_half(self):
         # at half the period the sequence alternates between 1 and
@@ -204,7 +209,8 @@ class TestLowRankApprox:
         assert lr.lines[0] == pytest.approx((0.0, 0.3), abs=1e-12)
         assert sorted(lr.lines[1:]) == pytest.approx([(0.7, 0.5), (2.1, 0.2)])
         grid = np.arange(50) * 0.37
-        assert np.max(np.abs(lr(grid) - k(grid))) == 0.0
+        assert np.max(np.abs(eval_temporal(lr, grid)
+                              - eval_temporal(k, grid))) == 0.0
 
     def test_round_trip_any_step(self):
         # untruncated cosine-transform reconstruction is exact on the grid
@@ -213,7 +219,8 @@ class TestLowRankApprox:
         for delta in (1 / 3.0, 0.13, 0.2719):
             lr = low_rank_approx(k, delta, 96, 1e-12)
             grid = np.arange(96) * delta
-            assert np.max(np.abs(lr(grid) - k(grid))) <= 1e-10
+            assert np.max(np.abs(eval_temporal(lr, grid)
+                                  - eval_temporal(k, grid))) <= 1e-10
 
     def test_tolerance_unreachable(self):
         k = TemporalKernel.periodic(period=1.0, lengthscale=1.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tvbospec.errors import WrongClass
-from tvbospec.kernels import SpatialKernel, TemporalKernel
+from tvbospec.kernels import SpatialKernel, TemporalKernel, eval_temporal
 from tvbospec.spectral import (
     Scale,
     Spectrum,
@@ -56,7 +56,8 @@ class TestBuildMatrices:
         sp = SpatialKernel.rbf([0.5])
         tp = TemporalKernel.rbf(1.0)
         m = build_spatiotemporal_matrix(sp, tp, [[0.3], [0.3]], [0.1, 0.7])
-        assert m.values[0, 1] == pytest.approx(tp(0.6), rel=1e-14)
+        assert m.values[0, 1] == pytest.approx(eval_temporal(tp, 0.6),
+                                               rel=1e-14)
 
     def test_spatiotemporal_product(self):
         # pick the spatial separation so k_S = 0.5 exactly, and the time lag
@@ -75,6 +76,13 @@ class TestBuildMatrices:
         with pytest.raises(DimensionMismatch):
             build_spatiotemporal_matrix(sp, TemporalKernel.rbf(1.0),
                                         [[0.3], [0.4]], [0.1, 0.2])
+
+    def test_row_of_points_rejected(self):
+        # a (1, m) row is one m-dimensional point, not m points
+        sp = SpatialKernel.rbf([0.5])
+        with pytest.raises(ValueError, match="one spatial point per time"):
+            build_spatiotemporal_matrix(sp, TemporalKernel.rbf(1.0),
+                                        [[0.1, 0.2, 0.3]], [0.1, 0.2, 0.3])
 
     def test_outside_cube_rejected(self):
         sp = SpatialKernel.rbf([0.5])
@@ -125,12 +133,13 @@ class TestCirculant:
         k = TemporalKernel.rbf(1.0)
         row = circulant_embedding(k, TimeGrid(2, 0.4))
         assert row[0] == 1.0
-        assert row[1] == pytest.approx(2 * k(0.4), rel=1e-14)
+        assert row[1] == pytest.approx(2 * eval_temporal(k, 0.4), rel=1e-14)
 
     def test_three_rbf(self):
         k = TemporalKernel.rbf(1.0)
         row = circulant_embedding(k, TimeGrid(3, 1.0))
-        expected = [1.0, k(1.0) + k(2.0), k(2.0) + k(1.0)]
+        k1, k2 = eval_temporal(k, 1.0), eval_temporal(k, 2.0)
+        expected = [1.0, k1 + k2, k2 + k1]
         assert np.allclose(row, expected, atol=1e-15)
 
     def test_palindrome(self):
