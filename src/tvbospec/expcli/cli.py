@@ -60,8 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
     run_p.add_argument("--out", default=None, help="output directory")
-    run_p.add_argument("--jobs", type=int, default=1,
-                       help="threads for regret replications")
 
     val_p = sub.add_parser("validate", help="check a config without running")
     val_p.add_argument("config", help="TOML or JSON config file")
@@ -112,7 +110,7 @@ def main(argv=None) -> int:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
     try:
-        manifest = run_experiment(config, out, jobs=args.jobs)
+        manifest = run_experiment(config, out)
     except InvalidConfig as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2

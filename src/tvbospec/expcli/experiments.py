@@ -544,8 +544,7 @@ def _parse_regret(params: dict):
             "bounds": params["bounds"]}, sizes
 
 
-def run_regret(seed: int, outdir: Path, configs, replications, bounds,
-               jobs: int = 1):
+def run_regret(seed: int, outdir: Path, configs, replications, bounds):
     files = []
     summary_rows = []
     curve_rows = []
@@ -553,7 +552,7 @@ def run_regret(seed: int, outdir: Path, configs, replications, bounds,
                    ylabel="R_n / n")
     for label, config in configs.items():
         seeds = [seed + i for i in range(replications)]
-        traces = run_replications(config, seeds, jobs=jobs)
+        traces = run_replications(config, seeds)
         ratio = np.stack([t.cumulative / (np.arange(len(t.times)) + 1)
                           for t in traces])
         mean_ratio = ratio.mean(axis=0)
@@ -690,15 +689,17 @@ def validate_config(config: dict) -> dict:
 
 
 def run_experiment(config: dict, out, jobs: int = 1) -> dict:
-    """Run one experiment; returns the manifest as a dict."""
+    """Run one experiment; returns the manifest as a dict.
+
+    ``jobs`` has no effect: every experiment runs on the calling thread.
+    It stays in the signature only because the benchmark harness in
+    ``bench/`` still passes it.
+    """
     checked = validate_config(config)
     exp = checked["experiment"]
-    inputs = checked["inputs"]
-    if exp == "regret":
-        inputs = {**inputs, "jobs": jobs}
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
-    files = EXPERIMENTS[exp][0](checked["seed"], outdir, **inputs)
+    files = EXPERIMENTS[exp][0](checked["seed"], outdir, **checked["inputs"])
     manifest_path = write_manifest(outdir, files)
     with open(manifest_path, "r", encoding="utf-8") as fh:
         return json.load(fh)

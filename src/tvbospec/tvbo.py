@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -222,10 +221,7 @@ def run_tvbo(config: TVBOConfig) -> RegretTrace:
                        betas, objective)
 
 
-def run_replications(config: TVBOConfig, seeds, jobs: int = 1):
-    """Run independent seeded replications, returned in seed order."""
-    configs = [replace(config, seed=int(s)) for s in seeds]
-    if jobs <= 1:
-        return [run_tvbo(c) for c in configs]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(run_tvbo, configs))
+def run_replications(config: TVBOConfig, seeds):
+    """Run seeded replications one after another, in seed order; scipy's
+    multithreaded LAPACK already keeps the cores busy within each run."""
+    return [run_tvbo(replace(config, seed=int(s))) for s in seeds]

@@ -11,11 +11,14 @@ import numpy as np
 import pytest
 
 from tvbospec.bounds import (
-    lower_bound,
     mutual_info_exact,
     scaling_diagnostic,
     truncated_gaussian_mean,
-    upper_bound_curve,
+)
+from tvbospec.expcli.experiments import (
+    default_config,
+    run_experiment,
+    validate_config,
 )
 from tvbospec.gp import Dataset, GPPosterior
 from tvbospec.kernels import SpatialKernel, TemporalKernel
@@ -30,9 +33,9 @@ from tvbospec.spectral import (
     eig_sym,
     positive_count,
 )
-from tvbospec.tvbo import TVBOConfig, run_replications
 
 from conftest import ACCEPTANCE_LINES
+from test_expcli import read_csv
 from test_gp import dense_solve_oracle
 
 
@@ -43,55 +46,43 @@ def _report(criterion: str, ok: bool, elapsed: float, detail: str) -> None:
     assert ok, line
 
 
-# experiment defaults shared with the CLI layer
-FIG5_SPATIAL = SpatialKernel.rbf([0.7])
-FIG5_KERNELS = {
-    "rbf": TemporalKernel.rbf(1.0),
-    "sinc_squared": TemporalKernel.sinc_squared(1.0),
-    "periodic": TemporalKernel.periodic(period=0.3, lengthscale=0.8),
-    "cosine_sum": TemporalKernel.cosine_sum([(0.0, 0.4), (1.3, 0.6)]),
-}
-REGRET_SPATIAL = SpatialKernel.rbf([0.4])
-REGRET_KERNELS = {
-    "rbf": TemporalKernel.rbf(1.0),
-    "sinc_squared": TemporalKernel.sinc_squared(1.0),
-    "periodic": TemporalKernel.periodic(period=0.5, lengthscale=0.8),
-    "cosine_sum": TemporalKernel.cosine_sum([(0.0, 0.4), (2.3, 0.6)]),
-}
 SEEDS = list(range(10))
 
 
 @pytest.fixture(scope="module")
 def fig5_diagnostics():
-    """count/information rows for the four class examples, 10 seeds each
-    (ordered seed by seed, then n), plus the wall time spent producing them."""
+    """count/information rows for the four class examples of the shipped
+    fig5 config, 10 seeds each (ordered seed by seed, then n), plus the wall
+    time spent producing them."""
     start = time.perf_counter()
-    rows = scaling_diagnostic(FIG5_SPATIAL, FIG5_KERNELS, [50, 100, 200],
-                              SEEDS, interval=(1.0, 2.0), noise=0.01,
-                              delta=0.1)
+    inputs = validate_config({"experiment": "fig5",
+                              "params": {"ns": [50, 100, 200]}})["inputs"]
+    rows = scaling_diagnostic(inputs["spatial"], inputs["kernels"],
+                              [50, 100, 200], SEEDS, interval=(1.0, 2.0),
+                              noise=0.01, delta=0.1)
     return rows, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
-def regret_suite():
-    """Ten seeded GP-UCB runs per kernel class, with bound evaluations,
-    plus the wall time spent producing them."""
+def regret_suite(tmp_path_factory):
+    """``tvbospec run regret`` at its defaults (ten seeded GP-UCB runs per
+    kernel class, with bound evaluations), read back from its artifacts:
+    per kernel, one entry per seed with the total regret, the lower bound,
+    whether the upper bound held and the cumulative-regret column of the
+    trace.  Also returns the wall time spent producing them."""
     start = time.perf_counter()
-    out = {}
-    for label, kt in REGRET_KERNELS.items():
-        config = TVBOConfig(spatial=REGRET_SPATIAL, temporal=kt, seed=0)
-        traces = run_replications(config, SEEDS, jobs=4)
-        entries = []
-        for trace in traces:
-            curve, _ = upper_bound_curve(trace)
-            low = lower_bound(config.spatial, config.temporal, trace)
-            entries.append({
-                "trace": trace,
-                "upper_holds": bool(np.all(trace.cumulative <= curve)),
-                "lower_total": low.total,
-            })
-        out[label] = entries
-    return out, time.perf_counter() - start
+    out = tmp_path_factory.mktemp("regret")
+    run_experiment(default_config("regret"), out)
+    suite = {}
+    for row in read_csv(out / "regret_summary.csv"):
+        trace = read_csv(out / f"trace_{row['kernel']}_seed{row['seed']}.csv")
+        suite.setdefault(row["kernel"], []).append({
+            "total": float(row["cumulative_regret"]),
+            "upper_holds": row["upper_bound_holds"] == "1",
+            "lower_total": float(row["lower_bound"]),
+            "cumulative": np.array([float(r["R_cumulative"]) for r in trace]),
+        })
+    return suite, time.perf_counter() - start
 
 
 def test_a1_product_spectrum_fidelity():
@@ -241,7 +232,7 @@ def test_a8_bound_validity(regret_suite):
     ok = True
     ratios = {}
     for label, entries in regret_suite.items():
-        totals = np.array([e["trace"].total for e in entries])
+        totals = np.array([e["total"] for e in entries])
         lows = np.array([e["lower_total"] for e in entries])
         upper_count = sum(e["upper_holds"] for e in entries)
         sem = totals.std(ddof=1) / math.sqrt(len(totals))
@@ -250,7 +241,7 @@ def test_a8_bound_validity(regret_suite):
         details.append(f"{label}: upper {upper_count}/10, mean R "
                        f"{totals.mean():.1f} vs lower {lows.mean():.1f}"
                        f"{'' if lower_ok else ' (VIOLATED)'}")
-        cum = np.stack([e["trace"].cumulative for e in entries])
+        cum = np.stack([e["cumulative"] for e in entries])
         ratios[label] = (cum[:, 49].mean() / 50, cum[:, 199].mean() / 200)
     # desk-scale stand-ins for the asymptotic dichotomy: the per-step regret
     # of the periodic kernel shrinks with the horizon while the broadband

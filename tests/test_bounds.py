@@ -222,7 +222,7 @@ class TestLowerBound:
         # repeats this at full scale)
         cfg = TVBOConfig(spatial=SpatialKernel.rbf([0.4]),
                          temporal=TemporalKernel.rbf(1.0), horizon=60, seed=0)
-        traces = run_replications(cfg, [0, 1, 2, 3], jobs=1)
+        traces = run_replications(cfg, [0, 1, 2, 3])
         totals = np.array([t.total for t in traces])
         lows = np.array([lower_bound(cfg.spatial, cfg.temporal, t).total
                          for t in traces])

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import re
+import threading
 import tomllib
 import tracemalloc
 from pathlib import Path
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tvbospec import tvbo
 from tvbospec.errors import InvalidConfig
 from tvbospec.expcli import (
     EXPERIMENTS,
@@ -22,6 +24,10 @@ from tvbospec.expcli.cli import main
 from tvbospec.expcli.experiments import _EIGH_SECONDS_PER_N3
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# regret with bounds for all four default kernel classes, two seeds each,
+# on a 6-point grid over 12 steps: well under a second
+TINY_REGRET_PARAMS = {"horizon": 12, "grid_resolution": 6, "replications": 2}
 
 
 def read_csv(path):
@@ -236,6 +242,21 @@ class TestExperiments:
         assert all(r["upper_bound_holds"] == "1" for r in rows)
         assert (tmp_path / "trace_rbf_seed0.csv").exists()
 
+    def test_regret_runs_on_the_calling_thread(self, tmp_path, monkeypatch):
+        # replications run one after another; jobs is accepted and ignored
+        threads = []
+        run_tvbo = tvbo.run_tvbo
+
+        def recording(config):
+            threads.append(threading.current_thread())
+            return run_tvbo(config)
+
+        monkeypatch.setattr(tvbo, "run_tvbo", recording)
+        cfg = {"experiment": "regret", "params": dict(TINY_REGRET_PARAMS)}
+        run_experiment(cfg, tmp_path, jobs=2)
+        assert len(threads) == 4 * 2
+        assert all(t is threading.main_thread() for t in threads)
+
     def test_table1(self, tmp_path):
         cfg = default_config("table1")
         cfg["params"]["ns"] = [40, 80]
@@ -280,6 +301,16 @@ class TestCli:
                                    "params": {"ns": [30], "divisors": [3]}}))
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+
+    def test_jobs_option_removed(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.toml"
+        cfg.write_text('experiment = "regret"\n[params]\n' + "".join(
+            f"{k} = {v}\n" for k, v in TINY_REGRET_PARAMS.items()))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                  "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_validate_command(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.toml"
