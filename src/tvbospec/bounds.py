@@ -181,12 +181,19 @@ def lower_bound(spatial: SpatialKernel, temporal: TemporalKernel,
     eigenvectors are only orthogonal over all n samples) and rectifies it
     into a badly inflated bound.
     """
+    gram = build_spatiotemporal_matrix(spatial, temporal, trace.chosen_x,
+                                       trace.times)
+    return _lower_bound(spatial, temporal, trace, gram.values)
+
+
+def _lower_bound(spatial: SpatialKernel, temporal: TemporalKernel,
+                 trace: RegretTrace, gram: np.ndarray) -> LowerBoundReport:
+    """``lower_bound`` given the run's spatio-temporal kernel matrix."""
     n = len(trace.times)
     xs_all = trace.chosen_x
     ts_all = trace.times
     fvals = trace.objective_at_chosen
 
-    gram = build_spatiotemporal_matrix(spatial, temporal, xs_all, ts_all).values
     # star[i, k] = k((x_i, t_i), (x*_k, t_k)): column k holds the step-k
     # covariances between the optimum and every chosen point
     star = cross_covariance(spatial, temporal, xs_all, ts_all, trace.star_x,
@@ -244,7 +251,11 @@ class BoundReport:
 
 
 def bound_report(trace: RegretTrace) -> BoundReport:
-    """Evaluate both bounds and the information quantities for one run."""
+    """Evaluate both bounds and the information quantities for one run.
+
+    The run's spatio-temporal kernel matrix is built once and shared by the
+    information quantities and the lower bound.
+    """
     cfg = trace.config
     noise = conditioning_noise(cfg.noise)
     n = len(trace.times)
@@ -258,7 +269,7 @@ def bound_report(trace: RegretTrace) -> BoundReport:
                                            noise),
         upper_curve=curve,
         c1_violation_fraction=violations,
-        lower=lower_bound(cfg.spatial, cfg.temporal, trace),
+        lower=_lower_bound(cfg.spatial, cfg.temporal, trace, gram.values),
     )
 
 
@@ -279,38 +290,39 @@ def scaling_diagnostic(spatial: SpatialKernel, temporals, ns, seeds,
     Returns {label: rows}, each list ordered seed by seed, then n by n; a
     row is {"seed", "n", "count", "info", "info_per_n", "n0_proxy"}.
 
-    Each factor spectrum is computed once: the spatial one per (seed, n),
+    Each matrix is built once.  The temporal Gram of each kernel is
+    evaluated at the largest n; every smaller n uses its leading block,
+    which is the same matrix because the times of a smaller n are a prefix.
+    The spatial Gram of each (seed, n) gives the spatial spectrum and, times
+    each kernel's temporal block, that kernel's spatio-temporal matrix.
+    The factor spectra feed the n0 proxy: the spatial one per (seed, n),
     shared by all kernels, and the temporal one per (kernel, n), shared by
-    all seeds.  Only the spectra are kept, never the factor matrices.
+    all seeds.
     """
     ns = [int(n) for n in ns]
     a, b = interval
     if b < a:
         raise ValueError("interval must satisfy a <= b")
-    times = [(np.arange(n) + 1) * delta for n in ns]
-    samples = []  # (seed, [(points, spatial spectrum) for each n])
+    ts = (np.arange(max(ns, default=0)) + 1) * delta
+    temporal_grams = {
+        label: eval_temporal(temporal, np.abs(ts[:, None] - ts[None, :]))
+        for label, temporal in temporals.items()}
+    temporal_specs = {
+        label: [eig_sym(SymMatrix(kt[:n, :n])) for n in ns]
+        for label, kt in temporal_grams.items()}
+    out = {label: [] for label in temporals}
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        per_n = []
-        for n in ns:
+        for idx, n in enumerate(ns):
             xs = rng.uniform(0.0, 1.0, size=(n, spatial.dimension))
-            per_n.append((xs, eig_sym(SymMatrix(spatial.pairwise(xs, xs)))))
-        samples.append((seed, per_n))
-    out = {}
-    for label, temporal in temporals.items():
-        temporal_specs = [
-            eig_sym(SymMatrix(eval_temporal(
-                temporal, np.abs(ts[:, None] - ts[None, :]))))
-            for ts in times]
-        rows = []
-        for seed, per_n in samples:
-            for n, ts, (xs, spatial_spec), temporal_spec in zip(
-                    ns, times, per_n, temporal_specs):
-                spec = eig_sym(build_spatiotemporal_matrix(spatial, temporal,
-                                                           xs, ts))
+            ks = spatial.pairwise(xs, xs)
+            spatial_spec = eig_sym(SymMatrix(ks))
+            for label, kt in temporal_grams.items():
+                spec = eig_sym(SymMatrix(ks * kt[:n, :n]))
                 info = mutual_info_exact(spec, noise)
-                prod = approx_product_spectrum(spatial_spec, temporal_spec, n)
-                rows.append({
+                prod = approx_product_spectrum(spatial_spec,
+                                               temporal_specs[label][idx], n)
+                out[label].append({
                     "seed": seed,
                     "n": n,
                     "count": count_in_interval(spec, a, b),
@@ -318,5 +330,4 @@ def scaling_diagnostic(spatial: SpatialKernel, temporals, ns, seeds,
                     "info_per_n": info / n,
                     "n0_proxy": prod.distinct_spatial_indices,
                 })
-        out[label] = rows
     return out

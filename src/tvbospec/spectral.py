@@ -10,11 +10,12 @@ of factor spectra for spatio-temporal product kernels.
 from __future__ import annotations
 
 import enum
-import heapq
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, toeplitz
+from scipy.linalg import get_lapack_funcs, toeplitz
+from scipy.linalg.lapack import _compute_lwork
 
 from .errors import ConvergenceFailure, WrongClass
 from .kernels import (
@@ -167,15 +168,40 @@ def build_spatiotemporal_matrix(spatial: SpatialKernel,
     return SymMatrix(cross_covariance(spatial, temporal, xs, ts, xs, ts))
 
 
+@functools.cache
+def _syevd(n: int, vectors: bool):
+    """The float64 ``?syevd`` routine and its keyword arguments for an
+    n x n problem, with the workspace sizes scipy's ``eigh`` queries.
+
+    The cache holds two integers per distinct size; a regret run's lower
+    bound reaches one size per step, a few hundred in all.
+    """
+    drv, query = get_lapack_funcs(("syevd", "syevd_lwork"), dtype=np.float64)
+    lwork, liwork = _compute_lwork(query, n=n, lower=True,
+                                   compute_v=int(vectors))
+    return drv, {"compute_v": int(vectors), "lower": 1, "lwork": lwork,
+                 "liwork": liwork}
+
+
 def _eigh(a: np.ndarray, vectors: bool = True):
-    """Eigenvalues of the symmetric ``a`` in ascending order, and with
+    """Eigenvalues of the symmetric float ``a`` in ascending order, and with
     ``vectors`` the matching eigenvector columns.
 
     The package's one eigensolver call: LAPACK ``?syevd`` (the routine
-    ``np.linalg.eigh`` calls, with the same bits) run by scipy, so that
-    every LAPACK call shares scipy's OpenBLAS thread pool.
+    ``np.linalg.eigh`` calls, with the same bits) on scipy's OpenBLAS thread
+    pool, called with the arguments ``scipy.linalg.eigh`` passes to it but
+    through a handle cached per (size, vectors).  ``a`` is read, never
+    written, and not checked for finite entries: every caller passes
+    ``SymMatrix`` data or a block of it.
     """
-    return eigh(a, driver="evd", eigvals_only=not vectors)
+    drv, kwargs = _syevd(a.shape[0], vectors)
+    w, v, info = drv(a, **kwargs)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"?syevd did not converge (info = {info})")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of ?syevd")
+    return (w, v) if vectors else w
 
 
 def eig_sym(m: SymMatrix, want_vectors: bool = False) -> Spectrum:
@@ -293,32 +319,26 @@ def approx_product_spectrum(spatial: Spectrum, temporal: Spectrum,
                             n: int) -> ProductSpectrum:
     """The n largest products (1/n) lam_i(K_S) lam_j(K_T), with provenance.
 
-    Negative inputs are clipped to zero.  The products are generated
-    lazily with a max-heap over the index lattice, so only O(n) of the
-    n^2 candidates are ever materialized.
+    Negative inputs are clipped to zero.  Products are ordered by
+    (descending product, i, j), so equal products keep their factor indices
+    in lexicographic order.  Both spectra are nonincreasing, so the product
+    at (i, j) comes after the (i+1)(j+1) - 1 others in its leading block;
+    only the pairs with (i+1)(j+1) <= n, about n ln n of them, are formed
+    and sorted.
     """
     a = np.maximum(spatial.values, 0.0)
     b = np.maximum(temporal.values, 0.0)
     if len(a) == 0 or len(b) == 0 or n <= 0:
         return ProductSpectrum(Spectrum(np.zeros(0), None, Scale.MATRIX), ())
-    out = np.empty(min(n, len(a) * len(b)))
-    pairs = []
-    heap = [(-a[0] * b[0], 0, 0)]
-    seen = {(0, 0)}
-    k = 0
-    while heap and k < n:
-        neg, i, j = heapq.heappop(heap)
-        out[k] = -neg
-        pairs.append((i + 1, j + 1))
-        k += 1
-        if i + 1 < len(a) and (i + 1, j) not in seen:
-            heapq.heappush(heap, (-a[i + 1] * b[j], i + 1, j))
-            seen.add((i + 1, j))
-        if j + 1 < len(b) and (i, j + 1) not in seen:
-            heapq.heappush(heap, (-a[i] * b[j + 1], i, j + 1))
-            seen.add((i, j + 1))
-    out = out[:k] / n
-    return ProductSpectrum(Spectrum(out, None, Scale.MATRIX), tuple(pairs))
+    per_row = np.minimum(n // np.arange(1, len(a) + 1), len(b))
+    i = np.repeat(np.arange(len(a)), per_row)
+    j = np.arange(len(i)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+    products = a[i] * b[j]
+    order = np.lexsort((j, i, -products))[:n]
+    i, j = i[order], j[order]
+    pairs = tuple(zip((i + 1).tolist(), (j + 1).tolist()))
+    return ProductSpectrum(Spectrum(products[order] / n, None, Scale.MATRIX),
+                           pairs)
 
 
 def count_in_interval(spectrum: Spectrum, a: float, b: float) -> int:

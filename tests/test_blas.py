@@ -1,4 +1,5 @@
-"""The BLAS policy: all LAPACK on scipy's OpenBLAS, numpy's at one thread."""
+"""The BLAS policy: all LAPACK on scipy's OpenBLAS, numpy's at one thread,
+and one eigensolver entry point."""
 
 import ast
 from pathlib import Path
@@ -50,6 +51,56 @@ def test_guard_sees_numpy_linalg_calls():
                      "numpy.linalg.cholesky(a)\nnp.linalg.LinAlgError\n")
     assert sorted(_numpy_linalg_names(tree)) == \
         ["LinAlgError", "cholesky", "eigh"]
+
+
+SCIPY_EIGENSOLVERS = {"eigh", "eigvalsh"}
+
+
+def _scipy_eigensolver_uses(tree):
+    """Where ``tree`` imports scipy.linalg's eigh/eigvalsh or calls them as
+    an attribute of scipy.linalg (imported under any alias)."""
+    linalg_names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("scipy.linalg"):
+                    linalg_names.add(alias.asname or "scipy")
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                if (node.module.startswith("scipy.linalg")
+                        and alias.name in SCIPY_EIGENSOLVERS):
+                    yield f"from {node.module} import {alias.name}"
+                elif node.module == "scipy" and alias.name == "linalg":
+                    linalg_names.add(alias.asname or "linalg")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and node.attr in SCIPY_EIGENSOLVERS
+                and ast.unparse(node.value) in linalg_names
+                | {f"{name}.linalg" for name in linalg_names}):
+            yield ast.unparse(node)
+
+
+def test_no_scipy_eigensolver_in_package():
+    # every eigensolve goes through spectral._eigh, the cached ?syevd handle
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.relative_to(SRC)}: {use}"
+                  for use in _scipy_eigensolver_uses(tree)]
+    assert found == []
+
+
+def test_guard_sees_scipy_eigensolver_uses():
+    tree = ast.parse(
+        "from scipy.linalg import eigh, toeplitz\n"
+        "from scipy.linalg import eigvalsh as ev\n"
+        "import scipy.linalg\nscipy.linalg.eigh(a)\n"
+        "import scipy.linalg as sla\nsla.eigvalsh(a)\n"
+        "from scipy import linalg\nlinalg.eigh(a)\n"
+        "np.linalg.eigh(a)\nfrom scipy.linalg import get_lapack_funcs\n")
+    assert sorted(_scipy_eigensolver_uses(tree)) == [
+        "from scipy.linalg import eigh", "from scipy.linalg import eigvalsh",
+        "linalg.eigh", "scipy.linalg.eigh", "sla.eigvalsh"]
 
 
 def _numpy_lib():

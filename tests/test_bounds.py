@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import tvbospec.bounds as bounds_module
+import tvbospec.spectral as spectral_module
 from tvbospec.errors import ScaleMismatch
 from tvbospec.expcli.experiments import FIG5_DEFAULTS
 from tvbospec.gp import Dataset, mercer_posterior, nystrom_expansion
@@ -273,6 +274,29 @@ class TestLowerBound:
                 assert abs(report.sigma_hat_full[k] - sigma_full) <= 1e-9, \
                     (temporal.family, k)
 
+    def test_bound_report_builds_the_gram_once(self, monkeypatch):
+        cfg = TVBOConfig(spatial=SpatialKernel.rbf([0.4]),
+                         temporal=TemporalKernel.periodic(period=0.5,
+                                                          lengthscale=0.8),
+                         horizon=30, seed=2)
+        trace = run_tvbo(cfg)
+        builds = []
+        build = bounds_module.build_spatiotemporal_matrix
+
+        def counting(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(bounds_module, "build_spatiotemporal_matrix",
+                            counting)
+        report = bound_report(trace)
+        assert len(builds) == 1
+        alone = lower_bound(cfg.spatial, cfg.temporal, trace)
+        for field in ("mu_hat", "sigma_hat", "sigma_hat_full", "terms",
+                      "terms_full"):
+            assert np.array_equal(getattr(report.lower, field),
+                                  getattr(alone, field))
+
     def test_report_serializes(self):
         cfg = TVBOConfig(spatial=SpatialKernel.rbf([0.4]),
                          temporal=TemporalKernel.rbf(1.0), horizon=8, seed=4)
@@ -347,6 +371,29 @@ class TestScalingDiagnostic:
         # seed, temporal factors per kernel
         assert len(orders) == k * s * len(ns) + s * len(ns) + k * len(ns)
         assert sorted(orders) == sorted(ns * (k * s + s + k))
+
+    def test_each_gram_built_once(self, monkeypatch):
+        # the spatial Gram once per (seed, n), the temporal Gram once per
+        # kernel at the largest n; the spatio-temporal matrices are their
+        # products
+        counts = {"pairwise": [], "temporal": []}
+        pairwise = SpatialKernel.pairwise
+
+        def counting_pairwise(self, xs1, xs2):
+            counts["pairwise"].append(len(xs1))
+            return pairwise(self, xs1, xs2)
+
+        def counting_temporal(kernel, u):
+            counts["temporal"].append(np.shape(u))
+            return eval_temporal(kernel, u)
+
+        monkeypatch.setattr(SpatialKernel, "pairwise", counting_pairwise)
+        for module in (bounds_module, spectral_module):
+            monkeypatch.setattr(module, "eval_temporal", counting_temporal)
+        ns, seeds = [20, 40, 30], [5, 6]
+        scaling_diagnostic(FIG5_SPATIAL, FIG5_TEMPORALS, ns, seeds)
+        assert counts["pairwise"] == ns * len(seeds)
+        assert counts["temporal"] == [(40, 40)] * len(FIG5_TEMPORALS)
 
     def test_discrete_count_stable(self):
         sp = SpatialKernel.rbf([0.7])

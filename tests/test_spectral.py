@@ -1,11 +1,14 @@
 """Kernel matrices, eigendecomposition and spectrum approximations."""
 
+import heapq
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from tvbospec.errors import WrongClass
+import tvbospec.spectral as spectral_module
+from tvbospec.errors import ConvergenceFailure, WrongClass
 from tvbospec.kernels import SpatialKernel, TemporalKernel, eval_temporal
 from tvbospec.spectral import (
     Scale,
@@ -126,6 +129,44 @@ class TestEigSym:
         m = rng.standard_normal((20, 20))
         spec = eig_sym(SymMatrix(m + m.T))
         assert np.all(np.diff(spec.values) <= 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 145])
+    def test_cached_syevd_matches_scipy_eigh(self, rng, n):
+        # same routine, workspace and layout as scipy's wrapper, so the same
+        # bits, on a whole matrix and on a leading block of a larger one
+        big = rng.standard_normal((n + 5, n + 5))
+        big = big + big.T
+        before = big.copy()
+        for a in (big[:n, :n], np.ascontiguousarray(big[:n, :n])):
+            vals, vecs = spectral_module._eigh(a)
+            want_vals, want_vecs = scipy.linalg.eigh(a, driver="evd")
+            assert np.array_equal(vals, want_vals)
+            assert np.array_equal(vecs, want_vecs)
+            assert np.array_equal(
+                spectral_module._eigh(a, vectors=False),
+                scipy.linalg.eigh(a, driver="evd", eigvals_only=True))
+        assert np.array_equal(big, before)
+
+    @staticmethod
+    def _syevd_reporting(monkeypatch, info):
+        def syevd(a, **kwargs):
+            n = a.shape[0]
+            return np.zeros(n), np.zeros((n, n)), info
+
+        monkeypatch.setattr(spectral_module, "_syevd",
+                            lambda n, vectors: (syevd, {}))
+
+    @pytest.mark.parametrize("want_vectors", [False, True])
+    def test_nonconvergence_raises_convergence_failure(self, monkeypatch,
+                                                       want_vectors):
+        self._syevd_reporting(monkeypatch, 2)
+        with pytest.raises(ConvergenceFailure, match="did not converge"):
+            eig_sym(SymMatrix(np.eye(3)), want_vectors=want_vectors)
+
+    def test_illegal_argument_raises_value_error(self, monkeypatch):
+        self._syevd_reporting(monkeypatch, -4)
+        with pytest.raises(ValueError, match="argument 4"):
+            eig_sym(SymMatrix(np.eye(3)))
 
 
 class TestCirculant:
@@ -256,6 +297,39 @@ class TestLowRankSpectrum:
                 assert positive_count(spec) == divisor
 
 
+def _heap_products(a, b, n):
+    """Oracle for approx_product_spectrum: pop the n largest products of
+    two nonincreasing spectra from a lazy max-heap over the index lattice,
+    ties broken by the smaller (i, j).  Returns (values / n, pairs)."""
+    a = np.maximum(a, 0.0)
+    b = np.maximum(b, 0.0)
+    if len(a) == 0 or len(b) == 0 or n <= 0:
+        return np.zeros(0), ()
+    out = []
+    pairs = []
+    heap = [(-a[0] * b[0], 0, 0)]
+    seen = {(0, 0)}
+    while heap and len(out) < n:
+        neg, i, j = heapq.heappop(heap)
+        out.append(-neg)
+        pairs.append((i + 1, j + 1))
+        for ni, nj in ((i + 1, j), (i, j + 1)):
+            if ni < len(a) and nj < len(b) and (ni, nj) not in seen:
+                heapq.heappush(heap, (-a[ni] * b[nj], ni, nj))
+                seen.add((ni, nj))
+    return np.array(out) / n, tuple(pairs)
+
+
+def _assert_matches_heap(a, b, n):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    values, pairs = _heap_products(a, b, n)
+    prod = approx_product_spectrum(Spectrum(a), Spectrum(b), n)
+    # bitwise, signed zeros included
+    assert prod.spectrum.values.tobytes() == values.tobytes()
+    assert prod.pairs == pairs
+    assert prod.distinct_spatial_indices == len({i for i, _ in pairs})
+
+
 class TestProductSpectrum:
     def test_worked_example(self):
         # brute force: products {6, 2, 3, 1} -> top three 6, 3, 2, coming
@@ -293,6 +367,32 @@ class TestProductSpectrum:
         prod = approx_product_spectrum(Spectrum(a), Spectrum(b), 20)
         for value, (i, j) in zip(prod.spectrum.values, prod.pairs):
             assert value == pytest.approx(a[i - 1] * b[j - 1] / 20, rel=1e-12)
+
+    @pytest.mark.parametrize("a, b, n", [
+        ([2.0, 0.5, -0.0, -1e-17, -3.0], [1.0, 0.0, -2.0], 9),
+        ([3.0, 2.0, -1.0], [-0.0, -0.5], 6),
+        ([2.0, 2.0, 2.0, 1.0, 1.0], [3.0, 3.0, 1.5, 1.5], 11),
+        ([4.0, 2.0, 1.0], [2.0, 1.0, 0.5], 5),
+        ([1.0, 1.0], [1.0, 1.0, 1.0], 4),
+        ([1.0, 0.5], [2.0, 1.0], 4),
+        ([1.0, 0.5], [2.0, 1.0], 50),
+        ([], [1.0, 0.5], 3),
+        ([1.0], [], 3),
+        ([], [], 1),
+        ([1.0, 0.5], [2.0, 1.0], 0),
+    ], ids=["negatives-clipped", "all-products-zero", "repeated",
+            "equal-products-across-rows", "all-equal", "n-equals-size",
+            "n-above-size", "empty-spatial", "empty-temporal", "both-empty",
+            "n-zero"])
+    def test_matches_heap_oracle(self, a, b, n):
+        _assert_matches_heap(a, b, n)
+
+    def test_matches_heap_oracle_on_tie_heavy_spectra(self, rng):
+        levels = np.array([4.0, 2.0, 1.0, 0.5, 0.0, -0.0, -1e-16, -1.0])
+        for _ in range(300):
+            a = np.sort(rng.choice(levels, int(rng.integers(0, 12))))[::-1]
+            b = np.sort(rng.choice(levels, int(rng.integers(0, 12))))[::-1]
+            _assert_matches_heap(a, b, int(rng.integers(0, a.size * b.size + 3)))
 
 
 class TestCounting:
