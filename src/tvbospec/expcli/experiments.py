@@ -22,13 +22,18 @@ import numpy as np
 from ..bounds import bound_report, scaling_diagnostic
 from ..errors import InvalidConfig
 from ..gp import DEFAULT_SAMPLING_CAP
-from ..kernels import TemporalKernel, _finite_real, classify, kernel_from_dict
+from ..kernels import (
+    TemporalKernel,
+    _finite_real,
+    classify,
+    eval_temporal,
+    kernel_from_dict,
+)
 from ..spectral import (
     SymMatrix,
     TimeGrid,
     approx_product_spectrum,
     approx_temporal_spectrum,
-    build_spatiotemporal_matrix,
     build_temporal_matrix,
     eig_sym,
     positive_count,
@@ -198,7 +203,11 @@ def run_fig1(seed: int, outdir: Path, grid, spatial, temporal):
 
     ks = SymMatrix(spatial.pairwise(xs, xs))
     kt = build_temporal_matrix(temporal, grid)
-    kfull = build_spatiotemporal_matrix(spatial, temporal, xs, ts)
+    # The Toeplitz kt takes its lags from arange(n) * delta, which round
+    # differently from the differences of ts, so the full matrix evaluates
+    # the temporal kernel on ts as cross_covariance does.
+    kfull = SymMatrix(ks.values * eval_temporal(
+        temporal, np.abs(ts[:, None] - ts[None, :])))
     spec_s = eig_sym(ks)
     spec_t = eig_sym(kt)
     spec_full = eig_sym(kfull)

@@ -1,9 +1,9 @@
 """Exact GP posterior inference and spectral (Mercer) approximations.
 
 The spatio-temporal prior is GP(0, k_S * k_T) with unit prior variance.
-Conditioning uses a Cholesky factorization of the noisy Gram matrix with
-incremental rank-one extension, so a sequential optimization loop pays
-O(n^2) per added observation instead of O(n^3).
+Conditioning uses a Cholesky factorization of the noisy Gram matrix, grown
+in place by one row per added observation, so a sequential optimization loop
+pays O(n^2) per added observation instead of O(n^3).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import cholesky, get_lapack_funcs
 
 from .errors import CapExceeded, MissingEigenvectors, SingularSystem
 from .kernels import SpatialKernel, TemporalKernel, eval_temporal
@@ -100,28 +100,83 @@ class Dataset:
 
 
 class GPPosterior:
-    """Posterior of a product-kernel GP conditioned on a Dataset.
+    """Posterior of a product-kernel GP conditioned on observations.
 
-    Immutable once built; ``extended`` returns a new posterior with one more
-    observation, reusing the existing Cholesky factor.
+    Built from a Dataset; ``extended`` then conditions on one more
+    observation in place.  The observations, the lower Cholesky factor L of
+    the noisy Gram matrix and alpha = L^-1 y live in buffers that double
+    when full, so an extension writes one row of L and one entry of alpha
+    and copies nothing else.  The covariances passed to ``mean_var`` and
+    ``extended`` are LAPACK workspace and may be overwritten: a
+    Fortran-ordered float64 array is, any other is copied first.
     """
 
     def __init__(self, spatial: SpatialKernel, temporal: TemporalKernel,
-                 data: Dataset, _factor=None):
+                 data: Dataset):
         self.spatial = spatial
         self.temporal = temporal
-        self.data = data
+        self._data_noise = data.noise
         self._noise = conditioning_noise(data.noise)
-        if _factor is not None:
-            self._chol, self._alpha = _factor
-        elif len(data) > 0:
-            gram = cross_covariance(spatial, temporal, data.xs, data.ts,
-                                    data.xs, data.ts)
-            self._chol = _jittered_cholesky(gram, self._noise)
-            self._alpha = solve_triangular(self._chol, data.ys, lower=True)
-        else:
-            self._chol = np.zeros((0, 0))
-            self._alpha = np.zeros(0)
+        self._n = n = len(data)
+        # Capacity n; _grow reallocates before anything is written past n.
+        self._xs, self._ts, self._ys = data.xs, data.ts, data.ys
+        self._alpha = np.zeros(n)
+        # _chol[:n, :n] holds L in its lower triangle after a factorization
+        # and L^T in its upper triangle once grown: the layouts in which
+        # solve_triangular passes ?trtrs cholesky's Fortran-ordered factor
+        # and a factor grown row by row in C order.  With one right-hand
+        # side the two give different bits, and the artifact bytes depend
+        # on both.
+        self._chol = np.zeros((n, n), order="F")
+        self._lower = True
+        if n:
+            self._factorize()
+
+    @property
+    def data(self) -> Dataset:
+        """The observations conditioned on, as a (newly validated) Dataset."""
+        n = self._n
+        return Dataset(self._xs[:n], self._ts[:n], self._ys[:n],
+                       noise=self._data_noise)
+
+    def _factorize(self) -> None:
+        """Factor the noisy Gram matrix of the n observations in one batch."""
+        n = self._n
+        xs, ts = self._xs[:n], self._ts[:n]
+        gram = cross_covariance(self.spatial, self.temporal, xs, ts, xs, ts)
+        self._chol[:n, :n] = _jittered_cholesky(gram, self._noise)
+        self._lower = True
+        self._alpha[:n] = self._ys[:n]
+        self._alpha[:n] = self._solve(self._alpha[:n])
+
+    def _grow(self) -> None:
+        """Double the capacity of every buffer, keeping the n observations."""
+        n = self._n
+        cap = max(2 * n, 16)
+
+        def bigger(old):
+            new = np.zeros((cap,) + old.shape[1:])
+            new[:n] = old[:n]
+            return new
+
+        self._xs, self._ts, self._ys, self._alpha = map(
+            bigger, (self._xs, self._ts, self._ys, self._alpha))
+        chol = np.zeros((cap, cap), order="F")
+        chol[:n, :n] = self._chol[:n, :n]
+        self._chol = chol
+
+    def _solve(self, b: np.ndarray) -> np.ndarray:
+        """L^-1 b against the n x n factor, through the cached ``?trtrs``
+        with the arguments ``solve_triangular`` passes for its layout."""
+        lower = int(self._lower)
+        x, info = _trtrs()(self._chol[:, :self._n], b, lower=lower,
+                           trans=1 - lower, overwrite_b=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"singular factor: zero at diagonal {info - 1}")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of ?trtrs")
+        return x
 
     def predict(self, xs_q, ts_q):
         """Posterior means and full covariance matrix at the queries."""
@@ -129,12 +184,13 @@ class GPPosterior:
         ts_q = np.atleast_1d(np.asarray(ts_q, dtype=float))
         k_qq = cross_covariance(self.spatial, self.temporal, xs_q, ts_q,
                                 xs_q, ts_q)
-        if len(self.data) == 0:
+        n = self._n
+        if n == 0:
             return np.zeros(len(ts_q)), k_qq
-        k_dq = cross_covariance(self.spatial, self.temporal, self.data.xs,
-                                self.data.ts, xs_q, ts_q)
-        a = solve_triangular(self._chol, k_dq, lower=True)
-        mean = a.T @ self._alpha
+        a = self._solve(cross_covariance(self.spatial, self.temporal,
+                                         self._xs[:n], self._ts[:n],
+                                         xs_q, ts_q))
+        mean = a.T @ self._alpha[:n]
         cov = k_qq - a.T @ a
         cov = 0.5 * (cov + cov.T)
         return mean, cov
@@ -145,41 +201,61 @@ class GPPosterior:
         ``k_dq`` is the (n, q) block of prior covariances between the n
         observations and the queries, as built by ``cross_covariance``.
         Taking the block rather than the query points lets the GP-UCB loop
-        assemble it from one cached spatial row per observation.
+        assemble it from one cached spatial row per observation, in a
+        Fortran-ordered buffer that the solve and the squares then
+        overwrite.  ``k_dq`` may be overwritten (see the class docstring).
         """
-        if len(self.data) == 0:
+        n = self._n
+        if n == 0:
             return np.zeros(k_dq.shape[1]), np.ones(k_dq.shape[1])
-        a = solve_triangular(self._chol, k_dq, lower=True)
-        mean = a.T @ self._alpha
-        var = 1.0 - np.sum(a * a, axis=0)
+        a = self._solve(k_dq)
+        mean = a.T @ self._alpha[:n]
+        var = 1.0 - np.sum(np.multiply(a, a, out=a), axis=0)
         return mean, np.maximum(var, 0.0)
 
-    def extended(self, x, t, y, k_new) -> "GPPosterior":
-        """Posterior with one more observation, via rank-one Cholesky growth;
-        ``k_new`` holds its prior covariances with the n observations."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        n = len(self.data)
-        new_data = Dataset(
-            np.vstack([self.data.xs, x]) if n else x,
-            np.append(self.data.ts, t),
-            np.append(self.data.ys, y),
-            noise=self.data.noise,
-        )
+    def extended(self, x, t, y, k_new) -> None:
+        """Condition on one more observation in place, by rank-one Cholesky
+        growth; ``k_new`` holds its prior covariances with the n
+        observations and may be overwritten.
+
+        The Dataset rules are not re-checked here: ``t`` must follow the
+        last time by the data's step and ``x`` lie in the unit cube (reading
+        ``data`` checks them).  Raises SingularSystem, leaving the posterior
+        as it was, when the observation breaks positive definiteness.
+        """
+        n = self._n
+        if n:
+            l_row = self._solve(k_new)
+            diag_sq = 1.0 + self._noise - float(l_row @ l_row)
+            if diag_sq <= 0:
+                raise SingularSystem("appending observation breaks positive "
+                                     "definiteness; increase the noise")
+        if n == len(self._ts):
+            self._grow()
+        self._xs[n] = np.reshape(x, self._xs.shape[1:])
+        self._ts[n] = t
+        self._ys[n] = y
+        self._n = n + 1
         if n == 0:
-            return GPPosterior(self.spatial, self.temporal, new_data)
-        l_row = solve_triangular(self._chol, k_new, lower=True)
-        diag_sq = 1.0 + self._noise - float(l_row @ l_row)
-        if diag_sq <= 0:
-            raise SingularSystem("appending observation breaks positive "
-                                 "definiteness; increase the noise")
-        chol = np.zeros((n + 1, n + 1))
-        chol[:n, :n] = self._chol
-        chol[n, :n] = l_row
-        chol[n, n] = np.sqrt(diag_sq)
-        alpha = np.append(self._alpha,
-                          (y - float(l_row @ self._alpha)) / chol[n, n])
-        return GPPosterior(self.spatial, self.temporal, new_data,
-                           _factor=(chol, alpha))
+            self._factorize()
+            return
+        if self._lower:
+            # First growth after a factorization: mirror L into the upper
+            # triangle, where each new row of L goes as a column.
+            f = self._chol[:n, :n]
+            upper = np.triu_indices(n, 1)
+            f[upper] = f.T[upper]
+            self._lower = False
+        diag = math.sqrt(diag_sq)
+        self._chol[:n, n] = l_row
+        self._chol[n, n] = diag
+        self._alpha[n] = (y - float(l_row @ self._alpha[:n])) / diag
+
+
+@functools.cache
+def _trtrs():
+    """The float64 LAPACK ``?trtrs`` routine (triangular solve)."""
+    return get_lapack_funcs("trtrs", dtype=np.float64)
 
 
 @functools.lru_cache(maxsize=1)

@@ -96,10 +96,11 @@ def ucb_select(post: GPPosterior, k_dq: np.ndarray,
     posterior standard deviation sigma at that point.
 
     ``k_dq`` holds the prior covariances between the posterior's
-    observations and every grid point at the next sampling instant (see
-    ``GPPosterior.mean_var``); ``run_tvbo`` builds it from one cached
-    spatial row per observation.  Negative beta is clipped to zero (pure
-    exploitation); ties resolve to the lowest grid index.
+    observations and every grid point at the next sampling instant, and
+    may be overwritten (see ``GPPosterior.mean_var``); ``run_tvbo`` builds
+    it from one cached spatial row per observation.  Negative beta is
+    clipped to zero (pure exploitation); ties resolve to the lowest grid
+    index.
     """
     mean, var = post.mean_var(k_dq)
     sd = np.sqrt(var)
@@ -202,12 +203,17 @@ def run_tvbo(config: TVBOConfig) -> RegretTrace:
     sds = np.zeros(n)
     betas = np.zeros(n)
     # ks_rows[i] = k_S(x_i, grid) for the i-th chosen point.
-    ks_rows = np.zeros((n, len(grid)))
+    q = len(grid)
+    ks_rows = np.zeros((n, q), order="F")
+    # Step i's (i, q) covariance block fills the first i * q entries of one
+    # buffer in Fortran order, and mean_var solves and squares it in place.
+    block = np.empty(n * q)
     for i in range(n):
         t = times[i]
         betas[i] = beta_schedule(i + 1, config.confidence, d, config.lipschitz)
-        k_dq = ks_rows[:i] * eval_temporal(config.temporal,
-                                           np.abs(times[:i, None] - t))
+        k_t = eval_temporal(config.temporal, np.abs(times[:i, None] - t))
+        k_dq = np.multiply(ks_rows[:i], k_t,
+                           out=block[:i * q].reshape((i, q), order="F"))
         j, sds[i] = ucb_select(post, k_dq, betas[i])
         chosen[i] = j
         y = objective[j, i]
@@ -216,12 +222,13 @@ def run_tvbo(config: TVBOConfig) -> RegretTrace:
         ys[i] = y
         regret[i] = objective[star[i], i] - objective[j, i]
         ks_rows[i] = config.spatial.pairwise(grid[j], grid)[0]
-        post = post.extended(grid[j], t, y, k_dq[:, j])
+        post.extended(grid[j], t, y, ks_rows[:i, j] * k_t[:, 0])
     return RegretTrace(config, grid, times, chosen, star, regret, ys, sds,
                        betas, objective)
 
 
 def run_replications(config: TVBOConfig, seeds):
-    """Run seeded replications one after another, in seed order; scipy's
-    multithreaded LAPACK already keeps the cores busy within each run."""
+    """Run seeded replications one after another, in seed order: the
+    artifact bytes depend on the BLAS thread count, so a pool that gave
+    each worker one thread would change them (README, CLI section)."""
     return [run_tvbo(replace(config, seed=int(s))) for s in seeds]

@@ -1,5 +1,5 @@
 """The BLAS policy: all LAPACK on scipy's OpenBLAS, numpy's at one thread,
-and one eigensolver entry point."""
+one eigensolver and one triangular-solve entry point."""
 
 import ast
 from pathlib import Path
@@ -10,6 +10,7 @@ import pytest
 import tvbospec
 from tvbospec._blas import numpy_openblas
 from tvbospec.bounds import bound_report, scaling_diagnostic
+from tvbospec.gp import Dataset
 from tvbospec.kernels import SpatialKernel, TemporalKernel
 from tvbospec.tvbo import TVBOConfig, run_tvbo
 
@@ -56,9 +57,9 @@ def test_guard_sees_numpy_linalg_calls():
 SCIPY_EIGENSOLVERS = {"eigh", "eigvalsh"}
 
 
-def _scipy_eigensolver_uses(tree):
-    """Where ``tree`` imports scipy.linalg's eigh/eigvalsh or calls them as
-    an attribute of scipy.linalg (imported under any alias)."""
+def _scipy_linalg_uses(tree, names):
+    """Where ``tree`` imports the scipy.linalg functions in ``names`` or
+    calls them as an attribute of scipy.linalg (imported under any alias)."""
     linalg_names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -68,13 +69,13 @@ def _scipy_eigensolver_uses(tree):
         elif isinstance(node, ast.ImportFrom) and node.module:
             for alias in node.names:
                 if (node.module.startswith("scipy.linalg")
-                        and alias.name in SCIPY_EIGENSOLVERS):
+                        and alias.name in names):
                     yield f"from {node.module} import {alias.name}"
                 elif node.module == "scipy" and alias.name == "linalg":
                     linalg_names.add(alias.asname or "linalg")
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute)
-                and node.attr in SCIPY_EIGENSOLVERS
+                and node.attr in names
                 and ast.unparse(node.value) in linalg_names
                 | {f"{name}.linalg" for name in linalg_names}):
             yield ast.unparse(node)
@@ -86,7 +87,7 @@ def test_no_scipy_eigensolver_in_package():
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         found += [f"{path.relative_to(SRC)}: {use}"
-                  for use in _scipy_eigensolver_uses(tree)]
+                  for use in _scipy_linalg_uses(tree, SCIPY_EIGENSOLVERS)]
     assert found == []
 
 
@@ -98,9 +99,41 @@ def test_guard_sees_scipy_eigensolver_uses():
         "import scipy.linalg as sla\nsla.eigvalsh(a)\n"
         "from scipy import linalg\nlinalg.eigh(a)\n"
         "np.linalg.eigh(a)\nfrom scipy.linalg import get_lapack_funcs\n")
-    assert sorted(_scipy_eigensolver_uses(tree)) == [
+    assert sorted(_scipy_linalg_uses(tree, SCIPY_EIGENSOLVERS)) == [
         "from scipy.linalg import eigh", "from scipy.linalg import eigvalsh",
         "linalg.eigh", "scipy.linalg.eigh", "sla.eigvalsh"]
+
+
+def test_no_scipy_triangular_solve_in_package():
+    # every triangular solve goes through gp._trtrs, the cached ?trtrs
+    # handle; solve_triangular checks and copies the whole block per call
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.relative_to(SRC)}: {use}"
+                  for use in _scipy_linalg_uses(tree, {"solve_triangular"})]
+    assert found == []
+
+
+def test_guard_sees_scipy_triangular_solve_uses():
+    tree = ast.parse(
+        "from scipy.linalg import cholesky, solve_triangular\n"
+        "import scipy.linalg as sla\nsla.solve_triangular(a, b)\n"
+        "from scipy.linalg import get_lapack_funcs\n")
+    assert sorted(_scipy_linalg_uses(tree, {"solve_triangular"})) == [
+        "from scipy.linalg import solve_triangular", "sla.solve_triangular"]
+
+
+def test_run_tvbo_validates_one_dataset(monkeypatch):
+    # the loop grows its posterior in place instead of re-validating a new
+    # Dataset at every step
+    built = []
+    check = Dataset.__post_init__
+    monkeypatch.setattr(Dataset, "__post_init__",
+                        lambda self: built.append(check(self)))
+    run_tvbo(TVBOConfig(spatial=SpatialKernel.rbf([0.4]),
+                        temporal=TemporalKernel.rbf(1.0), horizon=20))
+    assert len(built) == 1
 
 
 def _numpy_lib():

@@ -1,15 +1,18 @@
 """GP posterior inference, prior sampling and the Mercer approximation."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from scipy.linalg import cholesky
+from scipy.linalg import cholesky, solve_triangular
 
+import tvbospec.gp as gp_module
 from tvbospec.errors import (
     CapExceeded,
     DimensionMismatch,
     MissingEigenvectors,
+    SingularSystem,
 )
 from tvbospec.gp import (
     Dataset,
@@ -55,6 +58,17 @@ def _random_dataset(rng, n, noise=0.01, d=1, delta=0.1):
     return Dataset(xs, ts, ys, noise=noise)
 
 
+def _grown(sp, tp, data):
+    """Posterior on ``data`` grown one observation at a time."""
+    post = GPPosterior(sp, tp, Dataset(np.zeros((0, 1)), [], [],
+                                       noise=data.noise))
+    for i in range(len(data)):
+        k_new = cross_covariance(sp, tp, post.data.xs, post.data.ts,
+                                 data.xs[i:i + 1], data.ts[i:i + 1])
+        post.extended(data.xs[i], data.ts[i], data.ys[i], k_new[:, 0])
+    return post
+
+
 class TestPosterior:
     def test_prior_recovery(self):
         sp, tp = SpatialKernel.rbf([0.3]), TemporalKernel.rbf(1.0)
@@ -93,13 +107,7 @@ class TestPosterior:
         sp, tp = SpatialKernel.rbf([0.25]), TemporalKernel.rbf(1.0)
         data = _random_dataset(rng, 8)
         batch = GPPosterior(sp, tp, data)
-        inc = GPPosterior(sp, tp, Dataset(np.zeros((0, 1)), [], [],
-                                          noise=data.noise))
-        for i in range(len(data)):
-            k_new = cross_covariance(sp, tp, inc.data.xs, inc.data.ts,
-                                     data.xs[i:i + 1], data.ts[i:i + 1])
-            inc = inc.extended(data.xs[i], data.ts[i], data.ys[i],
-                               k_new[:, 0])
+        inc = _grown(sp, tp, data)
         xs_q = rng.uniform(0, 1, (5, 1))
         ts_q = np.linspace(0.2, 1.0, 5)
         mb, cb = batch.predict(xs_q, ts_q)
@@ -121,10 +129,9 @@ class TestPosterior:
             t_new = data.ts[-1] + 0.1
             k_new = cross_covariance(sp, tp, data.xs, data.ts, x_new,
                                      np.array([t_new]))[:, 0]
-            bigger = post.extended(x_new, t_new,
-                                   float(rng.standard_normal()), k_new)
-            _, after = bigger.mean_var(cross_covariance(
-                sp, tp, bigger.data.xs, bigger.data.ts, xq, tq))
+            post.extended(x_new, t_new, float(rng.standard_normal()), k_new)
+            _, after = post.mean_var(cross_covariance(
+                sp, tp, post.data.xs, post.data.ts, xq, tq))
             assert after[0] <= before[0] + 1e-8
 
     def test_empty_dataset_keeps_dimension(self):
@@ -138,6 +145,62 @@ class TestPosterior:
             Dataset([[0.1], [0.2], [0.3]], [0.1, 0.2, 0.4], [0.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             Dataset([[1.7]], [0.1], [0.0])
+
+    @pytest.mark.parametrize("n", [2, 7, 40, 150])
+    def test_solves_match_solve_triangular(self, rng, n):
+        # ?trtrs gets solve_triangular's arguments for each factor layout:
+        # cholesky's Fortran-ordered L, and L grown row by row in C order.
+        # With one right-hand side the two layouts give different bits, so
+        # the artifacts need both.
+        sp, tp = SpatialKernel.rbf([0.25]), TemporalKernel.rbf(1.0)
+        data = _random_dataset(rng, n)
+        batch, grown = GPPosterior(sp, tp, data), _grown(sp, tp, data)
+        k_dq = cross_covariance(sp, tp, data.xs, data.ts,
+                                rng.uniform(0, 1, (300, 1)),
+                                np.full(300, data.ts[-1] + 0.1))
+        f_lower = np.asfortranarray(np.tril(batch._chol[:n, :n]))
+        c_lower = np.ascontiguousarray(np.triu(grown._chol[:n, :n]).T)
+        assert f_lower.flags.f_contiguous and not c_lower.flags.f_contiguous
+        for (post, lower), block in itertools.product(
+                ((batch, f_lower), (grown, c_lower)), (k_dq, k_dq[:, :1])):
+            a = solve_triangular(lower, block, lower=True)
+            mean, var = post.mean_var(np.asfortranarray(block))
+            assert np.array_equal(mean, a.T @ post._alpha[:n])
+            assert np.array_equal(
+                var, np.maximum(1.0 - np.sum(a * a, axis=0), 0.0))
+        assert np.array_equal(batch._alpha[:n],
+                              solve_triangular(f_lower, data.ys, lower=True))
+
+    def test_inconsistent_extension_raises_singular_system(self):
+        sp, tp = SpatialKernel.rbf([0.3]), TemporalKernel.rbf(1.0)
+        post = GPPosterior(sp, tp, Dataset([[0.5]], [0.1], [1.0], noise=0.01))
+        before = post.predict([[0.4]], [0.2])
+        with pytest.raises(SingularSystem, match="positive definiteness"):
+            post.extended([0.5], 0.2, 0.0, np.array([10.0]))
+        assert len(post.data) == 1
+        after = post.predict([[0.4]], [0.2])
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+    @staticmethod
+    def _trtrs_reporting(monkeypatch, info):
+        def trtrs(a, b, **kwargs):
+            return b, info
+
+        monkeypatch.setattr(gp_module, "_trtrs", lambda: trtrs)
+
+    def test_singular_factor_raises_linalg_error(self, monkeypatch):
+        sp, tp = SpatialKernel.rbf([0.3]), TemporalKernel.rbf(1.0)
+        post = GPPosterior(sp, tp, Dataset([[0.5]], [0.1], [1.0], noise=0.01))
+        self._trtrs_reporting(monkeypatch, 1)
+        with pytest.raises(np.linalg.LinAlgError, match="diagonal 0"):
+            post.mean_var(np.ones((1, 3)))
+
+    def test_illegal_trtrs_argument_raises_value_error(self, monkeypatch):
+        sp, tp = SpatialKernel.rbf([0.3]), TemporalKernel.rbf(1.0)
+        post = GPPosterior(sp, tp, Dataset([[0.5]], [0.1], [1.0], noise=0.01))
+        self._trtrs_reporting(monkeypatch, -6)
+        with pytest.raises(ValueError, match="argument 6"):
+            post.extended([0.5], 0.2, 0.0, np.array([0.5]))
 
 
 class TestPriorSampling:

@@ -72,7 +72,8 @@ class TestUcbSelect:
                            Dataset([[0.5]], [0.1], [5.0], noise=0.01))
         grid = spatial_grid(cfg)
         k_dq = _k_dq(post, grid, 0.2)
-        mean, var = post.mean_var(k_dq)
+        # mean_var may overwrite its block, so each call gets its own
+        mean, var = post.mean_var(k_dq.copy())
         j, sd = ucb_select(post, k_dq, 0.0)
         assert j == int(np.argmax(mean))
         assert sd == math.sqrt(var[j])
@@ -91,7 +92,8 @@ class TestUcbSelect:
                            Dataset([[0.5]], [0.1], [5.0], noise=0.01))
         grid = spatial_grid(cfg)
         k_dq = _k_dq(post, grid, 0.2)
-        assert ucb_select(post, k_dq, -3.0) == ucb_select(post, k_dq, 0.0)
+        assert ucb_select(post, k_dq.copy(), -3.0) == \
+            ucb_select(post, k_dq, 0.0)
 
 
 class TestRunTvbo:
@@ -174,7 +176,7 @@ class TestRunTvbo:
             k_new = cross_covariance(spatial, temporal, post.data.xs,
                                      post.data.ts, grid[j:j + 1],
                                      np.array([t]))[:, 0]
-            post = post.extended(grid[j], t, y, k_new)
+            post.extended(grid[j], t, y, k_new)
         assert np.array_equal(trace.chosen_idx, chosen)
         assert np.array_equal(trace.ys, ys)
         assert np.array_equal(trace.posterior_sd, sds)
