@@ -1,9 +1,9 @@
 """Exact GP posterior inference and spectral (Mercer) approximations.
 
 The spatio-temporal prior is GP(0, k_S * k_T) with unit prior variance.
-Conditioning uses a Cholesky factorization of the noisy Gram matrix, grown
-in place by one row per added observation, so a sequential optimization loop
-pays O(n^2) per added observation instead of O(n^3).
+Conditioning grows a Cholesky factor of the noisy Gram matrix in place by
+one row per observation, so a sequential optimization loop pays O(n^2) per
+added observation instead of O(n^3).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .errors import CapExceeded, MissingEigenvectors, SingularSystem
 from .kernels import SpatialKernel, TemporalKernel, eval_temporal
 from .spectral import (
     POSITIVE_EIGENVALUE_REL_THRESHOLD,
-    Scale,
     Spectrum,
     TimeGrid,
     cross_covariance,
@@ -84,6 +83,10 @@ class Dataset:
         object.__setattr__(self, "ys", ys)
         if not (xs.shape[0] == len(ts) == len(ys)):
             raise ValueError("xs, ts and ys must have matching lengths")
+        for name, values in (("xs", xs), ("ts", ts), ("ys", ys),
+                             ("noise", self.noise)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} must be finite")
         if self.noise < 0:
             raise ValueError("noise variance must be nonnegative")
         if len(ts) >= 2:
@@ -102,13 +105,15 @@ class Dataset:
 class GPPosterior:
     """Posterior of a product-kernel GP conditioned on observations.
 
-    Built from a Dataset; ``extended`` then conditions on one more
-    observation in place.  The observations, the lower Cholesky factor L of
-    the noisy Gram matrix and alpha = L^-1 y live in buffers that double
-    when full, so an extension writes one row of L and one entry of alpha
-    and copies nothing else.  The covariances passed to ``mean_var`` and
-    ``extended`` are LAPACK workspace and may be overwritten: a
-    Fortran-ordered float64 array is, any other is copied first.
+    Every observation is conditioned on by ``extended``, in place: the
+    constructor builds the Gram matrix of ``data`` once and passes each
+    observation its column.  The observations, the lower Cholesky factor L
+    of the noisy Gram matrix (stored as L^T) and alpha = L^-1 y live in
+    buffers that double when full, so an extension writes one row of L and
+    one entry of alpha and copies nothing else.  The covariances passed to
+    ``mean_var`` and ``extended`` are LAPACK workspace and may be
+    overwritten: a Fortran-ordered float64 array is, any other is copied
+    first.
     """
 
     def __init__(self, spatial: SpatialKernel, temporal: TemporalKernel,
@@ -117,20 +122,19 @@ class GPPosterior:
         self.temporal = temporal
         self._data_noise = data.noise
         self._noise = conditioning_noise(data.noise)
-        self._n = n = len(data)
+        self._n = 0
+        n = len(data)
         # Capacity n; _grow reallocates before anything is written past n.
-        self._xs, self._ts, self._ys = data.xs, data.ts, data.ys
-        self._alpha = np.zeros(n)
-        # _chol[:n, :n] holds L in its lower triangle after a factorization
-        # and L^T in its upper triangle once grown: the layouts in which
-        # solve_triangular passes ?trtrs cholesky's Fortran-ordered factor
-        # and a factor grown row by row in C order.  With one right-hand
-        # side the two give different bits, and the artifact bytes depend
-        # on both.
+        self._xs = np.zeros_like(data.xs)
+        self._ts, self._ys, self._alpha = np.zeros(n), np.zeros(n), np.zeros(n)
+        # _chol[:n, :n] holds L^T in its upper triangle: each extension
+        # writes the new row of L as a column.
         self._chol = np.zeros((n, n), order="F")
-        self._lower = True
         if n:
-            self._factorize()
+            gram = cross_covariance(spatial, temporal, data.xs, data.ts,
+                                    data.xs, data.ts)
+            for i in range(n):
+                self.extended(data.xs[i], data.ts[i], data.ys[i], gram[:i, i])
 
     @property
     def data(self) -> Dataset:
@@ -138,16 +142,6 @@ class GPPosterior:
         n = self._n
         return Dataset(self._xs[:n], self._ts[:n], self._ys[:n],
                        noise=self._data_noise)
-
-    def _factorize(self) -> None:
-        """Factor the noisy Gram matrix of the n observations in one batch."""
-        n = self._n
-        xs, ts = self._xs[:n], self._ts[:n]
-        gram = cross_covariance(self.spatial, self.temporal, xs, ts, xs, ts)
-        self._chol[:n, :n] = _jittered_cholesky(gram, self._noise)
-        self._lower = True
-        self._alpha[:n] = self._ys[:n]
-        self._alpha[:n] = self._solve(self._alpha[:n])
 
     def _grow(self) -> None:
         """Double the capacity of every buffer, keeping the n observations."""
@@ -167,10 +161,9 @@ class GPPosterior:
 
     def _solve(self, b: np.ndarray) -> np.ndarray:
         """L^-1 b against the n x n factor, through the cached ``?trtrs``
-        with the arguments ``solve_triangular`` passes for its layout."""
-        lower = int(self._lower)
-        x, info = _trtrs()(self._chol[:, :self._n], b, lower=lower,
-                           trans=1 - lower, overwrite_b=1)
+        as (L^T)^T x = b."""
+        x, info = _trtrs()(self._chol[:, :self._n], b, lower=0, trans=1,
+                           overwrite_b=1)
         if info > 0:
             raise np.linalg.LinAlgError(
                 f"singular factor: zero at diagonal {info - 1}")
@@ -224,28 +217,17 @@ class GPPosterior:
         as it was, when the observation breaks positive definiteness.
         """
         n = self._n
-        if n:
-            l_row = self._solve(k_new)
-            diag_sq = 1.0 + self._noise - float(l_row @ l_row)
-            if diag_sq <= 0:
-                raise SingularSystem("appending observation breaks positive "
-                                     "definiteness; increase the noise")
+        l_row = self._solve(k_new) if n else np.zeros(0)
+        diag_sq = 1.0 + self._noise - float(l_row @ l_row)
+        if not diag_sq > 0:
+            raise SingularSystem("appending observation breaks positive "
+                                 "definiteness; increase the noise")
         if n == len(self._ts):
             self._grow()
         self._xs[n] = np.reshape(x, self._xs.shape[1:])
         self._ts[n] = t
         self._ys[n] = y
         self._n = n + 1
-        if n == 0:
-            self._factorize()
-            return
-        if self._lower:
-            # First growth after a factorization: mirror L into the upper
-            # triangle, where each new row of L goes as a column.
-            f = self._chol[:n, :n]
-            upper = np.triu_indices(n, 1)
-            f[upper] = f.T[upper]
-            self._lower = False
         diag = math.sqrt(diag_sq)
         self._chol[:n, n] = l_row
         self._chol[n, n] = diag
@@ -341,8 +323,7 @@ def mercer_posterior(spectrum: Spectrum, data: Dataset, query,
     n = len(data)
     if n == 0:
         return 0.0, 1.0
-    vals = spectrum.to_matrix(n).values if spectrum.scale is Scale.OPERATOR \
-        else spectrum.values
+    vals = spectrum.to_matrix(n).values
     xq, tq = query
     xq = np.atleast_2d(np.asarray(xq, dtype=float))
     k_q = cross_covariance(spatial, temporal, data.xs, data.ts,

@@ -218,11 +218,9 @@ def eig_sym(m: SymMatrix, want_vectors: bool = False) -> Spectrum:
             vecs = None
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
     if vecs is not None:
-        vecs = vecs[:, order]
-    return Spectrum(vals, vecs, Scale.MATRIX)
+        vecs = vecs[:, ::-1]
+    return Spectrum(vals[::-1], vecs, Scale.MATRIX)
 
 
 def circulant_embedding(kernel: TemporalKernel, grid: TimeGrid) -> np.ndarray:

@@ -1,6 +1,5 @@
 """GP posterior inference, prior sampling and the Mercer approximation."""
 
-import itertools
 import math
 
 import numpy as np
@@ -60,8 +59,8 @@ def _random_dataset(rng, n, noise=0.01, d=1, delta=0.1):
 
 def _grown(sp, tp, data):
     """Posterior on ``data`` grown one observation at a time."""
-    post = GPPosterior(sp, tp, Dataset(np.zeros((0, 1)), [], [],
-                                       noise=data.noise))
+    post = GPPosterior(sp, tp, Dataset(np.zeros((0, data.xs.shape[1])), [],
+                                       [], noise=data.noise))
     for i in range(len(data)):
         k_new = cross_covariance(sp, tp, post.data.xs, post.data.ts,
                                  data.xs[i:i + 1], data.ts[i:i + 1])
@@ -103,17 +102,21 @@ class TestPosterior:
                                                  np.linspace(0.1, 2.0, 6))
         assert np.linalg.eigvalsh(cov)[0] >= -1e-8
 
-    def test_incremental_matches_batch(self, rng):
-        sp, tp = SpatialKernel.rbf([0.25]), TemporalKernel.rbf(1.0)
-        data = _random_dataset(rng, 8)
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_incremental_matches_batch(self, rng, d):
+        # the constructor conditions through extended, on the columns of one
+        # Gram matrix, so it builds the grown factor bit for bit
+        sp, tp = SpatialKernel.rbf([0.25] * d), TemporalKernel.rbf(1.0)
+        n = 8
+        data = _random_dataset(rng, n, d=d)
         batch = GPPosterior(sp, tp, data)
         inc = _grown(sp, tp, data)
-        xs_q = rng.uniform(0, 1, (5, 1))
+        assert np.array_equal(batch._chol[:n, :n], inc._chol[:n, :n])
+        assert np.array_equal(batch._alpha[:n], inc._alpha[:n])
+        xs_q = rng.uniform(0, 1, (5, d))
         ts_q = np.linspace(0.2, 1.0, 5)
-        mb, cb = batch.predict(xs_q, ts_q)
-        mi, ci = inc.predict(xs_q, ts_q)
-        assert np.allclose(mb, mi, atol=1e-10)
-        assert np.allclose(cb, ci, atol=1e-10)
+        for a, b in zip(batch.predict(xs_q, ts_q), inc.predict(xs_q, ts_q)):
+            assert np.array_equal(a, b)
 
     def test_variance_never_increases_with_data(self, rng):
         sp, tp = SpatialKernel.rbf([0.3]), TemporalKernel.rbf(1.0)
@@ -146,37 +149,48 @@ class TestPosterior:
         with pytest.raises(ValueError):
             Dataset([[1.7]], [0.1], [0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["xs", "ts", "ys", "noise"])
+    def test_dataset_rejects_non_finite(self, field, bad):
+        # the constructor's Gram matrix is never checked for finite entries
+        fields = {"xs": np.array([[0.1], [0.2]]), "ts": np.array([0.1, 0.2]),
+                  "ys": np.array([0.0, 1.0]), "noise": 0.01}
+        if field == "noise":
+            fields["noise"] = bad
+        else:
+            fields[field][-1] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            Dataset(**fields)
+
     @pytest.mark.parametrize("n", [2, 7, 40, 150])
     def test_solves_match_solve_triangular(self, rng, n):
-        # ?trtrs gets solve_triangular's arguments for each factor layout:
-        # cholesky's Fortran-ordered L, and L grown row by row in C order.
-        # With one right-hand side the two layouts give different bits, so
-        # the artifacts need both.
+        # the buffer holds L^T in its upper triangle, so ?trtrs gets the
+        # arguments solve_triangular passes for L in C order
         sp, tp = SpatialKernel.rbf([0.25]), TemporalKernel.rbf(1.0)
         data = _random_dataset(rng, n)
-        batch, grown = GPPosterior(sp, tp, data), _grown(sp, tp, data)
+        post = GPPosterior(sp, tp, data)
         k_dq = cross_covariance(sp, tp, data.xs, data.ts,
                                 rng.uniform(0, 1, (300, 1)),
                                 np.full(300, data.ts[-1] + 0.1))
-        f_lower = np.asfortranarray(np.tril(batch._chol[:n, :n]))
-        c_lower = np.ascontiguousarray(np.triu(grown._chol[:n, :n]).T)
-        assert f_lower.flags.f_contiguous and not c_lower.flags.f_contiguous
-        for (post, lower), block in itertools.product(
-                ((batch, f_lower), (grown, c_lower)), (k_dq, k_dq[:, :1])):
-            a = solve_triangular(lower, block, lower=True)
+        c_lower = np.ascontiguousarray(np.triu(post._chol[:n, :n]).T)
+        assert not c_lower.flags.f_contiguous
+        for block in (k_dq, k_dq[:, :1]):
+            a = solve_triangular(c_lower, block, lower=True)
             mean, var = post.mean_var(np.asfortranarray(block))
             assert np.array_equal(mean, a.T @ post._alpha[:n])
             assert np.array_equal(
                 var, np.maximum(1.0 - np.sum(a * a, axis=0), 0.0))
-        assert np.array_equal(batch._alpha[:n],
-                              solve_triangular(f_lower, data.ys, lower=True))
+        assert np.allclose(post._alpha[:n],
+                           solve_triangular(c_lower, data.ys, lower=True),
+                           rtol=0.0, atol=1e-12)
 
-    def test_inconsistent_extension_raises_singular_system(self):
+    @pytest.mark.parametrize("k_new", [10.0, np.nan])
+    def test_inconsistent_extension_raises_singular_system(self, k_new):
         sp, tp = SpatialKernel.rbf([0.3]), TemporalKernel.rbf(1.0)
         post = GPPosterior(sp, tp, Dataset([[0.5]], [0.1], [1.0], noise=0.01))
         before = post.predict([[0.4]], [0.2])
         with pytest.raises(SingularSystem, match="positive definiteness"):
-            post.extended([0.5], 0.2, 0.0, np.array([10.0]))
+            post.extended([0.5], 0.2, 0.0, np.array([k_new]))
         assert len(post.data) == 1
         after = post.predict([[0.4]], [0.2])
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
