@@ -1,4 +1,10 @@
-"""Keep numpy's bundled OpenBLAS at one thread.
+"""Every LAPACK call of tvbospec; numpy's bundled OpenBLAS kept at one thread.
+
+LAPACK policy: ``?syevd``, ``?potrf`` and ``?trtrs`` are called through
+cached float64 ``get_lapack_funcs`` handles with the arguments and layout
+of scipy's ``eigh``, ``cholesky`` and ``solve_triangular``: the same bits,
+without their finite checks (callers validate) and copies.  A positive
+``info`` raises ``np.linalg.LinAlgError``, a negative one ``ValueError``.
 
 numpy and scipy wheels each bundle an OpenBLAS with its own thread pool,
 and an idle pool's workers busy-wait for a while after each call.  All of
@@ -13,9 +19,58 @@ the artifact bytes still depend on.
 from __future__ import annotations
 
 import ctypes
+import functools
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
+from scipy.linalg.lapack import _compute_lwork
+
+_SYEVD, _SYEVD_LWORK, _POTRF, _TRTRS = get_lapack_funcs(
+    ("syevd", "syevd_lwork", "potrf", "trtrs"), dtype=np.float64)
+
+# The LinAlgError message for info = {0} > 0 ({1} = info - 1), per routine.
+_FAILURES = {"syevd": "?syevd did not converge (info = {0})",
+             "potrf": "{0}-th leading minor is not positive definite",
+             "trtrs": "singular factor: zero at diagonal {1}"}
+
+
+def _check(routine: str, info: int) -> None:
+    if info > 0:
+        raise np.linalg.LinAlgError(_FAILURES[routine].format(info, info - 1))
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of ?{routine}")
+
+
+@functools.cache
+def _syevd(n: int, vectors: bool):
+    """``?syevd`` and its keyword arguments for an n x n problem."""
+    lwork, liwork = _compute_lwork(_SYEVD_LWORK, n=n, lower=True,
+                                   compute_v=int(vectors))
+    return _SYEVD, {"compute_v": int(vectors), "lower": 1, "lwork": lwork,
+                    "liwork": liwork}
+
+
+def eigh_descending(a: np.ndarray, vectors: bool = True):
+    """Descending eigenvalues of symmetric ``a``; their vectors or None."""
+    drv, kwargs = _syevd(a.shape[0], vectors)
+    w, v, info = drv(a, **kwargs)
+    _check("syevd", info)
+    return w[::-1], (v[:, ::-1] if vectors else None)
+
+
+def cholesky_lower(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of ``a``, zero above the diagonal."""
+    c, info = _POTRF(a, lower=1, clean=1)
+    _check("potrf", info)
+    return c
+
+
+def solve_transposed(u: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with u^T x = b, u upper triangular; may overwrite ``b``."""
+    x, info = _TRTRS(u, b, lower=0, trans=1, overwrite_b=1)
+    _check("trtrs", info)
+    return x
 
 
 def numpy_openblas() -> ctypes.CDLL | None:

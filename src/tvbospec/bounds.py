@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
+from ._blas import eigh_descending
 from .errors import ScaleMismatch
 from .gp import conditioning_noise, nystrom_expansion
 from .kernels import SpatialKernel, TemporalKernel, eval_temporal
@@ -22,7 +23,6 @@ from .spectral import (
     Scale,
     Spectrum,
     SymMatrix,
-    _eigh,
     approx_product_spectrum,
     build_spatiotemporal_matrix,
     count_in_interval,
@@ -208,9 +208,9 @@ def _lower_bound(spatial: SpatialKernel, temporal: TemporalKernel,
     terms[0] = terms_full[0] = truncated_gaussian_mean(0.0, math.sqrt(2.0))
 
     for k in range(1, n):
-        vals, vecs = _eigh(gram[:k, :k])
+        vals, vecs = eigh_descending(gram[:k, :k])
         lam_bar, inner, (phi_star, phi_cur) = nystrom_expansion(
-            vals[::-1], vecs[:, ::-1], fvals[:k], [star[:k, k], gram[:k, k]])
+            vals, vecs, fvals[:k], [star[:k, k], gram[:k, k]])
 
         mu = float(np.sum((phi_star - phi_cur) * inner)) / k
 

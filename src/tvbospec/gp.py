@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, get_lapack_funcs
 
+from ._blas import cholesky_lower, solve_transposed
 from .errors import CapExceeded, MissingEigenvectors, SingularSystem
 from .kernels import SpatialKernel, TemporalKernel, eval_temporal
 from .spectral import (
@@ -54,7 +54,7 @@ def _jittered_cholesky(gram: np.ndarray, jitter: float) -> np.ndarray:
     """Lower Cholesky factor of ``gram`` + jitter * I (``gram`` is updated)."""
     gram[np.diag_indices_from(gram)] += jitter
     try:
-        return cholesky(gram, lower=True)
+        return cholesky_lower(gram)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
 
@@ -160,16 +160,8 @@ class GPPosterior:
         self._chol = chol
 
     def _solve(self, b: np.ndarray) -> np.ndarray:
-        """L^-1 b against the n x n factor, through the cached ``?trtrs``
-        as (L^T)^T x = b."""
-        x, info = _trtrs()(self._chol[:, :self._n], b, lower=0, trans=1,
-                           overwrite_b=1)
-        if info > 0:
-            raise np.linalg.LinAlgError(
-                f"singular factor: zero at diagonal {info - 1}")
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of ?trtrs")
-        return x
+        """L^-1 b against the n x n factor, solved as (L^T)^T x = b."""
+        return solve_transposed(self._chol[:, :self._n], b)
 
     def predict(self, xs_q, ts_q):
         """Posterior means and full covariance matrix at the queries."""
@@ -211,11 +203,15 @@ class GPPosterior:
         growth; ``k_new`` holds its prior covariances with the n
         observations and may be overwritten.
 
-        The Dataset rules are not re-checked here: ``t`` must follow the
-        last time by the data's step and ``x`` lie in the unit cube (reading
-        ``data`` checks them).  Raises SingularSystem, leaving the posterior
-        as it was, when the observation breaks positive definiteness.
+        Raises ValueError when ``x``, ``t`` or ``y`` is not finite, and
+        SingularSystem when the observation breaks positive definiteness,
+        leaving the posterior as it was.  The other Dataset rules are not
+        re-checked here: ``t`` must follow the last time by the data's step
+        and ``x`` lie in the unit cube (reading ``data`` checks them).
         """
+        if not (math.isfinite(t) and math.isfinite(y)
+                and np.all(np.isfinite(x))):
+            raise ValueError("x, t and y must be finite")
         n = self._n
         l_row = self._solve(k_new) if n else np.zeros(0)
         diag_sq = 1.0 + self._noise - float(l_row @ l_row)
@@ -232,12 +228,6 @@ class GPPosterior:
         self._chol[:n, n] = l_row
         self._chol[n, n] = diag
         self._alpha[n] = (y - float(l_row @ self._alpha[:n])) / diag
-
-
-@functools.cache
-def _trtrs():
-    """The float64 LAPACK ``?trtrs`` routine (triangular solve)."""
-    return get_lapack_funcs("trtrs", dtype=np.float64)
 
 
 @functools.lru_cache(maxsize=1)
@@ -266,10 +256,13 @@ def sample_prior_path(spatial: SpatialKernel, temporal: TemporalKernel,
     grid covariance as a Kronecker product, so the draw costs O(m^3 + n^3)
     instead of O((mn)^3); a 1e-10 jitter on each factor keeps the
     factorizations positive definite.  Grids of more than
-    DEFAULT_SAMPLING_CAP points raise CapExceeded.  Reproducible per seed.
+    DEFAULT_SAMPLING_CAP points raise CapExceeded, and a non-finite
+    ``xs_grid`` ValueError.  Reproducible per seed.
     The spatial factor of the last (spatial kernel, grid) is reused.
     """
     xs_grid = np.atleast_2d(np.asarray(xs_grid, dtype=float))
+    if not np.all(np.isfinite(xs_grid)):
+        raise ValueError("xs_grid must be finite")
     m, n = xs_grid.shape[0], time_grid.n
     if m * n > DEFAULT_SAMPLING_CAP:
         raise CapExceeded(f"grid of {m} x {n} = {m * n} points exceeds the "

@@ -10,13 +10,13 @@ of factor spectra for spatio-temporal product kernels.
 from __future__ import annotations
 
 import enum
-import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, toeplitz
-from scipy.linalg.lapack import _compute_lwork
+from scipy.linalg import toeplitz
 
+from ._blas import eigh_descending
 from .errors import ConvergenceFailure, WrongClass
 from .kernels import (
     SpatialKernel,
@@ -127,10 +127,13 @@ class TimeGrid:
     delta: float
 
     def __post_init__(self):
+        if (isinstance(self.n, bool)
+                or not isinstance(self.n, (int, np.integer))):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
+        if not 0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
 
     @property
     def times(self) -> np.ndarray:
@@ -168,42 +171,6 @@ def build_spatiotemporal_matrix(spatial: SpatialKernel,
     return SymMatrix(cross_covariance(spatial, temporal, xs, ts, xs, ts))
 
 
-@functools.cache
-def _syevd(n: int, vectors: bool):
-    """The float64 ``?syevd`` routine and its keyword arguments for an
-    n x n problem, with the workspace sizes scipy's ``eigh`` queries.
-
-    The cache holds two integers per distinct size; a regret run's lower
-    bound reaches one size per step, a few hundred in all.
-    """
-    drv, query = get_lapack_funcs(("syevd", "syevd_lwork"), dtype=np.float64)
-    lwork, liwork = _compute_lwork(query, n=n, lower=True,
-                                   compute_v=int(vectors))
-    return drv, {"compute_v": int(vectors), "lower": 1, "lwork": lwork,
-                 "liwork": liwork}
-
-
-def _eigh(a: np.ndarray, vectors: bool = True):
-    """Eigenvalues of the symmetric float ``a`` in ascending order, and with
-    ``vectors`` the matching eigenvector columns.
-
-    The package's one eigensolver call: LAPACK ``?syevd`` (the routine
-    ``np.linalg.eigh`` calls, with the same bits) on scipy's OpenBLAS thread
-    pool, called with the arguments ``scipy.linalg.eigh`` passes to it but
-    through a handle cached per (size, vectors).  ``a`` is read, never
-    written, and not checked for finite entries: every caller passes
-    ``SymMatrix`` data or a block of it.
-    """
-    drv, kwargs = _syevd(a.shape[0], vectors)
-    w, v, info = drv(a, **kwargs)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"?syevd did not converge (info = {info})")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of ?syevd")
-    return (w, v) if vectors else w
-
-
 def eig_sym(m: SymMatrix, want_vectors: bool = False) -> Spectrum:
     """Exact symmetric eigendecomposition, eigenvalues descending.
 
@@ -211,16 +178,10 @@ def eig_sym(m: SymMatrix, want_vectors: bool = False) -> Spectrum:
     ConvergenceFailure if the iteration fails on pathological input.
     """
     try:
-        if want_vectors:
-            vals, vecs = _eigh(m.values)
-        else:
-            vals = _eigh(m.values, vectors=False)
-            vecs = None
+        vals, vecs = eigh_descending(m.values, want_vectors)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    if vecs is not None:
-        vecs = vecs[:, ::-1]
-    return Spectrum(vals[::-1], vecs, Scale.MATRIX)
+    return Spectrum(vals, vecs, Scale.MATRIX)
 
 
 def circulant_embedding(kernel: TemporalKernel, grid: TimeGrid) -> np.ndarray:

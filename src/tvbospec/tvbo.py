@@ -69,10 +69,20 @@ class TVBOConfig:
 
     def __post_init__(self):
         # Messages start with the field name, so callers can report it.
+        for name in ("horizon", "grid_resolution", "seed"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer))):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("delta", "confidence", "lipschitz", "noise"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.grid_resolution < 2:
             raise ValueError("grid_resolution must be at least 2")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if not 0 < self.confidence < 1:
             raise ValueError("confidence must lie in (0, 1)")
         if not self.lipschitz > 0:

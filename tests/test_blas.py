@@ -1,17 +1,20 @@
-"""The BLAS policy: all LAPACK on scipy's OpenBLAS, numpy's at one thread,
-one eigensolver and one triangular-solve entry point."""
+"""The BLAS policy: every LAPACK call made by tvbospec._blas on scipy's
+OpenBLAS, numpy's OpenBLAS at one thread."""
 
 import ast
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import tvbospec
+from tvbospec import _blas
 from tvbospec._blas import numpy_openblas
 from tvbospec.bounds import bound_report, scaling_diagnostic
 from tvbospec.gp import Dataset
-from tvbospec.kernels import SpatialKernel, TemporalKernel
+from tvbospec.kernels import SpatialKernel, TemporalKernel, eval_temporal
+from tvbospec.spectral import TimeGrid
 from tvbospec.tvbo import TVBOConfig, run_tvbo
 
 SRC = Path(tvbospec.__file__).resolve().parent
@@ -37,7 +40,7 @@ def _numpy_linalg_names(tree):
 
 def test_no_numpy_linalg_solver_in_package():
     # numpy's LAPACK would run on numpy's own OpenBLAS pool, which the
-    # package keeps at one thread; eigensolves go through spectral._eigh
+    # package keeps at one thread; LAPACK calls go through tvbospec._blas
     found = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -54,74 +57,98 @@ def test_guard_sees_numpy_linalg_calls():
         ["LinAlgError", "cholesky", "eigh"]
 
 
-SCIPY_EIGENSOLVERS = {"eigh", "eigvalsh"}
+BLAS_MODULE = SRC / "_blas.py"
 
 
-def _scipy_linalg_uses(tree, names):
-    """Where ``tree`` imports the scipy.linalg functions in ``names`` or
-    calls them as an attribute of scipy.linalg (imported under any alias)."""
-    linalg_names = set()
+def _scipy_linalg_names(tree):
+    """Each name ``tree`` imports from scipy.linalg (or a submodule) or
+    reads as an attribute of it, imported under any alias."""
+    modules = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name.startswith("scipy.linalg"):
-                    linalg_names.add(alias.asname or "scipy")
+                if alias.name.startswith("scipy.linalg") and alias.asname:
+                    modules.add(alias.asname)
+                elif alias.name == "scipy" and alias.asname:
+                    modules.add(f"{alias.asname}.linalg")
+                elif alias.name.split(".")[0] == "scipy":
+                    modules.add("scipy.linalg")
         elif isinstance(node, ast.ImportFrom) and node.module:
-            for alias in node.names:
-                if (node.module.startswith("scipy.linalg")
-                        and alias.name in names):
-                    yield f"from {node.module} import {alias.name}"
-                elif node.module == "scipy" and alias.name == "linalg":
-                    linalg_names.add(alias.asname or "linalg")
+            if node.module.startswith("scipy.linalg"):
+                yield from (alias.name for alias in node.names)
+            elif node.module == "scipy":
+                modules.update(alias.asname or "linalg" for alias in node.names
+                               if alias.name == "linalg")
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute)
-                and node.attr in names
-                and ast.unparse(node.value) in linalg_names
-                | {f"{name}.linalg" for name in linalg_names}):
-            yield ast.unparse(node)
+                and ast.unparse(node.value) in modules):
+            yield node.attr
 
 
-def test_no_scipy_eigensolver_in_package():
-    # every eigensolve goes through spectral._eigh, the cached ?syevd handle
+def _forbidden_scipy_linalg_names(path, tree):
+    """What the module at ``path`` takes from scipy.linalg beyond its due:
+    _blas.py makes every LAPACK call through cached handles, so it needs
+    only the handle lookup and the workspace query, and other modules no
+    more than ``toeplitz``; no wrapper (eigh, eigvalsh, cholesky,
+    solve_triangular, ...) is needed anywhere."""
+    allowed = ({"get_lapack_funcs", "_compute_lwork"} if path == BLAS_MODULE
+               else {"toeplitz"})
+    return [name for name in _scipy_linalg_names(tree)
+            if name not in allowed]
+
+
+def test_only_blas_module_calls_lapack():
     found = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        found += [f"{path.relative_to(SRC)}: {use}"
-                  for use in _scipy_linalg_uses(tree, SCIPY_EIGENSOLVERS)]
+        found += [f"{path.relative_to(SRC)}: scipy.linalg.{name}"
+                  for name in _forbidden_scipy_linalg_names(path, tree)]
     assert found == []
 
 
-def test_guard_sees_scipy_eigensolver_uses():
+def test_guard_sees_scipy_linalg_uses():
     tree = ast.parse(
         "from scipy.linalg import eigh, toeplitz\n"
         "from scipy.linalg import eigvalsh as ev\n"
-        "import scipy.linalg\nscipy.linalg.eigh(a)\n"
-        "import scipy.linalg as sla\nsla.eigvalsh(a)\n"
-        "from scipy import linalg\nlinalg.eigh(a)\n"
-        "np.linalg.eigh(a)\nfrom scipy.linalg import get_lapack_funcs\n")
-    assert sorted(_scipy_linalg_uses(tree, SCIPY_EIGENSOLVERS)) == [
-        "from scipy.linalg import eigh", "from scipy.linalg import eigvalsh",
-        "linalg.eigh", "scipy.linalg.eigh", "sla.eigvalsh"]
-
-
-def test_no_scipy_triangular_solve_in_package():
-    # every triangular solve goes through gp._trtrs, the cached ?trtrs
-    # handle; solve_triangular checks and copies the whole block per call
-    found = []
-    for path in sorted(SRC.rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        found += [f"{path.relative_to(SRC)}: {use}"
-                  for use in _scipy_linalg_uses(tree, {"solve_triangular"})]
-    assert found == []
-
-
-def test_guard_sees_scipy_triangular_solve_uses():
-    tree = ast.parse(
-        "from scipy.linalg import cholesky, solve_triangular\n"
+        "from scipy.linalg.lapack import dpotrf\n"
+        "import scipy.linalg\nscipy.linalg.cholesky(a)\n"
         "import scipy.linalg as sla\nsla.solve_triangular(a, b)\n"
-        "from scipy.linalg import get_lapack_funcs\n")
-    assert sorted(_scipy_linalg_uses(tree, {"solve_triangular"})) == [
-        "from scipy.linalg import solve_triangular", "sla.solve_triangular"]
+        "import scipy.linalg.lapack as lp\nlp.dtrtrs(a, b)\n"
+        "from scipy import linalg\nlinalg.eigh(a)\n"
+        "from scipy import linalg as la\nla.solve(a, b)\n"
+        "import scipy as sp\nsp.linalg.lu(a)\n"
+        "np.linalg.eigh(a)\nscipy.special.ndtr(x)\n"
+        "from scipy.special import ndtr\n")
+    assert sorted(_scipy_linalg_names(tree)) == [
+        "cholesky", "dpotrf", "dtrtrs", "eigh", "eigh", "eigvalsh", "lu",
+        "solve", "solve_triangular", "toeplitz"]
+    blas_like = ast.parse(
+        "from scipy.linalg import get_lapack_funcs, eigh, toeplitz\n"
+        "from scipy.linalg.lapack import _compute_lwork\n")
+    assert _forbidden_scipy_linalg_names(BLAS_MODULE, blas_like) == [
+        "eigh", "toeplitz"]
+    assert _forbidden_scipy_linalg_names(SRC / "gp.py", blas_like) == [
+        "get_lapack_funcs", "eigh", "_compute_lwork"]
+
+
+@pytest.mark.parametrize("factor", ["spatial_d2", "rbf", "periodic",
+                                    "cosine_sum"])
+def test_potrf_matches_scipy_cholesky(factor):
+    # the cached ?potrf handle with the arguments scipy's wrapper passes, on
+    # the jittered prior factors of the regret defaults (200 steps) and of
+    # the d = 2 loop (40 x 40 grid): the same bits
+    if factor == "spatial_d2":
+        axis = np.linspace(0.0, 1.0, 40)
+        grid = np.array([(a, b) for a in axis for b in axis])
+        gram = SpatialKernel.rbf([0.4, 0.4]).pairwise(grid, grid)
+    else:
+        ts = TimeGrid(200, 0.1).times
+        gram = eval_temporal(CLASSES[factor], np.abs(ts[:, None] - ts))
+    gram[np.diag_indices_from(gram)] += 1e-10
+    before = gram.copy()
+    got = _blas.cholesky_lower(gram)
+    assert np.array_equal(gram, before)
+    assert np.array_equal(got, scipy.linalg.cholesky(gram, lower=True))
 
 
 def test_run_tvbo_validates_one_dataset(monkeypatch):

@@ -8,8 +8,13 @@ import pytest
 import tvbospec.bounds as bounds_module
 import tvbospec.spectral as spectral_module
 from tvbospec.errors import ScaleMismatch
-from tvbospec.expcli.experiments import FIG5_DEFAULTS
-from tvbospec.gp import Dataset, mercer_posterior, nystrom_expansion
+from tvbospec.expcli.experiments import FIG5_DEFAULTS, REGRET_KERNELS
+from tvbospec.gp import (
+    Dataset,
+    conditioning_noise,
+    mercer_posterior,
+    nystrom_expansion,
+)
 from tvbospec.bounds import (
     bound_report,
     c1_constant,
@@ -119,6 +124,25 @@ class TestMutualInformation:
             gaps[n] = abs(mutual_info_spectral(prod.spectrum.to_operator(n),
                                                n, 0.01) - exact) / exact
         assert gaps[150] < gaps[50]
+
+    @pytest.mark.parametrize("noise", [0.01, 0.0])
+    @pytest.mark.parametrize("label", sorted(REGRET_KERNELS))
+    def test_sequential_information_matches_eigenvalues(self, label, noise):
+        # I_n = 1/2 sum log(1 + sd_i^2 / sigma^2) over the run's posterior
+        # sds (triangular solves) equals 1/2 log det(I + K / sigma^2) from
+        # the eigenvalues of its Gram K; K has a unit diagonal, so
+        # lam_max <= n and the rounding is within n eps (1 + n / sigma^2)
+        temporal = kernel_from_dict({"kind": "temporal",
+                                     **REGRET_KERNELS[label]})
+        sigma2 = conditioning_noise(noise)
+        for seed in range(3):
+            trace = run_tvbo(TVBOConfig(
+                spatial=SpatialKernel.rbf([0.4]), temporal=temporal,
+                horizon=12, grid_resolution=6, noise=noise, seed=seed))
+            n = len(trace.times)
+            rtol = n * np.finfo(float).eps * (1.0 + n / sigma2)
+            assert trace.sequential_information[-1] == pytest.approx(
+                bound_report(trace).info_exact, rel=rtol, abs=0.0)
 
 
 class TestUpperBound:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular
 
-import tvbospec.gp as gp_module
+from tvbospec import _blas
 from tvbospec.errors import (
     CapExceeded,
     DimensionMismatch,
@@ -195,12 +195,25 @@ class TestPosterior:
         after = post.predict([[0.4]], [0.2])
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
+    @pytest.mark.parametrize("x, t, y", [
+        ([0.5], 0.2, math.nan), ([0.5], 0.2, math.inf),
+        ([0.5], math.nan, 0.0), ([math.nan], 0.2, 0.0)])
+    def test_non_finite_extension_raises_value_error(self, x, t, y):
+        sp, tp = SpatialKernel.rbf([0.3]), TemporalKernel.rbf(1.0)
+        post = GPPosterior(sp, tp, Dataset([[0.5]], [0.1], [1.0], noise=0.01))
+        before = post.predict([[0.4]], [0.2])
+        with pytest.raises(ValueError, match="must be finite"):
+            post.extended(x, t, y, np.array([0.5]))
+        assert len(post.data) == 1
+        after = post.predict([[0.4]], [0.2])
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
     @staticmethod
     def _trtrs_reporting(monkeypatch, info):
         def trtrs(a, b, **kwargs):
             return b, info
 
-        monkeypatch.setattr(gp_module, "_trtrs", lambda: trtrs)
+        monkeypatch.setattr(_blas, "_TRTRS", trtrs)
 
     def test_singular_factor_raises_linalg_error(self, monkeypatch):
         sp, tp = SpatialKernel.rbf([0.3]), TemporalKernel.rbf(1.0)
@@ -264,6 +277,13 @@ class TestPriorSampling:
         sp, tp = SpatialKernel.rbf([0.3]), TemporalKernel.rbf(1.0)
         with pytest.raises(DimensionMismatch):
             sample_prior_path(sp, tp, [[0.1, 0.5, 0.9]], TimeGrid(3, 0.1),
+                              seed=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_grid_rejected(self, bad):
+        sp, tp = SpatialKernel.rbf([0.3]), TemporalKernel.rbf(1.0)
+        with pytest.raises(ValueError, match="xs_grid"):
+            sample_prior_path(sp, tp, [[0.1], [bad]], TimeGrid(3, 0.1),
                               seed=0)
 
     def test_cap(self):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import tvbospec.spectral as spectral_module
+from tvbospec import _blas
 from tvbospec.errors import ConvergenceFailure, WrongClass
 from tvbospec.kernels import SpatialKernel, TemporalKernel, eval_temporal
 from tvbospec.spectral import (
@@ -26,6 +26,14 @@ from tvbospec.spectral import (
     eig_sym,
     positive_count,
 )
+
+
+@pytest.mark.parametrize("field, n, delta", [
+    ("n", True, 0.1), ("n", 2.5, 0.1), ("n", 0, 0.1), ("delta", 3, math.inf),
+    ("delta", 3, math.nan), ("delta", 3, 0.0)])
+def test_time_grid_validation(field, n, delta):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        TimeGrid(n, delta)
 
 
 class TestBuildMatrices:
@@ -133,18 +141,21 @@ class TestEigSym:
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 145])
     def test_cached_syevd_matches_scipy_eigh(self, rng, n):
         # same routine, workspace and layout as scipy's wrapper, so the same
-        # bits, on a whole matrix and on a leading block of a larger one
+        # bits (in reverse order), on a whole matrix and on a leading block
+        # of a larger one
         big = rng.standard_normal((n + 5, n + 5))
         big = big + big.T
         before = big.copy()
         for a in (big[:n, :n], np.ascontiguousarray(big[:n, :n])):
-            vals, vecs = spectral_module._eigh(a)
+            vals, vecs = _blas.eigh_descending(a)
             want_vals, want_vecs = scipy.linalg.eigh(a, driver="evd")
-            assert np.array_equal(vals, want_vals)
-            assert np.array_equal(vecs, want_vecs)
+            assert np.array_equal(vals, want_vals[::-1])
+            assert np.array_equal(vecs, want_vecs[:, ::-1])
+            vals, vecs = _blas.eigh_descending(a, vectors=False)
+            assert vecs is None
             assert np.array_equal(
-                spectral_module._eigh(a, vectors=False),
-                scipy.linalg.eigh(a, driver="evd", eigvals_only=True))
+                vals,
+                scipy.linalg.eigh(a, driver="evd", eigvals_only=True)[::-1])
         assert np.array_equal(big, before)
 
     @staticmethod
@@ -153,8 +164,7 @@ class TestEigSym:
             n = a.shape[0]
             return np.zeros(n), np.zeros((n, n)), info
 
-        monkeypatch.setattr(spectral_module, "_syevd",
-                            lambda n, vectors: (syevd, {}))
+        monkeypatch.setattr(_blas, "_syevd", lambda n, vectors: (syevd, {}))
 
     @pytest.mark.parametrize("want_vectors", [False, True])
     def test_nonconvergence_raises_convergence_failure(self, monkeypatch,

@@ -192,6 +192,16 @@ class TestRunTvbo:
         with pytest.raises(ValueError):
             _config(lipschitz=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("horizon", True), ("horizon", 10.5), ("grid_resolution", 2.5),
+        ("seed", True), ("seed", 1.5), ("seed", -1), ("delta", math.inf),
+        ("lipschitz", math.inf), ("confidence", math.nan),
+        ("noise", math.inf)])
+    def test_config_rejects_non_integer_and_non_finite(self, field, value):
+        # messages start with the field name, for the CLI to report
+        with pytest.raises(ValueError, match=f"^{field} "):
+            _config(**{field: value})
+
 
 class TestReplications:
     def test_seed_order_preserved(self):
