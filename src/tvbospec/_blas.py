@@ -66,9 +66,24 @@ def cholesky_lower(a: np.ndarray) -> np.ndarray:
     return c
 
 
+def cholesky_upper(a: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor u of ``a`` (u^T u = a), zero below the
+    diagonal."""
+    c, info = _POTRF(a, lower=0, clean=1)
+    _check("potrf", info)
+    return c
+
+
 def solve_transposed(u: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x with u^T x = b, u upper triangular; may overwrite ``b``."""
     x, info = _TRTRS(u, b, lower=0, trans=1, overwrite_b=1)
+    _check("trtrs", info)
+    return x
+
+
+def solve_upper(u: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with u x = b, u upper triangular; may overwrite ``b``."""
+    x, info = _TRTRS(u, b, lower=0, trans=0, overwrite_b=1)
     _check("trtrs", info)
     return x
 

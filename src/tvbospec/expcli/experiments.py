@@ -546,9 +546,11 @@ def _parse_regret(params: dict):
                                horizon=horizon, grid_resolution=resolution,
                                **floats)
                for label, temporal in _kernels(params["kernels"]).items()}
-    # per run: incremental posterior ~ h^3/3 equivalent plus the per-step
-    # spectral lower bound ~ h^4/4
-    sizes = [(round(horizon ** (4 / 3)), reps * len(configs))]
+    # Per run with bounds: bound_report's h x h eigensolve, and the lower
+    # bound's k x k one at each k < h, sum k^3 = (h (h - 1) / 2)^2 in all,
+    # listed as that many unit cubes.  The GP-UCB loop solves no eigenproblem.
+    runs = reps * len(configs) if params["bounds"] else 0
+    sizes = [(horizon, runs), (1, runs * (horizon * (horizon - 1) // 2) ** 2)]
     return {"configs": configs, "replications": reps,
             "bounds": params["bounds"]}, sizes
 

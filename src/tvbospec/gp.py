@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blas import cholesky_lower, solve_transposed
+from ._blas import cholesky_lower, solve_transposed, solve_upper
 from .errors import CapExceeded, MissingEigenvectors, SingularSystem
 from .kernels import SpatialKernel, TemporalKernel, eval_temporal
 from .spectral import (
@@ -189,14 +189,30 @@ class GPPosterior:
         assemble it from one cached spatial row per observation, in a
         Fortran-ordered buffer that the solve and the squares then
         overwrite.  ``k_dq`` may be overwritten (see the class docstring).
+
+        Each column is reduced on its own, so a query's mean and variance
+        have the same bits whichever other columns the block holds, given
+        at least two: ``?trtrs`` solves a single column by another path.
+        (A BLAS ``a.T @ alpha`` would not do: its gemv kernel sums groups
+        of four outputs in another order than the rest.)
         """
         n = self._n
         if n == 0:
             return np.zeros(k_dq.shape[1]), np.ones(k_dq.shape[1])
         a = self._solve(k_dq)
-        mean = a.T @ self._alpha[:n]
+        mean = np.einsum("ij,i->j", a, self._alpha[:n])
         var = 1.0 - np.sum(np.multiply(a, a, out=a), axis=0)
         return mean, np.maximum(var, 0.0)
+
+    def mean_weights(self) -> np.ndarray:
+        """w = K^-1 y for the noisy Gram matrix K, solved as L^T w = alpha.
+
+        The posterior mean at queries with prior covariances ``k_dq`` is
+        k_dq^T w, which costs O(nq) against the O(n^2 q) solve of
+        ``mean_var``; the two round differently.
+        """
+        n = self._n
+        return solve_upper(self._chol[:, :n], self._alpha[:n].copy())
 
     def extended(self, x, t, y, k_new) -> None:
         """Condition on one more observation in place, by rank-one Cholesky

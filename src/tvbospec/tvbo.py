@@ -10,6 +10,14 @@ Every chosen point is a grid point and every query set is the whole grid at
 one instant, so the loop computes the spatial row k_S(x_i, grid) once, when
 point i is chosen, and at each step scales the cached rows by the temporal
 factors k_T(|t_i - t|) of the observations.
+
+On grids of at least _SCREEN_MIN_GRID points the loop screens each step
+once more than _SCREEN_SUBSET observations are in: conditioning on a subset
+of the observations never lowers the posterior variance, so the subset's
+variance bounds every grid point's UCB from above, and the exact variance
+is solved only where that bound reaches the best exact UCB.  The chosen
+points and standard deviations are those of the full solve, bit for bit
+(README, "UCB screening in run_tvbo").
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._blas import cholesky_upper, solve_transposed
 from .gp import Dataset, GPPosterior, conditioning_noise, sample_prior_path
 from .kernels import SpatialKernel, TemporalKernel, eval_temporal
 from .spectral import TimeGrid
@@ -33,6 +42,20 @@ __all__ = [
     "run_tvbo",
     "run_replications",
 ]
+
+
+# The UCB screen; README, "UCB screening in run_tvbo", derives each value.
+# _SCREEN_SUBSET observations bound the variance; grids below
+# _SCREEN_MIN_GRID points always take the full solve, and so do steps past
+# _SCREEN_MAX_OBS observations, where OpenBLAS's ?trtrs blocks the solve
+# and a column's bits start to depend on the other columns.
+# _SCREEN_VAR_MARGIN and _SCREEN_UCB_MARGIN cover the rounding of the
+# subset variance and of the screening mean.
+_SCREEN_SUBSET = 32
+_SCREEN_MIN_GRID = 256
+_SCREEN_MAX_OBS = 384
+_SCREEN_VAR_MARGIN = 1e-7
+_SCREEN_UCB_MARGIN = 1e-7
 
 
 def beta_schedule(i: int, confidence: float, dimension: int,
@@ -112,10 +135,68 @@ def ucb_select(post: GPPosterior, k_dq: np.ndarray,
     clipped to zero (pure exploitation); ties resolve to the lowest grid
     index.
     """
+    ucb, sd = _ucb(post, k_dq, math.sqrt(max(beta, 0.0)))
+    j = int(np.argmax(ucb))
+    return j, float(sd[j])
+
+
+def _ucb(post: GPPosterior, k_dq: np.ndarray, root_beta: float):
+    """mu + root_beta sigma at the queries of ``k_dq``, and sigma."""
     mean, var = post.mean_var(k_dq)
     sd = np.sqrt(var)
-    j = int(np.argmax(mean + math.sqrt(max(beta, 0.0)) * sd))
-    return j, float(sd[j])
+    return mean + root_beta * sd, sd
+
+
+def _columns(ks_rows: np.ndarray, k_t: np.ndarray, cols) -> np.ndarray:
+    """The Fortran-ordered (i, len(cols)) block of ``ucb_select`` at the
+    grid points ``cols``, entry for entry the same as in the full block."""
+    i = len(k_t)
+    return np.multiply(ks_rows[:i, cols], k_t,
+                       out=np.empty((i, len(cols)), order="F"))
+
+
+def _subset_variance(k_ss: np.ndarray, k_s: np.ndarray, rows: np.ndarray):
+    """Posterior variance at each grid point given only a subset S of the
+    observations, unclipped; None when the factor of S fails.
+
+    ``k_ss`` is the noisy Gram matrix of S (overwritten), ``k_s`` the
+    temporal factors k_T(t_s - t) of S and ``rows`` their spatial rows.
+    Conditioning on fewer observations never lowers the variance, so this
+    bounds the full posterior's from above.  Only that bound matters, not
+    its last bits, so the (M, q) block is U^-T diag(k_s) ``rows`` by one
+    matmul rather than a ``?trtrs`` solve, which is slower at M = 32.
+    """
+    try:
+        factor = cholesky_upper(k_ss)
+    except np.linalg.LinAlgError:
+        return None
+    a = solve_transposed(factor, np.diag(k_s).T) @ rows
+    return 1.0 - np.einsum("ij,ij->j", a, a)
+
+
+def _ucb_candidates(post: GPPosterior, ks_rows: np.ndarray, k_t: np.ndarray,
+                    subset_var: np.ndarray, beta: float):
+    """Sorted grid indices that hold every maximizer of ``ucb_select`` on
+    the full block, at least two of them; None when more than half the
+    grid survives the screen.
+
+    ``ks_rows[:i]`` are the cached spatial rows and ``k_t`` the (i, 1)
+    temporal factors of the i observations.  A point survives when its UCB
+    bound, from the screening mean k_dq^T K^-1 y and ``subset_var``, reaches
+    the best exact UCB of the two points with the largest bounds.  Ties with
+    the maximum survive too, so the lowest index still wins.
+    """
+    root_beta = math.sqrt(max(beta, 0.0))
+    mean = ks_rows[:len(k_t)].T @ (k_t[:, 0] * post.mean_weights())
+    bound = (mean + root_beta * np.sqrt(np.maximum(subset_var, 0.0)
+                                        + _SCREEN_VAR_MARGIN)
+             + _SCREEN_UCB_MARGIN)
+    top = np.sort(np.argpartition(bound, -2)[-2:])
+    best = np.max(_ucb(post, _columns(ks_rows, k_t, top), root_beta)[0])
+    survivors = np.flatnonzero(bound >= best)
+    if len(survivors) > len(bound) // 2:
+        return None
+    return np.union1d(survivors, top)
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,13 +299,33 @@ def run_tvbo(config: TVBOConfig) -> RegretTrace:
     # Step i's (i, q) covariance block fills the first i * q entries of one
     # buffer in Fortran order, and mean_var solves and squares it in place.
     block = np.empty(n * q)
+    screening = q >= _SCREEN_MIN_GRID
+    noise = conditioning_noise(config.noise)
     for i in range(n):
         t = times[i]
         betas[i] = beta_schedule(i + 1, config.confidence, d, config.lipschitz)
         k_t = eval_temporal(config.temporal, np.abs(times[:i, None] - t))
-        k_dq = np.multiply(ks_rows[:i], k_t,
-                           out=block[:i * q].reshape((i, q), order="F"))
-        j, sds[i] = ucb_select(post, k_dq, betas[i])
+        cols = None
+        if screening and _SCREEN_SUBSET < i <= _SCREEN_MAX_OBS:
+            # S: the observations with the largest |k_T(t_s - t)|.
+            s = np.sort(np.argpartition(-np.abs(k_t[:, 0]),
+                                        _SCREEN_SUBSET)[:_SCREEN_SUBSET])
+            rows = ks_rows[s]
+            k_ss = rows[:, chosen[s]] * eval_temporal(
+                config.temporal, np.abs(times[s, None] - times[s]))
+            k_ss[np.diag_indices_from(k_ss)] += noise
+            var_s = _subset_variance(k_ss, k_t[s, 0], rows)
+            if var_s is not None:
+                cols = _ucb_candidates(post, ks_rows, k_t, var_s, betas[i])
+            screening = cols is not None
+        if cols is None:
+            j, sds[i] = ucb_select(post, np.multiply(
+                ks_rows[:i], k_t,
+                out=block[:i * q].reshape((i, q), order="F")), betas[i])
+        else:
+            j, sds[i] = ucb_select(post, _columns(ks_rows, k_t, cols),
+                                   betas[i])
+            j = int(cols[j])
         chosen[i] = j
         y = objective[j, i]
         if config.noise > 0:

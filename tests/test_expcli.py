@@ -116,7 +116,7 @@ class TestValidate:
         "fig4": [60, 120] * 2,
         "fig5": [50, 100, 150, 200] * 10 * 4,
         "table1": [100, 200] * 4,
-        "regret": [int(round(200 ** (4 / 3)))] * 10 * 4,
+        "regret": ([200] + list(range(1, 200))) * 10 * 4,
     }
 
     @pytest.mark.parametrize("experiment", sorted(LISTED_SIZES))
@@ -125,6 +125,11 @@ class TestValidate:
         listed = sum(float(s) ** 3 for s in self.LISTED_SIZES[experiment])
         assert report["estimated_seconds"] == \
             3.0 * _EIGH_SECONDS_PER_N3 * listed
+
+    def test_regret_without_bounds_estimates_no_eigensolver_time(self):
+        report = validate_config({"experiment": "regret",
+                                  "params": {"bounds": False}})
+        assert report["estimated_seconds"] == 0.0
 
     def test_estimate_does_not_grow_with_replications(self):
         cfg = {"experiment": "fig5", "params": {"replications": 2_000_000}}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular
 
-from tvbospec import _blas
+from tvbospec import _blas, tvbo
 from tvbospec.errors import (
     CapExceeded,
     DimensionMismatch,
@@ -175,14 +175,56 @@ class TestPosterior:
         c_lower = np.ascontiguousarray(np.triu(post._chol[:n, :n]).T)
         assert not c_lower.flags.f_contiguous
         for block in (k_dq, k_dq[:, :1]):
-            a = solve_triangular(c_lower, block, lower=True)
+            a = np.asfortranarray(solve_triangular(c_lower, block, lower=True))
             mean, var = post.mean_var(np.asfortranarray(block))
-            assert np.array_equal(mean, a.T @ post._alpha[:n])
+            assert np.array_equal(mean, np.einsum("ij,i->j", a,
+                                                  post._alpha[:n]))
             assert np.array_equal(
                 var, np.maximum(1.0 - np.sum(a * a, axis=0), 0.0))
         assert np.allclose(post._alpha[:n],
                            solve_triangular(c_lower, data.ys, lower=True),
                            rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 7, 40, 150, tvbo._SCREEN_MAX_OBS])
+    def test_column_subsets_match_full_block(self, rng, n):
+        # The UCB screen of run_tvbo solves only some columns of a step's
+        # block, so each column's mean and variance must not depend on
+        # which other columns are solved with it: the solve, the mean's
+        # reduction and the column sums of squares.  Subsets have at least
+        # two columns; ?trtrs solves a single column by another path, and
+        # from 385 rows on it blocks the solve so that the bits differ.
+        sp, tp = SpatialKernel.rbf([0.25, 0.4]), TemporalKernel.rbf(1.0)
+        data = _random_dataset(rng, n, d=2)
+        post = GPPosterior(sp, tp, data)
+        q = 300
+        k_dq = np.asfortranarray(cross_covariance(
+            sp, tp, data.xs, data.ts, rng.uniform(0, 1, (q, 2)),
+            np.full(q, data.ts[-1] + 0.1)))
+        mean, var = post.mean_var(k_dq.copy(order="F"))
+        for size in (2, 3, 5, 17):
+            subsets = [np.arange(size), np.arange(q - size, q),
+                       np.arange(101, 101 + size),
+                       np.arange(size) * 13 + 4,
+                       np.sort(rng.choice(q, size, replace=False))]
+            for cols in subsets:
+                got_mean, got_var = post.mean_var(
+                    np.asfortranarray(k_dq[:, cols]))
+                assert np.array_equal(got_mean, mean[cols]), (size, cols)
+                assert np.array_equal(got_var, var[cols]), (size, cols)
+
+    @pytest.mark.parametrize("noise", [0.01, 0.0])
+    def test_mean_weights_give_the_posterior_mean(self, rng, noise):
+        sp, tp = SpatialKernel.rbf([0.25]), TemporalKernel.rbf(1.0)
+        data = _random_dataset(rng, 40, noise=noise)
+        post = GPPosterior(sp, tp, data)
+        k_dq = cross_covariance(sp, tp, data.xs, data.ts,
+                                rng.uniform(0, 1, (50, 1)),
+                                np.full(50, data.ts[-1] + 0.1))
+        alpha = post._alpha[:40].copy()
+        weights = post.mean_weights()
+        assert np.array_equal(post._alpha[:40], alpha)
+        mean, _ = post.mean_var(np.asfortranarray(k_dq))
+        assert np.allclose(k_dq.T @ weights, mean, rtol=0.0, atol=1e-9)
 
     @pytest.mark.parametrize("k_new", [10.0, np.nan])
     def test_inconsistent_extension_raises_singular_system(self, k_new):

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from tvbospec.gp import Dataset, GPPosterior
-from tvbospec.kernels import SpatialKernel, TemporalKernel
+from tvbospec import tvbo
+from tvbospec.gp import Dataset, GPPosterior, conditioning_noise
+from tvbospec.kernels import SpatialKernel, TemporalKernel, eval_temporal
 from tvbospec.spectral import cross_covariance
 from tvbospec.tvbo import (
     TVBOConfig,
@@ -209,3 +210,111 @@ class TestReplications:
         traces = run_replications(cfg, [9, 2, 5])
         assert [t.config for t in traces] == \
             [dataclasses.replace(cfg, seed=s) for s in (9, 2, 5)]
+
+
+# The temporal kernels of the regret experiment, one per class.
+CLASSES = {
+    "rbf": TemporalKernel.rbf(1.0),
+    "sinc_squared": TemporalKernel.sinc_squared(1.0),
+    "periodic": TemporalKernel.periodic(period=0.5, lengthscale=0.8),
+    "cosine_sum": TemporalKernel.cosine_sum([(0.0, 0.4), (2.3, 0.6)]),
+}
+
+
+class TestUcbScreen:
+    SPATIAL = SpatialKernel.rbf([0.4, 0.4])
+
+    @pytest.mark.parametrize("noise", [0.01, 0.0])
+    @pytest.mark.parametrize("label", sorted(CLASSES))
+    def test_screened_run_matches_full_solve(self, monkeypatch, label,
+                                             noise):
+        cfg = _config(spatial=self.SPATIAL, temporal=CLASSES[label],
+                      grid_resolution=16, horizon=60, noise=noise, seed=3)
+        assert 16 ** 2 >= tvbo._SCREEN_MIN_GRID
+        assert cfg.horizon > tvbo._SCREEN_SUBSET + 1
+        screened = []
+        candidates = tvbo._ucb_candidates
+
+        def recorded(*args):
+            cols = candidates(*args)
+            screened.append(cols is not None)
+            return cols
+
+        monkeypatch.setattr(tvbo, "_ucb_candidates", recorded)
+        fast = run_tvbo(cfg)
+        assert any(screened)
+        monkeypatch.setattr(tvbo, "_SCREEN_MIN_GRID", 10 ** 9)
+        full = run_tvbo(cfg)
+        assert len(screened) < cfg.horizon  # the second run never screens
+        for field in ("chosen_idx", "posterior_sd", "ys"):
+            assert np.array_equal(getattr(fast, field),
+                                  getattr(full, field)), field
+
+    def _step(self, rng, temporal, noise, n, grid):
+        """A posterior on n observations at random grid points, with the
+        loop's cached spatial rows and temporal factors at the next time."""
+        chosen = rng.integers(len(grid), size=n)
+        times = (np.arange(n + 1) + 1) * 0.1
+        ys = rng.standard_normal(n)
+        post = GPPosterior(self.SPATIAL, temporal,
+                           Dataset(grid[chosen], times[:n], ys, noise=noise))
+        ks_rows = np.asfortranarray(self.SPATIAL.pairwise(grid[chosen], grid))
+        k_t = eval_temporal(temporal, np.abs(times[:n, None] - times[n]))
+        return post, chosen, times[:n], ks_rows, k_t
+
+    def _subset_variance(self, temporal, noise, subset, chosen, times,
+                         ks_rows, k_t):
+        """_subset_variance on ``subset``, its inputs built as in run_tvbo."""
+        rows = ks_rows[subset]
+        k_ss = rows[:, chosen[subset]] * eval_temporal(
+            temporal, np.abs(times[subset, None] - times[subset]))
+        k_ss[np.diag_indices_from(k_ss)] += conditioning_noise(noise)
+        return tvbo._subset_variance(k_ss, k_t[subset, 0], rows)
+
+    @pytest.mark.parametrize("noise", [0.01, 0.0])
+    @pytest.mark.parametrize("label", sorted(CLASSES))
+    def test_subset_variance_bounds_the_variance(self, label, noise):
+        rng = np.random.default_rng(5)
+        temporal = CLASSES[label]
+        grid = rng.uniform(0, 1, (300, 2))
+        post, chosen, times, ks_rows, k_t = self._step(rng, temporal, noise,
+                                                       80, grid)
+        _, var = post.mean_var(np.asfortranarray(ks_rows * k_t))
+        # with all 80 observations the two variances differ by rounding only
+        for size in (1, 5, tvbo._SCREEN_SUBSET, 79, 80):
+            subset = np.sort(rng.choice(80, size, replace=False))
+            var_s = self._subset_variance(temporal, noise, subset, chosen,
+                                          times, ks_rows, k_t)
+            assert np.all(np.maximum(var_s, 0.0) + tvbo._SCREEN_VAR_MARGIN
+                          >= var), (label, size)
+
+    @pytest.mark.parametrize("subset_size", [tvbo._SCREEN_SUBSET, 60])
+    @pytest.mark.parametrize("noise", [0.01, 0.0])
+    @pytest.mark.parametrize("label", sorted(CLASSES))
+    def test_every_maximizer_survives(self, label, noise, subset_size):
+        # Every grid point appears twice, so the full solve's maximum is
+        # reached at least twice, in bitwise ties.  Conditioned on all 60
+        # observations, the bounds exceed the UCBs by the margins alone.
+        rng = np.random.default_rng(6)
+        temporal = CLASSES[label]
+        half = rng.uniform(0, 1, (150, 2))
+        grid = np.vstack([half, half])
+        post, chosen, times, ks_rows, k_t = self._step(rng, temporal, noise,
+                                                       60, grid)
+        beta = beta_schedule(61, 0.1, 2, 10.0)
+        mean, var = post.mean_var(np.asfortranarray(ks_rows * k_t))
+        ucb = mean + math.sqrt(beta) * np.sqrt(var)
+        ties = np.flatnonzero(ucb == ucb.max())
+        assert len(ties) >= 2
+        subset = np.arange(60 - subset_size, 60)
+        cols = tvbo._ucb_candidates(
+            post, ks_rows, k_t,
+            self._subset_variance(temporal, noise, subset, chosen, times,
+                                  ks_rows, k_t), beta)
+        assert cols is not None
+        assert set(ties) <= set(cols)
+        j, sd = ucb_select(post, np.asfortranarray(ks_rows[:, cols] * k_t),
+                           beta)
+        assert (cols[j], sd) == ucb_select(
+            post, np.asfortranarray(ks_rows * k_t), beta)
+
