@@ -1,33 +1,158 @@
 """Every LAPACK call of tvbospec; numpy's bundled OpenBLAS kept at one thread.
 
 LAPACK policy: ``?syevd``, ``?potrf`` and ``?trtrs`` are called through
-cached float64 ``get_lapack_funcs`` handles with the arguments and layout
-of scipy's ``eigh``, ``cholesky`` and ``solve_triangular``: the same bits,
-without their finite checks (callers validate) and copies.  A positive
-``info`` raises ``np.linalg.LinAlgError``, a negative one ``ValueError``.
+``ctypes`` on scipy's bundled OpenBLAS (``scipy.libs/libscipy_openblas*.so``,
+symbols ``scipy_dsyevd_``, ``scipy_dpotrf_``, ``scipy_dtrtrs_``), the
+library that ``scipy.special`` already loads and that scipy's own f2py
+handles call, on the same thread pool.  Arguments, workspace sizes and
+layouts are those of ``scipy.linalg.lapack``'s handles as scipy's ``eigh``,
+``cholesky`` and ``solve_triangular`` call them, so the bits are theirs:
+
+- ``?syevd`` and ``?potrf`` work on a Fortran-ordered copy of ``a``, the
+  upper or lower triangle (``lower`` = 1) as f2py passes it;
+- ``?syevd`` takes ``lwork``/``liwork`` from the routine's own
+  ``lwork = -1`` query, as ``_compute_lwork`` does, in one workspace that
+  grows to the largest size asked for and is reused;
+- ``?potrf`` zeroes the other triangle afterwards (f2py's ``clean=1``),
+  a column at a time so that no index arrays are built;
+- ``?trtrs`` solves in place when ``b`` is a writeable Fortran-ordered
+  float64 array (1-D or one-column C-ordered ones are) and in a Fortran
+  copy otherwise (f2py's ``overwrite_b=1``); a non-Fortran ``u`` is copied.
+
+No finite check is made (callers validate).  A positive ``info`` raises
+``np.linalg.LinAlgError``, a negative one ``ValueError``.  The scalar
+arguments and the workspace are module state, so a lock lets one call run
+at a time (OpenBLAS still spreads each call over its own threads).
+
+Where scipy bundles no such library (a distribution build), each routine's
+address is looked up once in ``scipy.linalg.cython_lapack.__pyx_capi__``
+instead; the call path is the same, and only that install imports
+``scipy.linalg``.  Elsewhere tvbospec imports numpy and ``scipy.special``
+and nothing else of scipy's (``kernels._dct1_candidates`` imports
+``scipy.fft`` when it runs).  The module holds scipy's library handle
+(``scipy_openblas()``, None in that case).
 
 numpy and scipy wheels each bundle an OpenBLAS with its own thread pool,
 and an idle pool's workers busy-wait for a while after each call.  All of
-tvbospec's LAPACK calls go through ``scipy.linalg``, so numpy's library is
-left with matmul, gemv and short dot products, which OpenBLAS splits across
-threads by output element: their bits do not depend on the thread count.
-Running them on one thread keeps numpy's spinning workers from taking the
-cores that scipy's pool needs.  scipy's pool keeps its default size, which
-the artifact bytes still depend on.
+tvbospec's LAPACK calls go to scipy's library, so numpy's is left with
+matmul, gemv and short dot products, which OpenBLAS splits across threads
+by output element: their bits do not depend on the thread count.  Running
+them on one thread keeps numpy's spinning workers from taking the cores
+that scipy's pool needs.  scipy's pool keeps its default size, which the
+artifact bytes still depend on.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import threading
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
-from scipy.linalg.lapack import _compute_lwork
+import scipy
 
-_SYEVD, _SYEVD_LWORK, _POTRF, _TRTRS = get_lapack_funcs(
-    ("syevd", "syevd_lwork", "potrf", "trtrs"), dtype=np.float64)
+_F8 = np.dtype(np.float64)
+_INT = ctypes.POINTER(ctypes.c_int)
+_PTR, _CHAR = ctypes.c_void_p, ctypes.c_char_p
+
+# Prototypes in the LAPACK argument order; arrays are passed by address.
+_SIGNATURES = {
+    # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info
+    "dsyevd": (_CHAR, _CHAR, _INT, _PTR, _INT, _PTR, _PTR, _INT, _PTR, _INT,
+               _INT),
+    # uplo, n, a, lda, info
+    "dpotrf": (_CHAR, _INT, _PTR, _INT, _INT),
+    # uplo, trans, diag, n, nrhs, a, lda, b, ldb, info
+    "dtrtrs": (_CHAR, _CHAR, _CHAR, _INT, _INT, _PTR, _INT, _PTR, _INT, _INT),
+}
+
+
+def _bundled_openblas(package, pattern: str) -> ctypes.CDLL | None:
+    """The OpenBLAS in the ``<package>.libs`` folder of a wheel install,
+    or None when there is none."""
+    folder = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+    libs = sorted(folder.glob(pattern))
+    return ctypes.CDLL(str(libs[0])) if libs else None
+
+
+@functools.cache
+def numpy_openblas() -> ctypes.CDLL | None:
+    """numpy's bundled ``scipy_openblas64_`` library, or None when numpy
+    was built against another BLAS."""
+    return _bundled_openblas(np, "libscipy_openblas64_*.so")
+
+
+@functools.cache
+def scipy_openblas() -> ctypes.CDLL | None:
+    """scipy's bundled ``scipy_openblas`` library, or None when scipy was
+    built against another BLAS."""
+    return _bundled_openblas(scipy, "libscipy_openblas*.so")
+
+
+def _capsule_address(capsule) -> int:
+    """The function pointer a cython ``__pyx_capi__`` capsule holds."""
+    api = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                                    ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+    return get_pointer(capsule, get_name(capsule))
+
+
+def _lapack() -> tuple:
+    """ctypes handles of ?syevd, ?potrf and ?trtrs: the symbols of
+    scipy's bundled OpenBLAS, else cython_lapack's exported pointers."""
+    lib = scipy_openblas()
+    try:
+        addresses = [ctypes.cast(getattr(lib, f"scipy_{name}_"), _PTR).value
+                     for name in _SIGNATURES]
+    except AttributeError:  # no bundled library, or not these symbols
+        from scipy.linalg import cython_lapack
+        addresses = [_capsule_address(cython_lapack.__pyx_capi__[name])
+                     for name in _SIGNATURES]
+    return tuple(ctypes.CFUNCTYPE(None, *argtypes)(address)
+                 for argtypes, address in zip(_SIGNATURES.values(), addresses))
+
+
+_SYEVD, _POTRF, _TRTRS = _lapack()
+
+# Integer arguments, passed by reference, and with the ?syevd workspace
+# below shared by every call: _LOCK serializes the calls.
+_N, _NRHS, _LDA, _LDB, _LWORK, _LIWORK, _INFO = (ctypes.c_int()
+                                                 for _ in range(7))
+_LOCK = threading.Lock()
+
+_BUFFER = ctypes.c_char * 0
+
+
+def _address(x: np.ndarray) -> int:
+    """Address of the first element of writeable Fortran-contiguous ``x``."""
+    return ctypes.addressof(_BUFFER.from_buffer(x.T))
+
+
+# The ?syevd workspace and its addresses, grown to the largest size asked
+# for.
+_work = np.empty(0)
+_iwork = np.empty(0, dtype=np.intc)
+_work_addresses = (_address(_work), _address(_iwork))
+
+
+def _in_place(x: np.ndarray) -> bool:
+    """Whether LAPACK can take ``x`` as it is: writeable, Fortran-contiguous
+    float64 (numpy's ``farray`` flag is false for 1-D arrays)."""
+    flags = x.flags
+    return x.dtype == _F8 and flags.f_contiguous and flags.writeable
+
+
+def _fortran_copy(a) -> np.ndarray:
+    """A Fortran-ordered float64 copy of square ``a`` (f2py's copy)."""
+    c = np.array(a, dtype=np.float64, order="F")
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise ValueError("expected a square matrix")
+    return c
+
 
 # The LinAlgError message for info = {0} > 0 ({1} = info - 1), per routine.
 _FAILURES = {"syevd": "?syevd did not converge (info = {0})",
@@ -43,57 +168,108 @@ def _check(routine: str, info: int) -> None:
 
 
 @functools.cache
-def _syevd(n: int, vectors: bool):
-    """``?syevd`` and its keyword arguments for an n x n problem."""
-    lwork, liwork = _compute_lwork(_SYEVD_LWORK, n=n, lower=True,
-                                   compute_v=int(vectors))
-    return _SYEVD, {"compute_v": int(vectors), "lower": 1, "lwork": lwork,
-                    "liwork": liwork}
+def _syevd_lwork(n: int, vectors: bool) -> tuple[int, int]:
+    """``lwork`` and ``liwork`` from ?syevd's workspace query for an n x n
+    problem (the query reads no matrix)."""
+    work, iwork, dummy = ctypes.c_double(), ctypes.c_int(), ctypes.c_double()
+    info = ctypes.c_int()
+    _SYEVD(b"V" if vectors else b"N", b"L", ctypes.c_int(n),
+           ctypes.addressof(dummy), ctypes.c_int(max(1, n)),
+           ctypes.addressof(dummy), ctypes.addressof(work), ctypes.c_int(-1),
+           ctypes.addressof(iwork), ctypes.c_int(-1), info)
+    _check("syevd", info.value)
+    return int(work.value), int(iwork.value)
+
+
+def _syevd_workspace(lwork: int, liwork: int) -> tuple[int, int]:
+    """Addresses of the kept ?syevd workspace, grown to at least ``lwork``
+    doubles and ``liwork`` ints."""
+    global _work, _iwork, _work_addresses
+    if len(_work) < lwork or len(_iwork) < liwork:
+        _work = np.empty(max(lwork, len(_work)))
+        _iwork = np.empty(max(liwork, len(_iwork)), dtype=np.intc)
+        _work_addresses = (_address(_work), _address(_iwork))
+    return _work_addresses
 
 
 def eigh_descending(a: np.ndarray, vectors: bool = True):
     """Descending eigenvalues of symmetric ``a``; their vectors or None."""
-    drv, kwargs = _syevd(a.shape[0], vectors)
-    w, v, info = drv(a, **kwargs)
+    v = _fortran_copy(a)
+    n = v.shape[0]
+    w = np.empty(n)
+    lwork, liwork = _syevd_lwork(n, vectors)
+    with _LOCK:
+        work, iwork = _syevd_workspace(lwork, liwork)
+        _N.value, _LDA.value = n, max(1, n)
+        _LWORK.value, _LIWORK.value = lwork, liwork
+        _SYEVD(b"V" if vectors else b"N", b"L", _N, _address(v), _LDA,
+               _address(w), work, _LWORK, iwork, _LIWORK, _INFO)
+        info = _INFO.value
     _check("syevd", info)
     return w[::-1], (v[:, ::-1] if vectors else None)
 
 
-def cholesky_lower(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of ``a``, zero above the diagonal."""
-    c, info = _POTRF(a, lower=1, clean=1)
+def _potrf(a: np.ndarray, uplo: bytes) -> np.ndarray:
+    c = _fortran_copy(a)
+    with _LOCK:
+        _N.value = c.shape[0]
+        _POTRF(uplo, _N, _address(c), _N, _INFO)
+        info = _INFO.value
+    _zero_strict_upper(c if uplo == b"L" else c.T)
     _check("potrf", info)
     return c
+
+
+# f2py's clean=1 zeroes the other triangle of a Cholesky factor.  Here it
+# goes 64 columns at a time: the rectangle above each diagonal block, then
+# the block's own triangle through this mask, so no n x n temporary is made.
+_BLOCK = 64
+_STRICT_UPPER = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), 1)
+
+
+def _zero_strict_upper(c: np.ndarray) -> None:
+    for j in range(0, c.shape[0], _BLOCK):
+        c[:j, j:j + _BLOCK] = 0.0
+        block = c[j:j + _BLOCK, j:j + _BLOCK]
+        m = block.shape[0]
+        np.copyto(block, 0.0, where=_STRICT_UPPER[:m, :m])
+
+
+def cholesky_lower(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of ``a``, zero above the diagonal."""
+    return _potrf(a, b"L")
 
 
 def cholesky_upper(a: np.ndarray) -> np.ndarray:
     """Upper Cholesky factor u of ``a`` (u^T u = a), zero below the
     diagonal."""
-    c, info = _POTRF(a, lower=0, clean=1)
-    _check("potrf", info)
-    return c
+    return _potrf(a, b"U")
+
+
+def _trtrs(u: np.ndarray, b: np.ndarray, trans: bytes) -> np.ndarray:
+    if not _in_place(u):
+        u = np.array(u, dtype=np.float64, order="F")
+    if not _in_place(b):
+        b = np.array(b, dtype=np.float64, order="F")
+    with _LOCK:
+        _LDA.value, _N.value = u.shape
+        _LDB.value = b.shape[0]
+        _NRHS.value = b.shape[1] if b.ndim == 2 else 1
+        _TRTRS(b"U", trans, b"N", _N, _NRHS, _address(u), _LDA,
+               _address(b), _LDB, _INFO)
+        info = _INFO.value
+    _check("trtrs", info)
+    return b
 
 
 def solve_transposed(u: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x with u^T x = b, u upper triangular; may overwrite ``b``."""
-    x, info = _TRTRS(u, b, lower=0, trans=1, overwrite_b=1)
-    _check("trtrs", info)
-    return x
+    return _trtrs(u, b, b"T")
 
 
 def solve_upper(u: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x with u x = b, u upper triangular; may overwrite ``b``."""
-    x, info = _TRTRS(u, b, lower=0, trans=0, overwrite_b=1)
-    _check("trtrs", info)
-    return x
-
-
-def numpy_openblas() -> ctypes.CDLL | None:
-    """numpy's bundled ``scipy_openblas64_`` library, or None when numpy
-    was built against another BLAS."""
-    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs")
-                  .glob("libscipy_openblas64_*.so"))
-    return ctypes.CDLL(str(libs[0])) if libs else None
+    return _trtrs(u, b, b"N")
 
 
 def pin_numpy_openblas() -> None:

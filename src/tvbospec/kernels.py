@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.fft import dct
 
 from .errors import DimensionMismatch, ToleranceUnreachable, WrongClass
 
@@ -443,7 +442,12 @@ class SpatialKernel:
 
 def _dct1_candidates(values: np.ndarray, delta: float):
     """Type-I cosine transform of ``values`` as (coefficient, frequency)
-    pairs such that values[j] = sum_i a_i cos(2 pi f_i * j * delta)."""
+    pairs such that values[j] = sum_i a_i cos(2 pi f_i * j * delta).
+
+    scipy.fft is imported here, so that importing tvbospec does not load it
+    for the one caller, ``low_rank_approx``."""
+    from scipy.fft import dct
+
     n = len(values)
     coeffs = dct(values, type=1) / (n - 1.0)
     coeffs[0] /= 2.0

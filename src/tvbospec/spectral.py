@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from ._blas import eigh_descending
 from .errors import ConvergenceFailure, WrongClass
@@ -66,6 +65,8 @@ class SymMatrix:
         object.__setattr__(self, "values", v)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("matrix must be square")
+        if v.shape[0] == 0:
+            raise ValueError("matrix needs at least one row")
         if not np.all(np.isfinite(v)):
             raise ValueError("matrix entries must be finite")
         scale = max(1.0, float(np.max(np.abs(v))))
@@ -143,7 +144,8 @@ class TimeGrid:
 def build_temporal_matrix(kernel: TemporalKernel, grid: TimeGrid) -> SymMatrix:
     """Symmetric Toeplitz matrix with entries k(delta * |i - j|)."""
     first_row = eval_temporal(kernel, grid.times)
-    return SymMatrix(toeplitz(first_row))
+    i = np.arange(grid.n)
+    return SymMatrix(first_row[np.abs(i[:, None] - i)])
 
 
 def cross_covariance(spatial: SpatialKernel, temporal: TemporalKernel,

@@ -2,11 +2,19 @@
 OpenBLAS, numpy's OpenBLAS at one thread."""
 
 import ast
+import ctypes
+import functools
+import os
+import subprocess
+import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
+from scipy.linalg import get_lapack_funcs, lapack
+from scipy.linalg.lapack import _compute_lwork
 
 import tvbospec
 from tvbospec import _blas
@@ -14,7 +22,7 @@ from tvbospec._blas import numpy_openblas
 from tvbospec.bounds import bound_report, scaling_diagnostic
 from tvbospec.gp import Dataset
 from tvbospec.kernels import SpatialKernel, TemporalKernel, eval_temporal
-from tvbospec.spectral import TimeGrid
+from tvbospec.spectral import TimeGrid, build_spatiotemporal_matrix
 from tvbospec.tvbo import TVBOConfig, run_tvbo
 
 SRC = Path(tvbospec.__file__).resolve().parent
@@ -58,97 +66,337 @@ def test_guard_sees_numpy_linalg_calls():
 
 
 BLAS_MODULE = SRC / "_blas.py"
+KERNELS_MODULE = SRC / "kernels.py"
+
+# The only places scipy.linalg or scipy.fft may be imported: the
+# cython_lapack fallback of the LAPACK lookup and the one caller of dct.
+ALLOWED_SUBMODULE_USES = {
+    (BLAS_MODULE, "_lapack", "scipy.linalg.cython_lapack"),
+    (KERNELS_MODULE, "_dct1_candidates", "scipy.fft.dct"),
+}
 
 
-def _scipy_linalg_names(tree):
-    """Each name ``tree`` imports from scipy.linalg (or a submodule) or
-    reads as an attribute of it, imported under any alias."""
-    modules = set()
-    for node in ast.walk(tree):
+def _scipy_submodule_uses(tree):
+    """(dotted name, enclosing function or None) for each name ``tree``
+    imports from scipy.linalg or scipy.fft (or a submodule), imports them
+    as, or reads from them as an attribute of an imported ``scipy``."""
+    found = []
+    scipy_aliases = set()
+
+    def heavy(module):
+        return module.split(".")[:2] in (["scipy", "linalg"], ["scipy", "fft"])
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
         if isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name.startswith("scipy.linalg") and alias.asname:
-                    modules.add(alias.asname)
-                elif alias.name == "scipy" and alias.asname:
-                    modules.add(f"{alias.asname}.linalg")
-                elif alias.name.split(".")[0] == "scipy":
-                    modules.add("scipy.linalg")
+                if alias.name == "scipy":
+                    scipy_aliases.add(alias.asname or "scipy")
+                elif heavy(alias.name):
+                    found.append((alias.name, function))
         elif isinstance(node, ast.ImportFrom) and node.module:
-            if node.module.startswith("scipy.linalg"):
-                yield from (alias.name for alias in node.names)
-            elif node.module == "scipy":
-                modules.update(alias.asname or "linalg" for alias in node.names
-                               if alias.name == "linalg")
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute)
-                and ast.unparse(node.value) in modules):
-            yield node.attr
+            for alias in node.names:
+                name = f"{node.module}.{alias.name}"
+                if heavy(node.module) or heavy(name):
+                    found.append((name, function))
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in scipy_aliases
+              and node.attr in ("linalg", "fft")):
+            found.append((f"scipy.{node.attr}", function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
 
 
-def _forbidden_scipy_linalg_names(path, tree):
-    """What the module at ``path`` takes from scipy.linalg beyond its due:
-    _blas.py makes every LAPACK call through cached handles, so it needs
-    only the handle lookup and the workspace query, and other modules no
-    more than ``toeplitz``; no wrapper (eigh, eigvalsh, cholesky,
-    solve_triangular, ...) is needed anywhere."""
-    allowed = ({"get_lapack_funcs", "_compute_lwork"} if path == BLAS_MODULE
-               else {"toeplitz"})
-    return [name for name in _scipy_linalg_names(tree)
-            if name not in allowed]
+def _forbidden_scipy_submodule_uses(path, tree):
+    """What the module at ``path`` takes from scipy.linalg or scipy.fft
+    beyond the allowed fallback and dct imports."""
+    return [(name, function)
+            for name, function in _scipy_submodule_uses(tree)
+            if (path, function, name) not in ALLOWED_SUBMODULE_USES]
 
 
 def test_only_blas_module_calls_lapack():
     found = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        found += [f"{path.relative_to(SRC)}: scipy.linalg.{name}"
-                  for name in _forbidden_scipy_linalg_names(path, tree)]
+        found += [f"{path.relative_to(SRC)}: {name} in {function}"
+                  for name, function in
+                  _forbidden_scipy_submodule_uses(path, tree)]
     assert found == []
 
 
 def test_guard_sees_scipy_linalg_uses():
     tree = ast.parse(
         "from scipy.linalg import eigh, toeplitz\n"
-        "from scipy.linalg import eigvalsh as ev\n"
         "from scipy.linalg.lapack import dpotrf\n"
-        "import scipy.linalg\nscipy.linalg.cholesky(a)\n"
-        "import scipy.linalg as sla\nsla.solve_triangular(a, b)\n"
-        "import scipy.linalg.lapack as lp\nlp.dtrtrs(a, b)\n"
-        "from scipy import linalg\nlinalg.eigh(a)\n"
-        "from scipy import linalg as la\nla.solve(a, b)\n"
-        "import scipy as sp\nsp.linalg.lu(a)\n"
-        "np.linalg.eigh(a)\nscipy.special.ndtr(x)\n"
-        "from scipy.special import ndtr\n")
-    assert sorted(_scipy_linalg_names(tree)) == [
-        "cholesky", "dpotrf", "dtrtrs", "eigh", "eigh", "eigvalsh", "lu",
-        "solve", "solve_triangular", "toeplitz"]
-    blas_like = ast.parse(
-        "from scipy.linalg import get_lapack_funcs, eigh, toeplitz\n"
-        "from scipy.linalg.lapack import _compute_lwork\n")
-    assert _forbidden_scipy_linalg_names(BLAS_MODULE, blas_like) == [
-        "eigh", "toeplitz"]
-    assert _forbidden_scipy_linalg_names(SRC / "gp.py", blas_like) == [
-        "get_lapack_funcs", "eigh", "_compute_lwork"]
+        "import scipy.linalg as sla\n"
+        "from scipy import linalg, special\n"
+        "from scipy.fft import dct\n"
+        "import scipy as sp\nsp.fft.rfft(a)\nsp.special.ndtr(a)\n"
+        "from scipy.special import ndtr\n"
+        "np.linalg.eigh(a)\n"
+        "def _lapack():\n"
+        "    from scipy.linalg import cython_lapack\n"
+        "def _dct1_candidates():\n"
+        "    from scipy.fft import dct\n"
+        "    import scipy\n"
+        "    return scipy.linalg.eigh(a)\n")
+    assert _scipy_submodule_uses(tree) == [
+        ("scipy.linalg.eigh", None), ("scipy.linalg.toeplitz", None),
+        ("scipy.linalg.lapack.dpotrf", None), ("scipy.linalg", None),
+        ("scipy.linalg", None), ("scipy.fft.dct", None),
+        ("scipy.fft", None), ("scipy.linalg.cython_lapack", "_lapack"),
+        ("scipy.fft.dct", "_dct1_candidates"),
+        ("scipy.linalg", "_dct1_candidates")]
+    forbidden = _forbidden_scipy_submodule_uses(BLAS_MODULE, tree)
+    assert ("scipy.linalg.cython_lapack", "_lapack") not in forbidden
+    assert ("scipy.fft.dct", "_dct1_candidates") in forbidden
+    assert len(forbidden) == 9
+    forbidden = _forbidden_scipy_submodule_uses(KERNELS_MODULE, tree)
+    assert ("scipy.fft.dct", "_dct1_candidates") not in forbidden
+    assert ("scipy.linalg.cython_lapack", "_lapack") in forbidden
+    assert len(forbidden) == 9
+    assert len(_forbidden_scipy_submodule_uses(SRC / "gp.py", tree)) == 10
+
+
+def _uses_bundled_openblas():
+    lib = _blas.scipy_openblas()
+    return lib is not None and hasattr(lib, "scipy_dsyevd_")
+
+
+def test_import_and_validation_load_neither_scipy_linalg_nor_fft():
+    # a fresh interpreter, as `tvbospec run` starts: the import and every
+    # experiment's default config validated, and scipy.linalg and
+    # scipy.fft never loaded
+    if not _uses_bundled_openblas():
+        pytest.skip("scipy bundles no scipy_openblas library: LAPACK is "
+                    "looked up through scipy.linalg.cython_lapack")
+    code = (
+        "import sys\n"
+        "import tvbospec.expcli.experiments as ex\n"
+        "for name in ex.EXPERIMENTS:\n"
+        "    ex.validate_config(ex.default_config(name))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith(('scipy.linalg', 'scipy.fft'))))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
+def _spatial_d2_gram():
+    axis = np.linspace(0.0, 1.0, 40)
+    grid = np.array([(a, b) for a in axis for b in axis])
+    return SpatialKernel.rbf([0.4, 0.4]).pairwise(grid, grid)
 
 
 @pytest.mark.parametrize("factor", ["spatial_d2", "rbf", "periodic",
                                     "cosine_sum"])
 def test_potrf_matches_scipy_cholesky(factor):
-    # the cached ?potrf handle with the arguments scipy's wrapper passes, on
-    # the jittered prior factors of the regret defaults (200 steps) and of
-    # the d = 2 loop (40 x 40 grid): the same bits
+    # ctypes ?potrf with the arguments scipy's f2py handle passes (a Fortran
+    # copy, clean=1), on the jittered prior factors of the regret defaults
+    # (200 steps) and of the d = 2 loop (40 x 40 grid): the same bits
     if factor == "spatial_d2":
-        axis = np.linspace(0.0, 1.0, 40)
-        grid = np.array([(a, b) for a in axis for b in axis])
-        gram = SpatialKernel.rbf([0.4, 0.4]).pairwise(grid, grid)
+        gram = _spatial_d2_gram()
     else:
         ts = TimeGrid(200, 0.1).times
         gram = eval_temporal(CLASSES[factor], np.abs(ts[:, None] - ts))
     gram[np.diag_indices_from(gram)] += 1e-10
     before = gram.copy()
-    got = _blas.cholesky_lower(gram)
+    for lower, factorize in ((1, _blas.cholesky_lower),
+                             (0, _blas.cholesky_upper)):
+        want, info = lapack.dpotrf(gram, lower=lower, clean=1)
+        assert info == 0
+        got = factorize(gram)
+        assert got.flags.f_contiguous
+        assert np.array_equal(got, want)
     assert np.array_equal(gram, before)
-    assert np.array_equal(got, scipy.linalg.cholesky(gram, lower=True))
+
+
+def test_potrf_allocates_one_copy():
+    # the factor is the only n x n allocation: clean=1 zeroes the other
+    # triangle a column at a time, without index arrays
+    gram = _spatial_d2_gram()[:800, :800]
+    gram[np.diag_indices_from(gram)] += 0.01
+    tracemalloc.start()
+    try:
+        factor = _blas.cholesky_lower(gram)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert factor.shape == (800, 800)
+    assert peak <= 1.05 * 800 * 800 * 8
+
+
+# The f2py handles scipy's eigh calls: the reference for the ctypes ones.
+SYEVD, SYEVD_LWORK = get_lapack_funcs(("syevd", "syevd_lwork"),
+                                      dtype=np.float64)
+
+
+def _f2py_syevd(a, vectors):
+    lwork, liwork = _compute_lwork(SYEVD_LWORK, n=a.shape[0],
+                                   lower=1, compute_v=int(vectors))
+    w, v, info = SYEVD(a, compute_v=int(vectors), lower=1,
+                               lwork=lwork, liwork=liwork)
+    assert info == 0
+    return w[::-1], (v[:, ::-1] if vectors else None)
+
+
+def _regret_gram(temporal, n=200):
+    # the Gram of a horizon-n run's observations, C-ordered, as the lower
+    # bound slices it step by step
+    rng = np.random.default_rng(3)
+    xs = rng.choice(np.linspace(0.0, 1.0, 25), size=(n, 1))
+    return build_spatiotemporal_matrix(SpatialKernel.rbf([0.4]), temporal,
+                                       xs, TimeGrid(n, 0.1).times).values
+
+
+def _assert_syevd_matches_f2py(a):
+    for vectors in (True, False):
+        vals, vecs = _blas.eigh_descending(a, vectors)
+        want_vals, want_vecs = _f2py_syevd(a, vectors)
+        assert np.array_equal(vals, want_vals)
+        if vectors:
+            assert np.array_equal(vecs, want_vecs)
+        else:
+            assert vecs is None
+
+
+@pytest.mark.parametrize("label", ["rbf", "periodic"])
+@pytest.mark.parametrize("k", [1, 2, 7, 64, 145, 200])
+def test_syevd_matches_f2py_on_gram_slices(label, k):
+    gram = _regret_gram(CLASSES[label])
+    before = gram.copy()
+    assert gram.flags.c_contiguous
+    _assert_syevd_matches_f2py(gram[:k, :k])
+    assert np.array_equal(gram, before)
+
+
+def test_syevd_workspace_query_matches_compute_lwork():
+    for vectors in (False, True):
+        for n in range(1, 401):
+            want = _compute_lwork(SYEVD_LWORK, n=n, lower=1,
+                                  compute_v=int(vectors))
+            assert _blas._syevd_lwork.__wrapped__(n, vectors) == want
+
+
+def test_syevd_reuses_one_workspace():
+    gram = _regret_gram(CLASSES["rbf"], 64)
+    _blas.eigh_descending(gram)
+    work, iwork = _blas._work, _blas._iwork
+    for k in range(1, 64):
+        _blas.eigh_descending(gram[:k, :k])
+        _blas.eigh_descending(gram[:k, :k], vectors=False)
+    assert _blas._work is work and _blas._iwork is iwork
+
+
+def test_concurrent_calls_give_single_thread_bits():
+    # the scalar arguments and the workspace are shared, so calls from
+    # several threads must be serialized: each thread's results equal the
+    # ones computed alone
+    grams = [_regret_gram(CLASSES["periodic"], k) + 0.01 * np.eye(k)
+             for k in (5, 40, 100)]
+
+    def work(gram):
+        vals, vecs = _blas.eigh_descending(gram)
+        u = _blas.cholesky_upper(gram)
+        return [vals, vecs, u, _blas.solve_transposed(u, gram.copy("F"))]
+
+    want = [work(g) for g in grams]
+    got, errors = {}, []
+
+    def run(i):
+        try:
+            for _ in range(30):
+                got[i] = work(grams[i % 3])
+                assert all(np.array_equal(a, b)
+                           for a, b in zip(got[i], want[i % 3]))
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and len(got) == 6
+
+
+def _upper_factor_buffer(cap=16, n=11):
+    # the GP posterior's layout: L^T in the upper triangle of a Fortran
+    # (cap, cap) buffer, solved against as its (cap, n) leading columns
+    chol = np.zeros((cap, cap), order="F")
+    gram = _regret_gram(CLASSES["rbf"], n)
+    gram[np.diag_indices_from(gram)] += 0.01
+    chol[:n, :n] = _blas.cholesky_upper(gram)
+    return chol[:, :n]
+
+
+RIGHT_HAND_SIDES = {
+    # name: (builder, solved in place by f2py's overwrite_b=1)
+    "vector": (lambda b: b[:, 0].copy(), True),
+    "strided_vector": (lambda b: b.copy()[:, 0], False),
+    "one_column": (lambda b: np.ascontiguousarray(b[:, :1]), True),
+    "c_ordered": (np.ascontiguousarray, False),
+    "fortran": (np.asfortranarray, True),
+}
+
+
+@pytest.mark.parametrize("rhs", sorted(RIGHT_HAND_SIDES))
+@pytest.mark.parametrize("trans, solve", [(1, _blas.solve_transposed),
+                                          (0, _blas.solve_upper)])
+def test_trtrs_matches_f2py(rhs, trans, solve):
+    u = _upper_factor_buffer()
+    assert u.flags.f_contiguous and u.shape == (16, 11)
+    before = u.copy()
+    build, in_place = RIGHT_HAND_SIDES[rhs]
+    base = np.random.default_rng(5).standard_normal((11, 4))
+    b, b_ref = build(base), build(base)
+    want, info = lapack.dtrtrs(u, b_ref, lower=0, trans=trans, overwrite_b=1)
+    assert info == 0
+    got = solve(u, b)
+    assert (want is b_ref) == in_place
+    assert (got is b) == in_place
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(u, before)
+
+
+def test_capsule_fallback_gives_the_same_bits(monkeypatch):
+    # without scipy's bundled library the routines come from
+    # cython_lapack's exported pointers, called the same way
+    from scipy.linalg import cython_lapack
+    monkeypatch.setattr(_blas, "scipy_openblas", lambda: None)
+    handles = _blas._lapack()
+    assert [ctypes.cast(h, ctypes.c_void_p).value for h in handles] == [
+        _blas._capsule_address(cython_lapack.__pyx_capi__[name])
+        for name in ("dsyevd", "dpotrf", "dtrtrs")]
+    for name, handle in zip(("_SYEVD", "_POTRF", "_TRTRS"), handles):
+        monkeypatch.setattr(_blas, name, handle)
+    monkeypatch.setattr(_blas, "_syevd_lwork",
+                        functools.cache(_blas._syevd_lwork.__wrapped__))
+    gram = _regret_gram(CLASSES["periodic"], 64)
+    _assert_syevd_matches_f2py(gram[:40, :40])
+    gram[np.diag_indices_from(gram)] += 0.01
+    assert np.array_equal(_blas.cholesky_lower(gram),
+                          lapack.dpotrf(gram, lower=1, clean=1)[0])
+    u = _blas.cholesky_upper(gram)
+    b = np.random.default_rng(6).standard_normal((64, 3))
+    for trans, solve in ((1, _blas.solve_transposed), (0, _blas.solve_upper)):
+        want = lapack.dtrtrs(u, b, lower=0, trans=trans)[0]
+        assert np.array_equal(solve(u, b.copy(order="F")), want)
 
 
 def test_run_tvbo_validates_one_dataset(monkeypatch):

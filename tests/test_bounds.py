@@ -8,7 +8,11 @@ import pytest
 import tvbospec.bounds as bounds_module
 import tvbospec.spectral as spectral_module
 from tvbospec.errors import ScaleMismatch
-from tvbospec.expcli.experiments import FIG5_DEFAULTS, REGRET_KERNELS
+from tvbospec.expcli.experiments import (
+    FIG5_DEFAULTS,
+    REGRET_DEFAULTS,
+    REGRET_KERNELS,
+)
 from tvbospec.gp import (
     Dataset,
     conditioning_noise,
@@ -143,6 +147,44 @@ class TestMutualInformation:
             rtol = n * np.finfo(float).eps * (1.0 + n / sigma2)
             assert trace.sequential_information[-1] == pytest.approx(
                 bound_report(trace).info_exact, rel=rtol, abs=0.0)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("noise", [0.01, 0.0])
+    @pytest.mark.parametrize("label", sorted(REGRET_KERNELS))
+    def test_sequential_information_at_regret_size(self, label, noise, seed):
+        # the same identity at the regret experiment's size (horizon 200,
+        # 25-point grid; the bounds are not needed).  Rounding budget, with
+        # n = 200 and sigma^2 = noise, or NOISELESS_JITTER at noise 0:
+        # - each sd_i^2 = 1 - |L^-1 k_i|^2 comes from an n-term solve of
+        #   entries of size <= 1 and is off by at most 2 n eps; the slope of
+        #   1/2 log1p(x / sigma^2) is at most 1 / (2 sigma^2), so the n terms
+        #   of I_n move by at most n^2 eps / sigma^2;
+        # - ?syevd is backward stable, so each eigenvalue of K is off by at
+        #   most n eps ||K||_2 (Weyl), and the n terms of the log det move
+        #   by at most n^2 eps ||K||_2 / (2 sigma^2).
+        # The bound n^2 eps (1 + ||K||_2 / 2) / sigma^2 grows with 1/sigma^2:
+        # about 1e-8 at noise 0.01 (observed gaps ~1e-10) and 1e-2 at the
+        # 1e-8 jitter (observed ~1e-4, from the near-zero eigenvalues of
+        # the rank-deficient periodic and cosine-sum Grams).
+        defaults = REGRET_DEFAULTS
+        cfg = TVBOConfig(
+            spatial=kernel_from_dict({"kind": "spatial",
+                                      **defaults["spatial"]}),
+            temporal=kernel_from_dict({"kind": "temporal",
+                                       **REGRET_KERNELS[label]}),
+            delta=defaults["delta"], horizon=defaults["horizon"],
+            grid_resolution=defaults["grid_resolution"], noise=noise,
+            seed=seed)
+        trace = run_tvbo(cfg)
+        n = len(trace.times)
+        assert (n, len(trace.grid)) == (200, 25)
+        sigma2 = conditioning_noise(noise)
+        spec = eig_sym(build_spatiotemporal_matrix(
+            cfg.spatial, cfg.temporal, trace.grid[trace.chosen_idx],
+            trace.times))
+        tol = n * n * np.finfo(float).eps * (1.0 + spec.values[0] / 2) / sigma2
+        assert abs(trace.sequential_information[-1]
+                   - mutual_info_exact(spec, sigma2)) <= tol
 
 
 class TestUpperBound:

@@ -52,6 +52,15 @@ class TestBuildMatrices:
         assert np.array_equal(m.values, np.ones((3, 3)))
         assert np.linalg.matrix_rank(m.values) == 1
 
+    @pytest.mark.parametrize("n", [1, 2, 25, 200])
+    def test_matches_scipy_toeplitz(self, shipped_temporal_kernels, n):
+        grid = TimeGrid(n, 0.1)
+        for kernel in shipped_temporal_kernels.values():
+            m = build_temporal_matrix(kernel, grid).values
+            want = scipy.linalg.toeplitz(eval_temporal(kernel, grid.times))
+            assert m.flags.c_contiguous
+            assert np.array_equal(m, want)
+
     def test_toeplitz_exact(self):
         m = build_temporal_matrix(TemporalKernel.matern(1.5, 0.7),
                                   TimeGrid(12, 0.3)).values
@@ -138,7 +147,7 @@ class TestEigSym:
         spec = eig_sym(SymMatrix(m + m.T))
         assert np.all(np.diff(spec.values) <= 0)
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 64, 145])
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 145, 200])
     def test_cached_syevd_matches_scipy_eigh(self, rng, n):
         # same routine, workspace and layout as scipy's wrapper, so the same
         # bits (in reverse order), on a whole matrix and on a leading block
@@ -160,11 +169,11 @@ class TestEigSym:
 
     @staticmethod
     def _syevd_reporting(monkeypatch, info):
-        def syevd(a, **kwargs):
-            n = a.shape[0]
-            return np.zeros(n), np.zeros((n, n)), info
+        def syevd(*args):
+            args[-1].value = info
 
-        monkeypatch.setattr(_blas, "_syevd", lambda n, vectors: (syevd, {}))
+        monkeypatch.setattr(_blas, "_SYEVD", syevd)
+        monkeypatch.setattr(_blas, "_syevd_lwork", lambda n, vectors: (1, 1))
 
     @pytest.mark.parametrize("want_vectors", [False, True])
     def test_nonconvergence_raises_convergence_failure(self, monkeypatch,
@@ -444,6 +453,10 @@ class TestSpectrumType:
     def test_monotonicity_enforced(self):
         with pytest.raises(ValueError):
             Spectrum(np.array([1.0, 2.0]))
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            SymMatrix(np.zeros((0, 0)))
 
     def test_symmetry_validation(self):
         bad = np.array([[1.0, 0.2], [0.3, 1.0]])
