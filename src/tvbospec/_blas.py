@@ -11,8 +11,9 @@ layouts are those of ``scipy.linalg.lapack``'s handles as scipy's ``eigh``,
 - ``?syevd`` and ``?potrf`` work on a Fortran-ordered copy of ``a``, the
   upper or lower triangle (``lower`` = 1) as f2py passes it;
 - ``?syevd`` takes ``lwork``/``liwork`` from the routine's own
-  ``lwork = -1`` query, as ``_compute_lwork`` does, in one workspace that
-  grows to the largest size asked for and is reused;
+  ``lwork = -1`` query, as ``_compute_lwork`` does, in a workspace made
+  for the call and freed after it (650 KB for a 200 x 200 problem with
+  vectors);
 - ``?potrf`` zeroes the other triangle afterwards (f2py's ``clean=1``),
   a column at a time so that no index arrays are built;
 - ``?trtrs`` solves in place when ``b`` is a writeable Fortran-ordered
@@ -20,9 +21,9 @@ layouts are those of ``scipy.linalg.lapack``'s handles as scipy's ``eigh``,
   copy otherwise (f2py's ``overwrite_b=1``); a non-Fortran ``u`` is copied.
 
 No finite check is made (callers validate).  A positive ``info`` raises
-``np.linalg.LinAlgError``, a negative one ``ValueError``.  The scalar
-arguments and the workspace are module state, so a lock lets one call run
-at a time (OpenBLAS still spreads each call over its own threads).
+``np.linalg.LinAlgError``, a negative one ``ValueError``.  Each call
+passes its own scalar arguments and workspace; only the prototypes, with
+their ``argtypes``, are made once.
 
 Where scipy bundles no such library (a distribution build), each routine's
 address is looked up once in ``scipy.linalg.cython_lapack.__pyx_capi__``
@@ -46,7 +47,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -118,25 +118,12 @@ def _lapack() -> tuple:
 
 _SYEVD, _POTRF, _TRTRS = _lapack()
 
-# Integer arguments, passed by reference, and with the ?syevd workspace
-# below shared by every call: _LOCK serializes the calls.
-_N, _NRHS, _LDA, _LDB, _LWORK, _LIWORK, _INFO = (ctypes.c_int()
-                                                 for _ in range(7))
-_LOCK = threading.Lock()
-
 _BUFFER = ctypes.c_char * 0
 
 
 def _address(x: np.ndarray) -> int:
     """Address of the first element of writeable Fortran-contiguous ``x``."""
     return ctypes.addressof(_BUFFER.from_buffer(x.T))
-
-
-# The ?syevd workspace and its addresses, grown to the largest size asked
-# for.
-_work = np.empty(0)
-_iwork = np.empty(0, dtype=np.intc)
-_work_addresses = (_address(_work), _address(_iwork))
 
 
 def _in_place(x: np.ndarray) -> bool:
@@ -181,58 +168,33 @@ def _syevd_lwork(n: int, vectors: bool) -> tuple[int, int]:
     return int(work.value), int(iwork.value)
 
 
-def _syevd_workspace(lwork: int, liwork: int) -> tuple[int, int]:
-    """Addresses of the kept ?syevd workspace, grown to at least ``lwork``
-    doubles and ``liwork`` ints."""
-    global _work, _iwork, _work_addresses
-    if len(_work) < lwork or len(_iwork) < liwork:
-        _work = np.empty(max(lwork, len(_work)))
-        _iwork = np.empty(max(liwork, len(_iwork)), dtype=np.intc)
-        _work_addresses = (_address(_work), _address(_iwork))
-    return _work_addresses
-
-
 def eigh_descending(a: np.ndarray, vectors: bool = True):
     """Descending eigenvalues of symmetric ``a``; their vectors or None."""
     v = _fortran_copy(a)
     n = v.shape[0]
     w = np.empty(n)
     lwork, liwork = _syevd_lwork(n, vectors)
-    with _LOCK:
-        work, iwork = _syevd_workspace(lwork, liwork)
-        _N.value, _LDA.value = n, max(1, n)
-        _LWORK.value, _LIWORK.value = lwork, liwork
-        _SYEVD(b"V" if vectors else b"N", b"L", _N, _address(v), _LDA,
-               _address(w), work, _LWORK, iwork, _LIWORK, _INFO)
-        info = _INFO.value
-    _check("syevd", info)
+    work, iwork = np.empty(lwork), np.empty(liwork, dtype=np.intc)
+    info = ctypes.c_int()
+    _SYEVD(b"V" if vectors else b"N", b"L", ctypes.c_int(n), _address(v),
+           ctypes.c_int(max(1, n)), _address(w), _address(work),
+           ctypes.c_int(lwork), _address(iwork), ctypes.c_int(liwork), info)
+    _check("syevd", info.value)
     return w[::-1], (v[:, ::-1] if vectors else None)
 
 
 def _potrf(a: np.ndarray, uplo: bytes) -> np.ndarray:
     c = _fortran_copy(a)
-    with _LOCK:
-        _N.value = c.shape[0]
-        _POTRF(uplo, _N, _address(c), _N, _INFO)
-        info = _INFO.value
-    _zero_strict_upper(c if uplo == b"L" else c.T)
-    _check("potrf", info)
+    n, info = ctypes.c_int(c.shape[0]), ctypes.c_int()
+    _POTRF(uplo, n, _address(c), n, info)
+    # f2py's clean=1: zero the other triangle, a column at a time
+    for j in range(c.shape[0]):
+        if uplo == b"L":
+            c[:j, j] = 0.0
+        else:
+            c[j + 1:, j] = 0.0
+    _check("potrf", info.value)
     return c
-
-
-# f2py's clean=1 zeroes the other triangle of a Cholesky factor.  Here it
-# goes 64 columns at a time: the rectangle above each diagonal block, then
-# the block's own triangle through this mask, so no n x n temporary is made.
-_BLOCK = 64
-_STRICT_UPPER = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), 1)
-
-
-def _zero_strict_upper(c: np.ndarray) -> None:
-    for j in range(0, c.shape[0], _BLOCK):
-        c[:j, j:j + _BLOCK] = 0.0
-        block = c[j:j + _BLOCK, j:j + _BLOCK]
-        m = block.shape[0]
-        np.copyto(block, 0.0, where=_STRICT_UPPER[:m, :m])
 
 
 def cholesky_lower(a: np.ndarray) -> np.ndarray:
@@ -251,14 +213,12 @@ def _trtrs(u: np.ndarray, b: np.ndarray, trans: bytes) -> np.ndarray:
         u = np.array(u, dtype=np.float64, order="F")
     if not _in_place(b):
         b = np.array(b, dtype=np.float64, order="F")
-    with _LOCK:
-        _LDA.value, _N.value = u.shape
-        _LDB.value = b.shape[0]
-        _NRHS.value = b.shape[1] if b.ndim == 2 else 1
-        _TRTRS(b"U", trans, b"N", _N, _NRHS, _address(u), _LDA,
-               _address(b), _LDB, _INFO)
-        info = _INFO.value
-    _check("trtrs", info)
+    lda, n = u.shape
+    info = ctypes.c_int()
+    _TRTRS(b"U", trans, b"N", ctypes.c_int(n),
+           ctypes.c_int(b.shape[1] if b.ndim == 2 else 1), _address(u),
+           ctypes.c_int(lda), _address(b), ctypes.c_int(b.shape[0]), info)
+    _check("trtrs", info.value)
     return b
 
 
