@@ -211,13 +211,24 @@ class GPPosterior:
         k_dq^T w, which costs O(nq) against the O(n^2 q) solve of
         ``mean_var``; the two round differently.
         """
-        n = self._n
-        return solve_upper(self._chol[:, :n], self._alpha[:n].copy())
+        return self.back_solve(self._alpha[:self._n].copy())
 
-    def extended(self, x, t, y, k_new) -> None:
+    def back_solve(self, v: np.ndarray) -> np.ndarray:
+        """L_m^-T v against the leading m x m block of the factor, m =
+        len(v); may overwrite ``v``.
+
+        With v = alpha this is K^-1 y.  With the row l = L_m^-1 k that
+        ``extended`` returns for the m observations before it, it is
+        K_m^-1 k, whatever was added since: an extension leaves the leading
+        block as it was.
+        """
+        return solve_upper(self._chol[:, :len(v)], v)
+
+    def extended(self, x, t, y, k_new) -> tuple[np.ndarray, float]:
         """Condition on one more observation in place, by rank-one Cholesky
         growth; ``k_new`` holds its prior covariances with the n
-        observations and may be overwritten.
+        observations and may be overwritten.  Returns the new row of L,
+        as l = L_n^-1 k_new and its diagonal entry d.
 
         Raises ValueError when ``x``, ``t`` or ``y`` is not finite, and
         SingularSystem when the observation breaks positive definiteness,
@@ -244,6 +255,7 @@ class GPPosterior:
         self._chol[:n, n] = l_row
         self._chol[n, n] = diag
         self._alpha[n] = (y - float(l_row @ self._alpha[:n])) / diag
+        return l_row, diag
 
 
 @functools.lru_cache(maxsize=1)
@@ -263,6 +275,38 @@ def _spatial_factor(spatial: SpatialKernel, grid_bytes: bytes,
     return factor
 
 
+def _seed_key(seed):
+    """(entropy, spawn_key, pool_size) of an int or SeedSequence seed with
+    an int entropy, the inputs its generator's state is made from; None
+    for any other seed, whose draw is never cached."""
+    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
+        seed = np.random.SeedSequence(int(seed))  # as default_rng does
+    if (isinstance(seed, np.random.SeedSequence)
+            and isinstance(seed.entropy, int)):
+        return seed.entropy, seed.spawn_key, seed.pool_size
+    return None
+
+
+@functools.lru_cache(maxsize=1)
+def _spatial_draw(spatial: SpatialKernel, grid_bytes: bytes, shape,
+                  seed_key, n: int) -> np.ndarray:
+    """Read-only ls @ z of the prior draw: the spatial factor ls times the
+    (m, n) standard normals z of the seed keyed by ``seed_key``.
+
+    Every kernel class of an experiment draws with the same seeds, so the
+    last product is kept: m n floats (2.56 MB at 1600 points and horizon
+    200).  The objective is this times lt^T, evaluated in the order of
+    ls @ z @ lt^T, so its bits are those of the uncached draw.
+    """
+    entropy, spawn_key, pool_size = seed_key
+    rng = np.random.default_rng(np.random.SeedSequence(
+        entropy, spawn_key=spawn_key, pool_size=pool_size))
+    draw = (_spatial_factor(spatial, grid_bytes, shape)
+            @ rng.standard_normal((shape[0], n)))
+    draw.flags.writeable = False
+    return draw
+
+
 def sample_prior_path(spatial: SpatialKernel, temporal: TemporalKernel,
                       xs_grid, time_grid: TimeGrid, seed) -> np.ndarray:
     """One exact draw of the prior GP on a (space x time) product grid.
@@ -274,7 +318,9 @@ def sample_prior_path(spatial: SpatialKernel, temporal: TemporalKernel,
     factorizations positive definite.  Grids of more than
     DEFAULT_SAMPLING_CAP points raise CapExceeded, and a non-finite
     ``xs_grid`` ValueError.  Reproducible per seed.
-    The spatial factor of the last (spatial kernel, grid) is reused.
+    The spatial factor of the last (spatial kernel, grid) is reused, and
+    so is the spatial half of the last draw, for an int or SeedSequence
+    ``seed``.
     """
     xs_grid = np.atleast_2d(np.asarray(xs_grid, dtype=float))
     if not np.all(np.isfinite(xs_grid)):
@@ -283,13 +329,16 @@ def sample_prior_path(spatial: SpatialKernel, temporal: TemporalKernel,
     if m * n > DEFAULT_SAMPLING_CAP:
         raise CapExceeded(f"grid of {m} x {n} = {m * n} points exceeds the "
                           f"cap of {DEFAULT_SAMPLING_CAP}")
-    ls = _spatial_factor(spatial, xs_grid.tobytes(), xs_grid.shape)
+    grid_bytes = xs_grid.tobytes()
+    key = _seed_key(seed)
+    if key is None:
+        half = (_spatial_factor(spatial, grid_bytes, xs_grid.shape)
+                @ np.random.default_rng(seed).standard_normal((m, n)))
+    else:
+        half = _spatial_draw(spatial, grid_bytes, xs_grid.shape, key, n)
     ts = time_grid.times
     kt = eval_temporal(temporal, np.abs(ts[:, None] - ts[None, :]))
-    lt = _jittered_cholesky(kt, _PRIOR_JITTER)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((m, n))
-    return ls @ z @ lt.T
+    return half @ _jittered_cholesky(kt, _PRIOR_JITTER).T
 
 
 def nystrom_expansion(vals, vecs, ys, k_queries):

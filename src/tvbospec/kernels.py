@@ -35,6 +35,7 @@ __all__ = [
     "eval_temporal",
     "spectral_density",
     "spectral_lines",
+    "line_features",
     "classify",
     "low_rank_approx",
     "kernel_to_dict",
@@ -357,6 +358,30 @@ def spectral_lines(kernel: TemporalKernel, tol: float = 1e-12):
         raise WrongClass(f"{f.value} has a continuous spectral density")
     lines.sort(key=lambda fw: (-fw[1], abs(fw[0]), fw[0] < 0))
     return lines
+
+
+def line_features(kernel: TemporalKernel, times):
+    """Features phi(t) of a finite line expansion k(s - t) = phi(s) . phi(t)
+    at ``times``, as a (len(times), r) array; None for a kernel without one.
+
+    Only the cosine sum has one: each line w cos(2 pi f (s - t)) splits into
+    w cos(2 pi f s) cos(2 pi f t) + w sin(2 pi f s) sin(2 pi f t), two
+    features sqrt(w) cos(2 pi f t) and sqrt(w) sin(2 pi f t), and a zero
+    frequency gives the one constant feature sqrt(w), so r <= 2L for L
+    lines.
+    """
+    if kernel.family is not TemporalFamily.COSINE_SUM:
+        return None
+    t = _as_array(times)
+    features = []
+    for freq, weight in kernel.lines:
+        root = math.sqrt(weight)
+        if freq == 0.0:
+            features.append(np.full_like(t, root))
+        else:
+            phase = 2.0 * np.pi * freq * t
+            features += [root * np.cos(phase), root * np.sin(phase)]
+    return np.stack(features, axis=-1)
 
 
 def spectral_density(kernel: TemporalKernel, omega):

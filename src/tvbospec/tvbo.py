@@ -11,13 +11,15 @@ one instant, so the loop computes the spatial row k_S(x_i, grid) once, when
 point i is chosen, and at each step scales the cached rows by the temporal
 factors k_T(|t_i - t|) of the observations.
 
-On grids of at least _SCREEN_MIN_GRID points the loop screens each step
-once more than _SCREEN_SUBSET observations are in: conditioning on a subset
-of the observations never lowers the posterior variance, so the subset's
-variance bounds every grid point's UCB from above, and the exact variance
-is solved only where that bound reaches the best exact UCB.  The chosen
-points and standard deviations are those of the full solve, bit for bit
-(README, "UCB screening in run_tvbo").
+On grids of at least _SCREEN_MIN_GRID points the loop screens each step:
+it bounds every grid point's UCB from above and solves the exact variance
+only where that bound reaches the best exact UCB.  A temporal kernel with a
+finite line expansion (the cosine sum) gives the variance itself, up to
+rounding, from r x r running sums per grid point; for any other kernel,
+once more than _SCREEN_SUBSET observations are in, the variance given a
+subset of the observations bounds it, since conditioning on fewer never
+lowers it.  The chosen points and standard deviations are those of the full
+solve, bit for bit (README, "UCB screening in run_tvbo").
 """
 
 from __future__ import annotations
@@ -30,7 +32,12 @@ import numpy as np
 
 from ._blas import cholesky_upper, solve_transposed
 from .gp import Dataset, GPPosterior, conditioning_noise, sample_prior_path
-from .kernels import SpatialKernel, TemporalKernel, eval_temporal
+from .kernels import (
+    SpatialKernel,
+    TemporalKernel,
+    eval_temporal,
+    line_features,
+)
 from .spectral import TimeGrid
 
 __all__ = [
@@ -45,12 +52,13 @@ __all__ = [
 
 
 # The UCB screen; README, "UCB screening in run_tvbo", derives each value.
-# _SCREEN_SUBSET observations bound the variance; grids below
-# _SCREEN_MIN_GRID points always take the full solve, and so do steps past
-# _SCREEN_MAX_OBS observations, where OpenBLAS's ?trtrs blocks the solve
-# and a column's bits start to depend on the other columns.
-# _SCREEN_VAR_MARGIN and _SCREEN_UCB_MARGIN cover the rounding of the
-# subset variance and of the screening mean.
+# _SCREEN_SUBSET observations bound the variance when the temporal kernel
+# has no finite line expansion; grids below _SCREEN_MIN_GRID points always
+# take the full solve, and so do steps past _SCREEN_MAX_OBS observations,
+# where OpenBLAS's ?trtrs blocks the solve and a column's bits start to
+# depend on the other columns.  _SCREEN_VAR_MARGIN and _SCREEN_UCB_MARGIN
+# cover the rounding of the subset or line variance and of the screening
+# mean.
 _SCREEN_SUBSET = 32
 _SCREEN_MIN_GRID = 256
 _SCREEN_MAX_OBS = 384
@@ -174,21 +182,62 @@ def _subset_variance(k_ss: np.ndarray, k_s: np.ndarray, rows: np.ndarray):
     return 1.0 - np.einsum("ij,ij->j", a, a)
 
 
+class _LineVariance:
+    """Posterior variance at every grid point through the temporal kernel's
+    line expansion k_T(s - t) = phi(s) . phi(t), unclipped.
+
+    With R the cached spatial rows, A_c = L^-1 diag(phi_c(t_1), ...,
+    phi_c(t_n)) R for each of the r features, and G[c, c'] the column sums
+    of A_c * A_c', the variance at time t is 1 - phi(t)^T G phi(t): O(r^2 q)
+    at q grid points against the O(n^2 q) solve.  ``add`` folds each new
+    row of the A_c into G, so the (r, n, q) stack of A_c is never held.
+    """
+
+    def __init__(self, features: np.ndarray, q: int):
+        self.features = features
+        r = features.shape[1]
+        self.sums = np.zeros((r, r, q))
+
+    def add(self, post: GPPosterior, ks_rows: np.ndarray, l_row: np.ndarray,
+            diag: float) -> None:
+        """Fold in observation n, whose row (``l_row``, ``diag``) of L
+        ``post.extended`` returned; ``l_row`` is overwritten.
+
+        Row n of A_c is (phi_c(t_n) R[n] - l^T A_c[:n]) / d, and
+        l^T A_c[:n] = (phi_c(t_1..n) * K^-1 k_new)^T R[:n] with
+        K^-1 k_new = L^-T l, one O(n^2) solve.
+        """
+        n = len(l_row)
+        phi = self.features
+        rows = phi[n, :, None] * ks_rows[n]
+        if n:
+            z = post.back_solve(l_row)
+            rows -= (phi[:n] * z[:, None]).T @ ks_rows[:n]
+        rows /= diag
+        self.sums += rows[:, None] * rows[None]
+
+    def variance(self, i: int) -> np.ndarray:
+        """The posterior variance at time t_i, unclipped."""
+        phi = self.features[i]
+        return 1.0 - np.einsum("c,d,cdq->q", phi, phi, self.sums)
+
+
 def _ucb_candidates(post: GPPosterior, ks_rows: np.ndarray, k_t: np.ndarray,
-                    subset_var: np.ndarray, beta: float):
+                    var_bound: np.ndarray, beta: float):
     """Sorted grid indices that hold every maximizer of ``ucb_select`` on
     the full block, at least two of them; None when more than half the
     grid survives the screen.
 
     ``ks_rows[:i]`` are the cached spatial rows and ``k_t`` the (i, 1)
     temporal factors of the i observations.  A point survives when its UCB
-    bound, from the screening mean k_dq^T K^-1 y and ``subset_var``, reaches
-    the best exact UCB of the two points with the largest bounds.  Ties with
-    the maximum survive too, so the lowest index still wins.
+    bound, from the screening mean k_dq^T K^-1 y and ``var_bound`` (the
+    subset or line variance), reaches the best exact UCB of the two points
+    with the largest bounds.  Ties with the maximum survive too, so the
+    lowest index still wins.
     """
     root_beta = math.sqrt(max(beta, 0.0))
     mean = ks_rows[:len(k_t)].T @ (k_t[:, 0] * post.mean_weights())
-    bound = (mean + root_beta * np.sqrt(np.maximum(subset_var, 0.0)
+    bound = (mean + root_beta * np.sqrt(np.maximum(var_bound, 0.0)
                                         + _SCREEN_VAR_MARGIN)
              + _SCREEN_UCB_MARGIN)
     top = np.sort(np.argpartition(bound, -2)[-2:])
@@ -300,23 +349,32 @@ def run_tvbo(config: TVBOConfig) -> RegretTrace:
     # buffer in Fortran order, and mean_var solves and squares it in place.
     block = np.empty(n * q)
     screening = q >= _SCREEN_MIN_GRID
+    # A kernel with a finite line expansion screens from step 1 through it,
+    # any other from step _SCREEN_SUBSET + 1 through a subset.
+    features = line_features(config.temporal, times)
+    lines = None if features is None else _LineVariance(features, q)
+    first = _SCREEN_SUBSET + 1 if lines is None else 1
+    last = min(n - 1, _SCREEN_MAX_OBS)
     noise = conditioning_noise(config.noise)
     for i in range(n):
         t = times[i]
         betas[i] = beta_schedule(i + 1, config.confidence, d, config.lipschitz)
         k_t = eval_temporal(config.temporal, np.abs(times[:i, None] - t))
         cols = None
-        if screening and _SCREEN_SUBSET < i <= _SCREEN_MAX_OBS:
-            # S: the observations with the largest |k_T(t_s - t)|.
-            s = np.sort(np.argpartition(-np.abs(k_t[:, 0]),
-                                        _SCREEN_SUBSET)[:_SCREEN_SUBSET])
-            rows = ks_rows[s]
-            k_ss = rows[:, chosen[s]] * eval_temporal(
-                config.temporal, np.abs(times[s, None] - times[s]))
-            k_ss[np.diag_indices_from(k_ss)] += noise
-            var_s = _subset_variance(k_ss, k_t[s, 0], rows)
-            if var_s is not None:
-                cols = _ucb_candidates(post, ks_rows, k_t, var_s, betas[i])
+        if screening and first <= i <= last:
+            if lines is not None:
+                var_b = lines.variance(i)
+            else:
+                # S: the observations with the largest |k_T(t_s - t)|.
+                s = np.sort(np.argpartition(-np.abs(k_t[:, 0]),
+                                            _SCREEN_SUBSET)[:_SCREEN_SUBSET])
+                rows = ks_rows[s]
+                k_ss = rows[:, chosen[s]] * eval_temporal(
+                    config.temporal, np.abs(times[s, None] - times[s]))
+                k_ss[np.diag_indices_from(k_ss)] += noise
+                var_b = _subset_variance(k_ss, k_t[s, 0], rows)
+            if var_b is not None:
+                cols = _ucb_candidates(post, ks_rows, k_t, var_b, betas[i])
             screening = cols is not None
         if cols is None:
             j, sds[i] = ucb_select(post, np.multiply(
@@ -333,7 +391,9 @@ def run_tvbo(config: TVBOConfig) -> RegretTrace:
         ys[i] = y
         regret[i] = objective[star[i], i] - objective[j, i]
         ks_rows[i] = config.spatial.pairwise(grid[j], grid)[0]
-        post.extended(grid[j], t, y, ks_rows[:i, j] * k_t[:, 0])
+        l_row, diag = post.extended(grid[j], t, y, ks_rows[:i, j] * k_t[:, 0])
+        if screening and lines is not None and i < last:
+            lines.add(post, ks_rows, l_row, diag)
     return RegretTrace(config, grid, times, chosen, star, regret, ys, sds,
                        betas, objective)
 

@@ -19,7 +19,7 @@ from tvbospec.gp import (
     mercer_posterior,
     sample_prior_path,
 )
-from tvbospec.gp import _spatial_factor
+from tvbospec.gp import _spatial_draw, _spatial_factor
 from tvbospec.kernels import SpatialKernel, TemporalKernel, eval_temporal
 from tvbospec.spectral import (
     SymMatrix,
@@ -372,6 +372,72 @@ class TestPriorSampling:
         assert not factor.flags.writeable
         with pytest.raises(ValueError):
             factor[0, 0] = 0.0
+
+
+    @staticmethod
+    def _draw_args(seed=3, n=9, grid=None, spatial=None):
+        axis = np.linspace(0, 1, 5)
+        grid = (np.array([(a, b) for a in axis for b in axis])
+                if grid is None else grid)
+        return (spatial or SpatialKernel.rbf([0.3, 0.5]),
+                TemporalKernel.cosine_sum([(0.0, 0.4), (2.3, 0.6)]), grid,
+                TimeGrid(n, 0.1), seed)
+
+    def test_cached_draw_matches_uncached_draw(self):
+        # the spawned seeds run_tvbo passes, each drawn twice (a cache hit)
+        _spatial_draw.cache_clear()
+        for child in np.random.SeedSequence(4).spawn(3):
+            args = self._draw_args(seed=child)
+            for _ in range(2):
+                assert np.array_equal(sample_prior_path(*args),
+                                      self._uncached_path(*args))
+        assert _spatial_draw.cache_info()[:2] == (3, 3)  # hits, misses
+
+    def test_int_seed_draws_as_its_generator(self):
+        # an int seeds default_rng as before, cached or not
+        _spatial_draw.cache_clear()
+        args = self._draw_args(seed=11)
+        first = sample_prior_path(*args)
+        assert np.array_equal(first, self._uncached_path(*args))
+        assert np.array_equal(sample_prior_path(*args), first)
+        assert np.array_equal(
+            sample_prior_path(*self._draw_args(seed=np.int64(11))), first)
+        assert _spatial_draw.cache_info()[:2] == (2, 1)
+
+    def test_cached_draw_is_read_only(self):
+        _spatial_draw.cache_clear()
+        sample_prior_path(*self._draw_args())
+        sp, _, grid, tg, seed = self._draw_args()
+        draw = _spatial_draw(sp, grid.tobytes(), grid.shape,
+                             (seed, (), 4), tg.n)
+        assert _spatial_draw.cache_info().hits == 1
+        assert not draw.flags.writeable
+        with pytest.raises(ValueError):
+            draw[0, 0] = 0.0
+
+    @pytest.mark.parametrize("change", [
+        dict(seed=4), dict(seed=np.random.SeedSequence(3).spawn(1)[0]),
+        dict(n=10), dict(grid=np.random.default_rng(0).uniform(0, 1, (25, 2))),
+        dict(spatial=SpatialKernel.matern(2.5, [0.3, 0.5]))],
+        ids=["seed", "spawn_key", "horizon", "grid", "spatial_kernel"])
+    def test_any_change_misses_the_cache(self, change):
+        _spatial_draw.cache_clear()
+        sample_prior_path(*self._draw_args())
+        args = self._draw_args(**change)
+        assert np.array_equal(sample_prior_path(*args),
+                              self._uncached_path(*args))
+        assert _spatial_draw.cache_info()[:2] == (0, 2)
+
+    def test_generator_seed_is_never_served_from_the_cache(self):
+        # the generator's stream is the int seed's, and it is consumed
+        _spatial_draw.cache_clear()
+        first = sample_prior_path(*self._draw_args(seed=3))
+        rng = np.random.default_rng(3)
+        assert np.array_equal(sample_prior_path(*self._draw_args(seed=rng)),
+                              first)
+        assert not np.array_equal(
+            sample_prior_path(*self._draw_args(seed=rng)), first)
+        assert _spatial_draw.cache_info()[:2] == (0, 1)
 
 
 class TestMercerPosterior:

@@ -8,7 +8,12 @@ import pytest
 
 from tvbospec import tvbo
 from tvbospec.gp import Dataset, GPPosterior, conditioning_noise
-from tvbospec.kernels import SpatialKernel, TemporalKernel, eval_temporal
+from tvbospec.kernels import (
+    SpatialKernel,
+    TemporalKernel,
+    eval_temporal,
+    line_features,
+)
 from tvbospec.spectral import cross_covariance
 from tvbospec.tvbo import (
     TVBOConfig,
@@ -221,17 +226,31 @@ CLASSES = {
 }
 
 
-class TestUcbScreen:
-    SPATIAL = SpatialKernel.rbf([0.4, 0.4])
+# Cosine sums, whose line expansion the screen uses: with a zero frequency
+# (the regret experiment's), without one, and with three lines.
+LINES = {
+    "cosine_sum": CLASSES["cosine_sum"],
+    "no_zero_frequency": TemporalKernel.cosine_sum([(0.7, 0.5), (2.3, 0.5)]),
+    "three_lines": TemporalKernel.cosine_sum(
+        [(0.0, 0.2), (1.1, 0.3), (3.7, 0.5)]),
+}
 
-    @pytest.mark.parametrize("noise", [0.01, 0.0])
-    @pytest.mark.parametrize("label", sorted(CLASSES))
-    def test_screened_run_matches_full_solve(self, monkeypatch, label,
-                                             noise):
-        cfg = _config(spatial=self.SPATIAL, temporal=CLASSES[label],
-                      grid_resolution=16, horizon=60, noise=noise, seed=3)
-        assert 16 ** 2 >= tvbo._SCREEN_MIN_GRID
-        assert cfg.horizon > tvbo._SCREEN_SUBSET + 1
+# The variance bound of each screen: the subset route for every class, the
+# line route for the cosine sums.
+ROUTES = ([("subset", label) for label in sorted(CLASSES)]
+          + [("line", label) for label in sorted(LINES)])
+
+SPATIALS = {"rbf": SpatialKernel.rbf([0.4, 0.4]),
+            "matern52": SpatialKernel.matern(2.5, [0.3, 0.5])}
+
+
+class TestUcbScreen:
+    SPATIAL = SPATIALS["rbf"]
+
+    @staticmethod
+    def _screened_and_full(monkeypatch, cfg):
+        """The run screened, the screen's verdict at each step it was
+        tried, and the run with the screen off."""
         screened = []
         candidates = tvbo._ucb_candidates
 
@@ -242,25 +261,84 @@ class TestUcbScreen:
 
         monkeypatch.setattr(tvbo, "_ucb_candidates", recorded)
         fast = run_tvbo(cfg)
-        assert any(screened)
+        verdicts = list(screened)
         monkeypatch.setattr(tvbo, "_SCREEN_MIN_GRID", 10 ** 9)
         full = run_tvbo(cfg)
-        assert len(screened) < cfg.horizon  # the second run never screens
+        assert len(screened) == len(verdicts)  # the second run never screens
         for field in ("chosen_idx", "posterior_sd", "ys"):
             assert np.array_equal(getattr(fast, field),
                                   getattr(full, field)), field
+        return verdicts
+
+    @pytest.mark.parametrize("noise", [0.01, 0.0])
+    @pytest.mark.parametrize("label", sorted(CLASSES))
+    def test_screened_run_matches_full_solve(self, monkeypatch, label,
+                                             noise):
+        cfg = _config(spatial=self.SPATIAL, temporal=CLASSES[label],
+                      grid_resolution=16, horizon=60, noise=noise, seed=3)
+        assert 16 ** 2 >= tvbo._SCREEN_MIN_GRID
+        assert cfg.horizon > tvbo._SCREEN_SUBSET + 1
+        assert any(self._screened_and_full(monkeypatch, cfg))
+
+    @pytest.mark.parametrize("noise", [0.01, 0.0, 1.0])
+    @pytest.mark.parametrize("spatial, horizon", [
+        ("rbf", 60), ("matern52", 60), ("rbf", tvbo._SCREEN_MAX_OBS + 1)])
+    @pytest.mark.parametrize("label", sorted(LINES))
+    def test_line_screened_run_matches_full_solve(self, monkeypatch, label,
+                                                  spatial, horizon, noise):
+        # The line route screens every step from the first observation to
+        # the last step or _SCREEN_MAX_OBS observations, whichever is first.
+        cfg = _config(spatial=SPATIALS[spatial], temporal=LINES[label],
+                      grid_resolution=16, horizon=horizon, noise=noise,
+                      seed=4)
+        verdicts = self._screened_and_full(monkeypatch, cfg)
+        assert verdicts == [True] * min(horizon - 1, tvbo._SCREEN_MAX_OBS)
+
+    def test_line_route_is_a_property_of_the_kernel(self, monkeypatch):
+        # A periodic kernel has infinitely many lines: it keeps the subset
+        # route, which waits for _SCREEN_SUBSET observations.
+        steps = []
+        candidates = tvbo._ucb_candidates
+
+        def recorded(post, *args):
+            steps.append(len(post.data))
+            return candidates(post, *args)
+
+        monkeypatch.setattr(tvbo, "_ucb_candidates", recorded)
+        for label in ("periodic", "cosine_sum"):
+            steps.clear()
+            run_tvbo(_config(spatial=self.SPATIAL, temporal=CLASSES[label],
+                             grid_resolution=16, horizon=40, seed=3))
+            assert steps[0] == (1 if label == "cosine_sum"
+                                else tvbo._SCREEN_SUBSET + 1), label
+
+    def _grown(self, temporal, noise, grid, chosen, times, ys, ks_rows):
+        """The posterior and its _LineVariance (None for a kernel without
+        a line expansion) after each observation, grown as in run_tvbo."""
+        post = GPPosterior(self.SPATIAL, temporal,
+                           Dataset(np.zeros((0, 2)), [], [], noise=noise))
+        features = line_features(temporal, times)
+        lines = (None if features is None
+                 else tvbo._LineVariance(features, len(grid)))
+        for s, y in enumerate(ys):
+            k_new = ks_rows[:s, chosen[s]] * eval_temporal(
+                temporal, np.abs(times[:s] - times[s]))
+            l_row, diag = post.extended(grid[chosen[s]], times[s], y, k_new)
+            if lines is not None:
+                lines.add(post, ks_rows, l_row, diag)
+            yield post, lines
 
     def _step(self, rng, temporal, noise, n, grid):
-        """A posterior on n observations at random grid points, with the
-        loop's cached spatial rows and temporal factors at the next time."""
+        """A posterior on n observations at random grid points, its
+        _LineVariance, and the loop's cached spatial rows and temporal
+        factors at the next time."""
         chosen = rng.integers(len(grid), size=n)
         times = (np.arange(n + 1) + 1) * 0.1
-        ys = rng.standard_normal(n)
-        post = GPPosterior(self.SPATIAL, temporal,
-                           Dataset(grid[chosen], times[:n], ys, noise=noise))
         ks_rows = np.asfortranarray(self.SPATIAL.pairwise(grid[chosen], grid))
+        *_, (post, lines) = self._grown(temporal, noise, grid, chosen, times,
+                                        rng.standard_normal(n), ks_rows)
         k_t = eval_temporal(temporal, np.abs(times[:n, None] - times[n]))
-        return post, chosen, times[:n], ks_rows, k_t
+        return post, lines, chosen, times[:n], ks_rows, k_t
 
     def _subset_variance(self, temporal, noise, subset, chosen, times,
                          ks_rows, k_t):
@@ -271,50 +349,70 @@ class TestUcbScreen:
         k_ss[np.diag_indices_from(k_ss)] += conditioning_noise(noise)
         return tvbo._subset_variance(k_ss, k_t[subset, 0], rows)
 
-    @pytest.mark.parametrize("noise", [0.01, 0.0])
-    @pytest.mark.parametrize("label", sorted(CLASSES))
-    def test_subset_variance_bounds_the_variance(self, label, noise):
+    @pytest.mark.parametrize("noise", [0.01, 0.0, 1.0])
+    @pytest.mark.parametrize("route, label", ROUTES)
+    def test_subset_variance_bounds_the_variance(self, route, label, noise):
         rng = np.random.default_rng(5)
-        temporal = CLASSES[label]
+        temporal = CLASSES.get(label) or LINES[label]
         grid = rng.uniform(0, 1, (300, 2))
-        post, chosen, times, ks_rows, k_t = self._step(rng, temporal, noise,
-                                                       80, grid)
-        _, var = post.mean_var(np.asfortranarray(ks_rows * k_t))
-        # with all 80 observations the two variances differ by rounding only
-        for size in (1, 5, tvbo._SCREEN_SUBSET, 79, 80):
-            subset = np.sort(rng.choice(80, size, replace=False))
-            var_s = self._subset_variance(temporal, noise, subset, chosen,
-                                          times, ks_rows, k_t)
-            assert np.all(np.maximum(var_s, 0.0) + tvbo._SCREEN_VAR_MARGIN
-                          >= var), (label, size)
+        if route == "line":
+            # the line variance against mean_var's at every step
+            chosen = rng.integers(len(grid), size=80)
+            times = (np.arange(81) + 1) * 0.1
+            ks_rows = np.asfortranarray(
+                self.SPATIAL.pairwise(grid[chosen], grid))
+            for post, lines in self._grown(temporal, noise, grid, chosen,
+                                           times, np.zeros(80), ks_rows):
+                i = len(post.data)
+                k_t = eval_temporal(temporal,
+                                    np.abs(times[:i, None] - times[i]))
+                _, var = post.mean_var(np.asfortranarray(ks_rows[:i] * k_t))
+                assert np.all(lines.variance(i) + tvbo._SCREEN_VAR_MARGIN
+                              >= var), i
+        else:
+            post, _, chosen, times, ks_rows, k_t = self._step(
+                rng, temporal, noise, 80, grid)
+            _, var = post.mean_var(np.asfortranarray(ks_rows * k_t))
+            # with all 80 observations the two variances differ by
+            # rounding only
+            for size in (1, 5, tvbo._SCREEN_SUBSET, 79, 80):
+                subset = np.sort(rng.choice(80, size, replace=False))
+                var_s = self._subset_variance(temporal, noise, subset,
+                                              chosen, times, ks_rows, k_t)
+                assert np.all(np.maximum(var_s, 0.0)
+                              + tvbo._SCREEN_VAR_MARGIN >= var), (label, size)
 
-    @pytest.mark.parametrize("subset_size", [tvbo._SCREEN_SUBSET, 60])
-    @pytest.mark.parametrize("noise", [0.01, 0.0])
-    @pytest.mark.parametrize("label", sorted(CLASSES))
-    def test_every_maximizer_survives(self, label, noise, subset_size):
+    @pytest.mark.parametrize("noise", [0.01, 0.0, 1.0])
+    @pytest.mark.parametrize("route, label, subset_size", [
+        *(("subset", label, size) for label in sorted(CLASSES)
+          for size in (tvbo._SCREEN_SUBSET, 60)),
+        *(("line", label, None) for label in sorted(LINES))])
+    def test_every_maximizer_survives(self, route, label, subset_size,
+                                      noise):
         # Every grid point appears twice, so the full solve's maximum is
         # reached at least twice, in bitwise ties.  Conditioned on all 60
         # observations, the bounds exceed the UCBs by the margins alone.
         rng = np.random.default_rng(6)
-        temporal = CLASSES[label]
+        temporal = CLASSES.get(label) or LINES[label]
         half = rng.uniform(0, 1, (150, 2))
         grid = np.vstack([half, half])
-        post, chosen, times, ks_rows, k_t = self._step(rng, temporal, noise,
-                                                       60, grid)
+        post, lines, chosen, times, ks_rows, k_t = self._step(
+            rng, temporal, noise, 60, grid)
         beta = beta_schedule(61, 0.1, 2, 10.0)
         mean, var = post.mean_var(np.asfortranarray(ks_rows * k_t))
         ucb = mean + math.sqrt(beta) * np.sqrt(var)
         ties = np.flatnonzero(ucb == ucb.max())
         assert len(ties) >= 2
-        subset = np.arange(60 - subset_size, 60)
-        cols = tvbo._ucb_candidates(
-            post, ks_rows, k_t,
-            self._subset_variance(temporal, noise, subset, chosen, times,
-                                  ks_rows, k_t), beta)
+        if route == "line":
+            var_b = lines.variance(60)
+        else:
+            subset = np.arange(60 - subset_size, 60)
+            var_b = self._subset_variance(temporal, noise, subset, chosen,
+                                          times, ks_rows, k_t)
+        cols = tvbo._ucb_candidates(post, ks_rows, k_t, var_b, beta)
         assert cols is not None
         assert set(ties) <= set(cols)
         j, sd = ucb_select(post, np.asfortranarray(ks_rows[:, cols] * k_t),
                            beta)
         assert (cols[j], sd) == ucb_select(
             post, np.asfortranarray(ks_rows * k_t), beta)
-
