@@ -8,14 +8,17 @@ handles call, on the same thread pool.  Arguments, workspace sizes and
 layouts are those of ``scipy.linalg.lapack``'s handles as scipy's ``eigh``,
 ``cholesky`` and ``solve_triangular`` call them, so the bits are theirs:
 
-- ``?syevd`` and ``?potrf`` work on a Fortran-ordered copy of ``a``, the
-  upper or lower triangle (``lower`` = 1) as f2py passes it;
-- ``?syevd`` takes ``lwork``/``liwork`` from the routine's own
-  ``lwork = -1`` query, as ``_compute_lwork`` does, in a workspace made
-  for the call and freed after it (650 KB for a 200 x 200 problem with
-  vectors);
-- ``?potrf`` zeroes the other triangle afterwards (f2py's ``clean=1``),
-  a column at a time so that no index arrays are built;
+- ``?syevd`` works on a Fortran-ordered copy of ``a``, the upper or lower
+  triangle (``lower`` = 1) as f2py passes it, and takes
+  ``lwork``/``liwork`` from the routine's own ``lwork = -1`` query, as
+  ``_compute_lwork`` does, in a workspace made for the call and freed
+  after it (650 KB for a 200 x 200 problem with vectors);
+- ``?potrf`` factors ``a`` in place when it is a writeable Fortran-ordered
+  float64 square array and in a Fortran copy otherwise (f2py's
+  ``overwrite_a=1``), so a caller that builds its Gram matrix in Fortran
+  order holds a single n x n array; it then zeroes the other triangle
+  (f2py's ``clean=1``), a column at a time so that no index arrays are
+  built;
 - ``?trtrs`` solves in place when ``b`` is a writeable Fortran-ordered
   float64 array (1-D or one-column C-ordered ones are) and in a Fortran
   copy otherwise (f2py's ``overwrite_b=1``); a non-Fortran ``u`` is copied.
@@ -184,7 +187,8 @@ def eigh_descending(a: np.ndarray, vectors: bool = True):
 
 
 def _potrf(a: np.ndarray, uplo: bytes) -> np.ndarray:
-    c = _fortran_copy(a)
+    square = a.ndim == 2 and a.shape[0] == a.shape[1]
+    c = a if square and _in_place(a) else _fortran_copy(a)
     n, info = ctypes.c_int(c.shape[0]), ctypes.c_int()
     _POTRF(uplo, n, _address(c), n, info)
     # f2py's clean=1: zero the other triangle, a column at a time
@@ -198,13 +202,16 @@ def _potrf(a: np.ndarray, uplo: bytes) -> np.ndarray:
 
 
 def cholesky_lower(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of ``a``, zero above the diagonal."""
+    """Lower Cholesky factor of ``a``, zero above the diagonal; overwrites
+    and returns ``a`` when it is a writeable Fortran-ordered float64
+    array."""
     return _potrf(a, b"L")
 
 
 def cholesky_upper(a: np.ndarray) -> np.ndarray:
     """Upper Cholesky factor u of ``a`` (u^T u = a), zero below the
-    diagonal."""
+    diagonal; overwrites and returns ``a`` when it is a writeable
+    Fortran-ordered float64 array."""
     return _potrf(a, b"U")
 
 

@@ -239,6 +239,55 @@ def test_potrf_allocates_one_copy():
     assert peak <= 1.05 * 800 * 800 * 8
 
 
+def _jittered_gram(n=300):
+    gram = _regret_gram(CLASSES["rbf"], n)
+    gram[np.diag_indices_from(gram)] += 0.01
+    return gram
+
+
+FACTORIZATIONS = [(1, _blas.cholesky_lower), (0, _blas.cholesky_upper)]
+
+
+@pytest.mark.parametrize("lower, factorize", FACTORIZATIONS)
+def test_potrf_factors_writeable_fortran_input_in_place(lower, factorize):
+    # f2py's overwrite_a=1: the input becomes the factor, with the copy
+    # path's bits, and no n x n array is allocated
+    gram = _jittered_gram()
+    want = lapack.dpotrf(gram, lower=lower, clean=1)[0]
+    a = np.asfortranarray(gram)
+    tracemalloc.start()
+    try:
+        got = factorize(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got is a
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, factorize(gram))  # C-ordered: copied
+    assert peak < 0.05 * gram.nbytes
+
+
+def _read_only_fortran(gram):
+    a = np.asfortranarray(gram)
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("lower, factorize", FACTORIZATIONS)
+@pytest.mark.parametrize("build", [
+    np.ascontiguousarray, _read_only_fortran,
+    lambda g: np.asfortranarray(np.pad(g, ((0, 1), (0, 1))))[:-1, :-1]],
+    ids=["c_ordered", "read_only_fortran", "strided_fortran"])
+def test_potrf_leaves_other_input_untouched(build, lower, factorize):
+    gram = _jittered_gram()
+    a = build(gram)
+    assert not _blas._in_place(a)
+    got = factorize(a)
+    assert got is not a and got.flags.f_contiguous
+    assert np.array_equal(a, gram)
+    assert np.array_equal(got, lapack.dpotrf(gram, lower=lower, clean=1)[0])
+
+
 # The f2py handles scipy's eigh calls: the reference for the ctypes ones.
 SYEVD, SYEVD_LWORK = get_lapack_funcs(("syevd", "syevd_lwork"),
                                       dtype=np.float64)

@@ -1,12 +1,16 @@
 """GP posterior inference, prior sampling and the Mercer approximation."""
 
+import gc
 import math
+import sys
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular
 
-from tvbospec import _blas, tvbo
+from tvbospec import _blas, gp, tvbo
 from tvbospec.errors import (
     CapExceeded,
     DimensionMismatch,
@@ -19,7 +23,6 @@ from tvbospec.gp import (
     mercer_posterior,
     sample_prior_path,
 )
-from tvbospec.gp import _spatial_draw, _spatial_factor
 from tvbospec.kernels import SpatialKernel, TemporalKernel, eval_temporal
 from tvbospec.spectral import (
     SymMatrix,
@@ -349,7 +352,7 @@ class TestPriorSampling:
             (len(xs_grid), time_grid.n))
         return ls @ z @ lt.T
 
-    def test_cached_spatial_factor_matches_uncached_draw(self):
+    def test_draws_across_kernels_and_grids_match_uncached_draw(self):
         # alternate kernels and grids (one call repeats, a cache hit)
         kernels = [SpatialKernel.rbf([0.3, 0.5]),
                    SpatialKernel.matern(1.5, [0.4, 0.2])]
@@ -365,14 +368,16 @@ class TestPriorSampling:
             assert np.array_equal(
                 got, self._uncached_path(sp, tp, grid, tg, seed))
 
-    def test_cached_spatial_factor_is_read_only(self):
-        sp = SpatialKernel.rbf([0.3])
-        grid = np.linspace(0, 1, 5)[:, None]
-        factor = _spatial_factor(sp, grid.tobytes(), grid.shape)
-        assert not factor.flags.writeable
-        with pytest.raises(ValueError):
-            factor[0, 0] = 0.0
-
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("spatial", [
+        SpatialKernel.rbf([0.3, 0.5]), SpatialKernel.matern(0.5, [0.2, 0.4]),
+        SpatialKernel.matern(2.5, [0.3, 0.5])], ids=["rbf", "m12", "m52"])
+    def test_gram_filled_by_row_blocks_is_pairwise(self, spatial, m):
+        # block edges at 64 rows: entry for entry the one-call Gram
+        grid = np.random.default_rng(m).uniform(0, 1, (m, 2))
+        gram = gp._spatial_gram(spatial, grid)
+        assert gram.flags.f_contiguous and gram.flags.writeable
+        assert np.array_equal(gram, spatial.pairwise(grid, grid))
 
     @staticmethod
     def _draw_args(seed=3, n=9, grid=None, spatial=None):
@@ -383,61 +388,148 @@ class TestPriorSampling:
                 TemporalKernel.cosine_sum([(0.0, 0.4), (2.3, 0.6)]), grid,
                 TimeGrid(n, 0.1), seed)
 
-    def test_cached_draw_matches_uncached_draw(self):
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """Counts of spatial Gram matrices built ("grams", one per
+        factorization) and of spatial halves drawn ("halves"), from an
+        empty draw cache."""
+        counts = {"grams": 0, "halves": 0}
+
+        def counted(name, function):
+            def wrapper(*args):
+                counts[name] += 1
+                return function(*args)
+            return wrapper
+
+        monkeypatch.setattr(gp, "_spatial_gram",
+                            counted("grams", gp._spatial_gram))
+        monkeypatch.setattr(gp, "_half", counted("halves", gp._half))
+        monkeypatch.setattr(gp, "_HALVES", {})
+        return counts
+
+    def test_cached_draw_matches_uncached_draw(self, draws):
         # the spawned seeds run_tvbo passes, each drawn twice (a cache hit)
-        _spatial_draw.cache_clear()
         for child in np.random.SeedSequence(4).spawn(3):
             args = self._draw_args(seed=child)
             for _ in range(2):
                 assert np.array_equal(sample_prior_path(*args),
                                       self._uncached_path(*args))
-        assert _spatial_draw.cache_info()[:2] == (3, 3)  # hits, misses
+        assert draws == {"grams": 3, "halves": 3}
 
-    def test_int_seed_draws_as_its_generator(self):
+    def test_int_seed_draws_as_its_generator(self, draws):
         # an int seeds default_rng as before, cached or not
-        _spatial_draw.cache_clear()
         args = self._draw_args(seed=11)
         first = sample_prior_path(*args)
         assert np.array_equal(first, self._uncached_path(*args))
         assert np.array_equal(sample_prior_path(*args), first)
         assert np.array_equal(
             sample_prior_path(*self._draw_args(seed=np.int64(11))), first)
-        assert _spatial_draw.cache_info()[:2] == (2, 1)
+        assert draws == {"grams": 1, "halves": 1}
 
-    def test_cached_draw_is_read_only(self):
-        _spatial_draw.cache_clear()
+    def test_cached_draw_is_read_only(self, draws):
         sample_prior_path(*self._draw_args())
         sp, _, grid, tg, seed = self._draw_args()
-        draw = _spatial_draw(sp, grid.tobytes(), grid.shape,
-                             (seed, (), 4), tg.n)
-        assert _spatial_draw.cache_info().hits == 1
-        assert not draw.flags.writeable
+        half, = gp._spatial_halves(sp, grid, tg.n, [seed])
+        assert draws == {"grams": 1, "halves": 1}
+        assert not half.flags.writeable
         with pytest.raises(ValueError):
-            draw[0, 0] = 0.0
+            half[0, 0] = 0.0
 
     @pytest.mark.parametrize("change", [
         dict(seed=4), dict(seed=np.random.SeedSequence(3).spawn(1)[0]),
         dict(n=10), dict(grid=np.random.default_rng(0).uniform(0, 1, (25, 2))),
         dict(spatial=SpatialKernel.matern(2.5, [0.3, 0.5]))],
         ids=["seed", "spawn_key", "horizon", "grid", "spatial_kernel"])
-    def test_any_change_misses_the_cache(self, change):
-        _spatial_draw.cache_clear()
+    def test_any_change_misses_the_cache(self, draws, change):
         sample_prior_path(*self._draw_args())
         args = self._draw_args(**change)
         assert np.array_equal(sample_prior_path(*args),
                               self._uncached_path(*args))
-        assert _spatial_draw.cache_info()[:2] == (0, 2)
+        assert draws == {"grams": 2, "halves": 2}
 
-    def test_generator_seed_is_never_served_from_the_cache(self):
-        # the generator's stream is the int seed's, and it is consumed
-        _spatial_draw.cache_clear()
+    def test_generator_seed_is_never_served_from_the_cache(self, draws):
+        # the generator's stream is the int seed's, and it is consumed; its
+        # draws neither enter the cache nor evict the int seed's half
         first = sample_prior_path(*self._draw_args(seed=3))
         rng = np.random.default_rng(3)
         assert np.array_equal(sample_prior_path(*self._draw_args(seed=rng)),
                               first)
         assert not np.array_equal(
             sample_prior_path(*self._draw_args(seed=rng)), first)
-        assert _spatial_draw.cache_info()[:2] == (0, 1)
+        assert draws == {"grams": 3, "halves": 3}
+        assert len(gp._HALVES) == 1
+        assert np.array_equal(sample_prior_path(*self._draw_args(seed=3)),
+                              first)
+        assert draws == {"grams": 3, "halves": 3}
+
+    def test_one_factorization_serves_a_seed_set(self, draws):
+        seeds = np.random.SeedSequence(8).spawn(3)
+        sp, _, grid, tg, _ = self._draw_args()
+        halves = gp._spatial_halves(sp, grid, tg.n, seeds + seeds[:1])
+        assert halves[3] is halves[0]
+        assert draws == {"grams": 1, "halves": 3}
+        for seed in seeds:
+            args = self._draw_args(seed=seed)
+            assert np.array_equal(sample_prior_path(*args),
+                                  self._uncached_path(*args))
+        assert draws == {"grams": 1, "halves": 3}
+
+    def test_regret_factors_the_spatial_gram_once(self, draws, tmp_path):
+        # two kernel classes, three seeds: class 2 reuses class 1's halves
+        from tvbospec.expcli.experiments import run_regret
+        configs = {label: tvbo.TVBOConfig(SpatialKernel.rbf([0.4, 0.4]),
+                                          temporal, horizon=8,
+                                          grid_resolution=4)
+                   for label, temporal in (
+                       ("rbf", TemporalKernel.rbf(1.0)),
+                       ("periodic", TemporalKernel.periodic(0.5, 0.8)))}
+        run_regret(0, tmp_path, configs, replications=3, bounds=False)
+        assert draws == {"grams": 1, "halves": 3}
+
+    @staticmethod
+    def _square_arrays_reachable(module, m):
+        """The (m, m) arrays reachable from ``module``'s globals, without
+        entering another module."""
+        other = {id(vars(mod)) for mod in list(sys.modules.values())
+                 if mod is not None and mod is not module}
+        seen, found, todo = set(), [], list(vars(module).values())
+        while todo:
+            obj = todo.pop()
+            if (id(obj) in seen or id(obj) in other
+                    or isinstance(obj, types.ModuleType)):
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                if obj.shape == (m, m):
+                    found.append(obj)
+                if obj.base is not None:
+                    todo.append(obj.base)
+            else:
+                todo.extend(gc.get_referents(obj))
+        return found
+
+    @pytest.mark.parametrize("spatial", [
+        SpatialKernel.rbf([0.3, 0.5]), SpatialKernel.matern(2.5, [0.3, 0.5])],
+        ids=["rbf", "m52"])
+    def test_spatial_draw_holds_one_gram(self, draws, spatial):
+        # on a 30 x 30 grid, the draw holds the Gram matrix (factored in
+        # place), z and the half, plus one row block of pairwise: its
+        # result and at most two work arrays; no (m, m) array outlives it
+        axis = np.linspace(0, 1, 30)
+        grid = np.array([(a, b) for a in axis for b in axis])
+        m, n = len(grid), 30
+        row_block = 3 * gp._GRAM_BLOCK_ROWS * m * 8
+        tracemalloc.start()
+        try:
+            half, = gp._spatial_halves(spatial, grid, n, [5])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (m * m + 2 * m * n) * 8 + row_block
+        assert half.shape == (m, n)
+        sample_prior_path(spatial, TemporalKernel.rbf(1.0), grid,
+                          TimeGrid(n, 0.1), 6)
+        assert self._square_arrays_reachable(gp, m) == []
 
 
 class TestMercerPosterior:
