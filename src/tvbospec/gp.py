@@ -8,6 +8,7 @@ added observation instead of O(n^3).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,11 +47,6 @@ _PRIOR_JITTER = 1e-10
 # Rows of the spatial Gram matrix that one pairwise call fills for a prior
 # draw: 1.6 MB of work arrays at 1600 grid points.
 _GRAM_BLOCK_ROWS = 64
-
-# The spatial halves ls @ z of the last set of seeds drawn, by (lattice,
-# seed key); see _spatial_halves.  m n floats per seed: 2.56 MB at 1600
-# grid points and horizon 200.
-_HALVES: dict = {}
 
 
 def conditioning_noise(noise: float) -> float:
@@ -294,54 +290,36 @@ def _seed_key(seed):
     return None
 
 
-def _half(factor: np.ndarray, seed, n: int) -> np.ndarray:
-    """Read-only ls @ z: the spatial factor ls times the (m, n) standard
-    normals z of ``seed``."""
+def _half(spatial: SpatialKernel, xs_grid: np.ndarray, seed,
+          n: int) -> np.ndarray:
+    """Read-only ls @ z of the prior draw on ``xs_grid``: the jittered
+    Cholesky factor ls of the spatial Gram matrix times the (m, n) standard
+    normals z of ``seed``.  The factor is made in place of the Gram matrix
+    and dropped on return."""
+    factor = _jittered_cholesky(_spatial_gram(spatial, xs_grid),
+                                _PRIOR_JITTER)
     half = factor @ np.random.default_rng(seed).standard_normal(
-        (factor.shape[0], n))
+        (xs_grid.shape[0], n))
     half.flags.writeable = False
     return half
 
 
-def _spatial_halves(spatial: SpatialKernel, xs_grid, n: int,
-                    seeds) -> list[np.ndarray]:
-    """The read-only spatial halves ls @ z of the prior draws on the
-    (``xs_grid`` x n instants) lattice, one per seed in ``seeds``.
+@functools.lru_cache(maxsize=1)
+def _spatial_draw(spatial: SpatialKernel, grid_bytes: bytes, shape,
+                  seed_key, n: int) -> np.ndarray:
+    """``_half`` of the float64 grid held in ``grid_bytes`` and the seed
+    keyed by ``seed_key``.
 
     Every kernel class of an experiment draws with the same seeds, so the
-    halves of the last set of seeds asked for are kept in _HALVES, keyed on
-    the spatial kernel, the grid, the horizon and each seed's
-    ``_seed_key``.  A set with a keyed seed not kept replaces them: one
-    factorization of the spatial Gram matrix serves all its seeds and is
-    dropped on return.  A seed without a key, such as a ``Generator``, is
-    drawn afresh and never kept.  Validates ``xs_grid`` and the sampling
-    cap as ``sample_prior_path`` documents.
+    last product is kept: m n floats (2.56 MB at 1600 points and horizon
+    200), and never the m^2-float factor.  The objective is this times
+    lt^T, evaluated in the order of ls @ z @ lt^T, so its bits are those of
+    the uncached draw.
     """
-    xs_grid = np.atleast_2d(np.asarray(xs_grid, dtype=float))
-    if not np.all(np.isfinite(xs_grid)):
-        raise ValueError("xs_grid must be finite")
-    m = xs_grid.shape[0]
-    if m * n > DEFAULT_SAMPLING_CAP:
-        raise CapExceeded(f"grid of {m} x {n} = {m * n} points exceeds the "
-                          f"cap of {DEFAULT_SAMPLING_CAP}")
-    lattice = (spatial, xs_grid.tobytes(), xs_grid.shape, n)
-    keys = [_seed_key(seed) for seed in seeds]
-    keys = [None if key is None else (lattice, key) for key in keys]
-    if all(key in _HALVES for key in keys):
-        return [_HALVES[key] for key in keys]
-    if any(key is not None and key not in _HALVES for key in keys):
-        _HALVES.clear()  # a new set: release the last one's halves first
-    factor = _jittered_cholesky(_spatial_gram(spatial, xs_grid),
-                                _PRIOR_JITTER)
-    halves = []
-    for seed, key in zip(seeds, keys):
-        half = _HALVES.get(key)
-        if half is None:
-            half = _half(factor, seed, n)
-            if key is not None:
-                _HALVES[key] = half
-        halves.append(half)
-    return halves
+    entropy, spawn_key, pool_size = seed_key
+    seed = np.random.SeedSequence(entropy, spawn_key=spawn_key,
+                                  pool_size=pool_size)
+    return _half(spatial, np.frombuffer(grid_bytes).reshape(shape), seed, n)
 
 
 def sample_prior_path(spatial: SpatialKernel, temporal: TemporalKernel,
@@ -355,12 +333,22 @@ def sample_prior_path(spatial: SpatialKernel, temporal: TemporalKernel,
     factorizations positive definite.  Grids of more than
     DEFAULT_SAMPLING_CAP points raise CapExceeded, and a non-finite
     ``xs_grid`` ValueError.  Reproducible per seed.
-    The spatial half ls @ z of the draw comes from ``_spatial_halves``,
-    which keeps the halves of the last set of int or SeedSequence seeds
-    and never the factor; the objective is that half times lt^T, evaluated
-    in the order of ls @ z @ lt^T, so its bits are the uncached draw's.
+    The spatial half ls @ z of the last draw with an int or SeedSequence
+    ``seed`` is kept, and never the spatial factor.
     """
-    half, = _spatial_halves(spatial, xs_grid, time_grid.n, [seed])
+    xs_grid = np.atleast_2d(np.asarray(xs_grid, dtype=float))
+    if not np.all(np.isfinite(xs_grid)):
+        raise ValueError("xs_grid must be finite")
+    m, n = xs_grid.shape[0], time_grid.n
+    if m * n > DEFAULT_SAMPLING_CAP:
+        raise CapExceeded(f"grid of {m} x {n} = {m * n} points exceeds the "
+                          f"cap of {DEFAULT_SAMPLING_CAP}")
+    key = _seed_key(seed)
+    if key is None:
+        half = _half(spatial, xs_grid, seed, n)
+    else:
+        half = _spatial_draw(spatial, xs_grid.tobytes(), xs_grid.shape, key,
+                             n)
     ts = time_grid.times
     kt = eval_temporal(temporal, np.abs(ts[:, None] - ts[None, :]))
     return half @ _jittered_cholesky(kt, _PRIOR_JITTER).T

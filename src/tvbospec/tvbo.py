@@ -31,13 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._blas import cholesky_upper, solve_transposed
-from .gp import (
-    Dataset,
-    GPPosterior,
-    _spatial_halves,
-    conditioning_noise,
-    sample_prior_path,
-)
+from .gp import Dataset, GPPosterior, conditioning_noise, sample_prior_path
 from .kernels import (
     SpatialKernel,
     TemporalKernel,
@@ -325,11 +319,6 @@ class RegretTrace:
         return path
 
 
-def _run_seeds(seed: int):
-    """The prior-draw and noise seeds of the run with config seed ``seed``."""
-    return np.random.SeedSequence(seed).spawn(2)
-
-
 def run_tvbo(config: TVBOConfig) -> RegretTrace:
     """Simulate one seeded GP-UCB run and return its regret trace."""
     grid = spatial_grid(config)
@@ -339,7 +328,8 @@ def run_tvbo(config: TVBOConfig) -> RegretTrace:
     # same lattice (shifted TimeGrid origin only changes labels, not the
     # stationary covariance).
     times = (np.arange(n) + 1) * config.delta
-    path_seed, noise_seed = _run_seeds(config.seed)
+    seed_seq = np.random.SeedSequence(config.seed)
+    path_seed, noise_seed = seed_seq.spawn(2)
     objective = sample_prior_path(config.spatial, config.temporal, grid,
                                   TimeGrid(n, config.delta), path_seed)
     noise_rng = np.random.default_rng(noise_seed)
@@ -411,14 +401,5 @@ def run_tvbo(config: TVBOConfig) -> RegretTrace:
 def run_replications(config: TVBOConfig, seeds):
     """Run seeded replications one after another, in seed order: the
     artifact bytes depend on the BLAS thread count, so a pool that gave
-    each worker one thread would change them (README, CLI section).
-
-    The spatial halves of all the runs' prior draws are made first, from
-    one factorization of the spatial Gram matrix, which is dropped before
-    any GP-UCB loop starts; each run's draw and a later call with the same
-    spatial kernel, grid, horizon and seeds reuse them.
-    """
-    configs = [replace(config, seed=int(s)) for s in seeds]
-    _spatial_halves(config.spatial, spatial_grid(config), config.horizon,
-                    [_run_seeds(c.seed)[0] for c in configs])
-    return [run_tvbo(c) for c in configs]
+    each worker one thread would change them (README, CLI section)."""
+    return [run_tvbo(replace(config, seed=int(s))) for s in seeds]

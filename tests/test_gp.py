@@ -389,34 +389,32 @@ class TestPriorSampling:
                 TimeGrid(n, 0.1), seed)
 
     @pytest.fixture
-    def draws(self, monkeypatch):
-        """Counts of spatial Gram matrices built ("grams", one per
-        factorization) and of spatial halves drawn ("halves"), from an
-        empty draw cache."""
-        counts = {"grams": 0, "halves": 0}
+    def grams(self, monkeypatch):
+        """Count of spatial Gram matrices built, one per factorization,
+        from an empty draw cache."""
+        count = [0]
+        spatial_gram = gp._spatial_gram
 
-        def counted(name, function):
-            def wrapper(*args):
-                counts[name] += 1
-                return function(*args)
-            return wrapper
+        def counted(*args):
+            count[0] += 1
+            return spatial_gram(*args)
 
-        monkeypatch.setattr(gp, "_spatial_gram",
-                            counted("grams", gp._spatial_gram))
-        monkeypatch.setattr(gp, "_half", counted("halves", gp._half))
-        monkeypatch.setattr(gp, "_HALVES", {})
-        return counts
+        monkeypatch.setattr(gp, "_spatial_gram", counted)
+        gp._spatial_draw.cache_clear()
+        yield count
+        gp._spatial_draw.cache_clear()
 
-    def test_cached_draw_matches_uncached_draw(self, draws):
+    def test_cached_draw_matches_uncached_draw(self, grams):
         # the spawned seeds run_tvbo passes, each drawn twice (a cache hit)
         for child in np.random.SeedSequence(4).spawn(3):
             args = self._draw_args(seed=child)
             for _ in range(2):
                 assert np.array_equal(sample_prior_path(*args),
                                       self._uncached_path(*args))
-        assert draws == {"grams": 3, "halves": 3}
+        assert gp._spatial_draw.cache_info()[:2] == (3, 3)  # hits, misses
+        assert grams == [3]
 
-    def test_int_seed_draws_as_its_generator(self, draws):
+    def test_int_seed_draws_as_its_generator(self, grams):
         # an int seeds default_rng as before, cached or not
         args = self._draw_args(seed=11)
         first = sample_prior_path(*args)
@@ -424,30 +422,33 @@ class TestPriorSampling:
         assert np.array_equal(sample_prior_path(*args), first)
         assert np.array_equal(
             sample_prior_path(*self._draw_args(seed=np.int64(11))), first)
-        assert draws == {"grams": 1, "halves": 1}
+        assert gp._spatial_draw.cache_info()[:2] == (2, 1)
+        assert grams == [1]
 
-    def test_cached_draw_is_read_only(self, draws):
+    def test_cached_draw_is_read_only(self, grams):
         sample_prior_path(*self._draw_args())
         sp, _, grid, tg, seed = self._draw_args()
-        half, = gp._spatial_halves(sp, grid, tg.n, [seed])
-        assert draws == {"grams": 1, "halves": 1}
-        assert not half.flags.writeable
+        draw = gp._spatial_draw(sp, grid.tobytes(), grid.shape,
+                                (seed, (), 4), tg.n)
+        assert gp._spatial_draw.cache_info().hits == 1
+        assert not draw.flags.writeable
         with pytest.raises(ValueError):
-            half[0, 0] = 0.0
+            draw[0, 0] = 0.0
 
     @pytest.mark.parametrize("change", [
         dict(seed=4), dict(seed=np.random.SeedSequence(3).spawn(1)[0]),
         dict(n=10), dict(grid=np.random.default_rng(0).uniform(0, 1, (25, 2))),
         dict(spatial=SpatialKernel.matern(2.5, [0.3, 0.5]))],
         ids=["seed", "spawn_key", "horizon", "grid", "spatial_kernel"])
-    def test_any_change_misses_the_cache(self, draws, change):
+    def test_any_change_misses_the_cache(self, grams, change):
         sample_prior_path(*self._draw_args())
         args = self._draw_args(**change)
         assert np.array_equal(sample_prior_path(*args),
                               self._uncached_path(*args))
-        assert draws == {"grams": 2, "halves": 2}
+        assert gp._spatial_draw.cache_info()[:2] == (0, 2)
+        assert grams == [2]
 
-    def test_generator_seed_is_never_served_from_the_cache(self, draws):
+    def test_generator_seed_is_never_served_from_the_cache(self, grams):
         # the generator's stream is the int seed's, and it is consumed; its
         # draws neither enter the cache nor evict the int seed's half
         first = sample_prior_path(*self._draw_args(seed=3))
@@ -456,26 +457,19 @@ class TestPriorSampling:
                               first)
         assert not np.array_equal(
             sample_prior_path(*self._draw_args(seed=rng)), first)
-        assert draws == {"grams": 3, "halves": 3}
-        assert len(gp._HALVES) == 1
+        assert gp._spatial_draw.cache_info()[:2] == (0, 1)
+        assert grams == [3]
         assert np.array_equal(sample_prior_path(*self._draw_args(seed=3)),
                               first)
-        assert draws == {"grams": 3, "halves": 3}
+        assert gp._spatial_draw.cache_info()[:2] == (1, 1)
+        assert grams == [3]
 
-    def test_one_factorization_serves_a_seed_set(self, draws):
-        seeds = np.random.SeedSequence(8).spawn(3)
-        sp, _, grid, tg, _ = self._draw_args()
-        halves = gp._spatial_halves(sp, grid, tg.n, seeds + seeds[:1])
-        assert halves[3] is halves[0]
-        assert draws == {"grams": 1, "halves": 3}
-        for seed in seeds:
-            args = self._draw_args(seed=seed)
-            assert np.array_equal(sample_prior_path(*args),
-                                  self._uncached_path(*args))
-        assert draws == {"grams": 1, "halves": 3}
-
-    def test_regret_factors_the_spatial_gram_once(self, draws, tmp_path):
-        # two kernel classes, three seeds: class 2 reuses class 1's halves
+    @pytest.mark.parametrize("replications, factorizations", [(1, 1), (3, 6)])
+    def test_regret_factors_the_spatial_gram_per_draw_made(
+            self, grams, tmp_path, replications, factorizations):
+        # two kernel classes: with one seed the second class reuses the
+        # first's half; with three, each class draws its seeds afresh, one
+        # factorization per draw, and no factor is kept between them
         from tvbospec.expcli.experiments import run_regret
         configs = {label: tvbo.TVBOConfig(SpatialKernel.rbf([0.4, 0.4]),
                                           temporal, horizon=8,
@@ -483,8 +477,11 @@ class TestPriorSampling:
                    for label, temporal in (
                        ("rbf", TemporalKernel.rbf(1.0)),
                        ("periodic", TemporalKernel.periodic(0.5, 0.8)))}
-        run_regret(0, tmp_path, configs, replications=3, bounds=False)
-        assert draws == {"grams": 1, "halves": 3}
+        run_regret(0, tmp_path, configs, replications=replications,
+                   bounds=False)
+        assert grams == [factorizations]
+        assert gp._spatial_draw.cache_info().misses == factorizations
+        assert self._square_arrays_reachable(gp, 16) == []
 
     @staticmethod
     def _square_arrays_reachable(module, m):
@@ -511,7 +508,7 @@ class TestPriorSampling:
     @pytest.mark.parametrize("spatial", [
         SpatialKernel.rbf([0.3, 0.5]), SpatialKernel.matern(2.5, [0.3, 0.5])],
         ids=["rbf", "m52"])
-    def test_spatial_draw_holds_one_gram(self, draws, spatial):
+    def test_spatial_draw_holds_one_gram(self, grams, spatial):
         # on a 30 x 30 grid, the draw holds the Gram matrix (factored in
         # place), z and the half, plus one row block of pairwise: its
         # result and at most two work arrays; no (m, m) array outlives it
@@ -519,9 +516,10 @@ class TestPriorSampling:
         grid = np.array([(a, b) for a in axis for b in axis])
         m, n = len(grid), 30
         row_block = 3 * gp._GRAM_BLOCK_ROWS * m * 8
+        args = (spatial, grid.tobytes(), grid.shape, gp._seed_key(5), n)
         tracemalloc.start()
         try:
-            half, = gp._spatial_halves(spatial, grid, n, [5])
+            half = gp._spatial_draw(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
