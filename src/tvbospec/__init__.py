@@ -5,9 +5,9 @@ Submodules:
 - ``kernels``   stationary correlation functions, their spectral densities
                 and the four-class support taxonomy
 - ``spectral``  kernel matrices, exact eigendecomposition and spectrum
-                approximations (sampled densities, low-rank weights,
-                product lattices, circulant embeddings)
-- ``gp``        exact GP posteriors, prior path sampling, Mercer posterior
+                approximations (sampled densities, product lattices)
+- ``gp``        exact GP posteriors, prior path sampling, the Mercer
+                (Nystrom) expansion the lower bound uses
 - ``tvbo``      the GP-UCB simulation loop and regret traces
 - ``bounds``    mutual information and the cumulative-regret bounds
 - ``expcli``    reproducible experiment runner (CSV + SVG artifacts)
@@ -20,7 +20,6 @@ from .kernels import (
     SpatialKernel,
     TemporalKernel,
     classify,
-    low_rank_approx,
     spectral_density,
 )
 from .spectral import Scale, Spectrum, TimeGrid, eig_sym

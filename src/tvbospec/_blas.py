@@ -32,8 +32,7 @@ Where scipy bundles no such library (a distribution build), each routine's
 address is looked up once in ``scipy.linalg.cython_lapack.__pyx_capi__``
 instead; the call path is the same, and only that install imports
 ``scipy.linalg``.  Elsewhere tvbospec imports numpy and ``scipy.special``
-and nothing else of scipy's (``kernels._dct1_candidates`` imports
-``scipy.fft`` when it runs).  The module holds scipy's library handle
+and nothing else of scipy's.  The module holds scipy's library handle
 (``scipy_openblas()``, None in that case).
 
 numpy and scipy wheels each bundle an OpenBLAS with its own thread pool,

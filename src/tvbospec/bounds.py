@@ -159,7 +159,7 @@ class LowerBoundReport:
 
 
 def lower_bound(spatial: SpatialKernel, temporal: TemporalKernel,
-                trace: RegretTrace) -> LowerBoundReport:
+                trace: RegretTrace, gram: SymMatrix) -> LowerBoundReport:
     """Algorithm-independent lower bound on expected cumulative regret.
 
     At step k+1 the regret proxy max(0, fbar(x*_{k+1}) - fbar(x_{k+1})) is
@@ -180,15 +180,13 @@ def lower_bound(spatial: SpatialKernel, temporal: TemporalKernel,
     spectrum instead injects heavy positive noise into mu_hat (the
     eigenvectors are only orthogonal over all n samples) and rectifies it
     into a badly inflated bound.
+
+    ``gram`` is the run's spatio-temporal kernel matrix,
+    ``build_spatiotemporal_matrix(spatial, temporal, trace.chosen_x,
+    trace.times)``, which ``bound_report`` shares with the information
+    quantities.
     """
-    gram = build_spatiotemporal_matrix(spatial, temporal, trace.chosen_x,
-                                       trace.times)
-    return _lower_bound(spatial, temporal, trace, gram.values)
-
-
-def _lower_bound(spatial: SpatialKernel, temporal: TemporalKernel,
-                 trace: RegretTrace, gram: np.ndarray) -> LowerBoundReport:
-    """``lower_bound`` given the run's spatio-temporal kernel matrix."""
+    gram = gram.values
     n = len(trace.times)
     xs_all = trace.chosen_x
     ts_all = trace.times
@@ -269,7 +267,7 @@ def bound_report(trace: RegretTrace) -> BoundReport:
                                            noise),
         upper_curve=curve,
         c1_violation_fraction=violations,
-        lower=_lower_bound(cfg.spatial, cfg.temporal, trace, gram.values),
+        lower=lower_bound(cfg.spatial, cfg.temporal, trace, gram),
     )
 
 

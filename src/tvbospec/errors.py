@@ -13,20 +13,12 @@ class WrongClass(TvbospecError):
     """A kernel of the wrong spectral class was passed to an operation."""
 
 
-class ToleranceUnreachable(TvbospecError):
-    """The requested approximation tolerance cannot be met."""
-
-
 class ConvergenceFailure(TvbospecError):
     """The eigensolver failed to converge."""
 
 
 class ScaleMismatch(TvbospecError):
     """A spectrum was supplied in the wrong scale (matrix vs operator)."""
-
-
-class MissingEigenvectors(TvbospecError):
-    """The operation needs a spectrum that carries eigenvectors."""
 
 
 class SingularSystem(TvbospecError):

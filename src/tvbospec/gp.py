@@ -1,4 +1,4 @@
-"""Exact GP posterior inference and spectral (Mercer) approximations.
+"""Exact GP posterior inference, prior sampling and the Mercer expansion.
 
 The spatio-temporal prior is GP(0, k_S * k_T) with unit prior variance.
 Conditioning grows a Cholesky factor of the noisy Gram matrix in place by
@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import cholesky_lower, solve_transposed, solve_upper
-from .errors import CapExceeded, MissingEigenvectors, SingularSystem
+from .errors import CapExceeded, SingularSystem
 from .kernels import SpatialKernel, TemporalKernel, eval_temporal
 from .spectral import (
     POSITIVE_EIGENVALUE_REL_THRESHOLD,
-    Spectrum,
     TimeGrid,
     cross_covariance,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "Dataset",
     "GPPosterior",
     "sample_prior_path",
-    "mercer_posterior",
     "nystrom_expansion",
     "NOISELESS_JITTER",
     "conditioning_noise",
@@ -376,31 +374,3 @@ def nystrom_expansion(vals, vecs, ys, k_queries):
     phi_q = [root_n * (phi.T @ k_q) / lam for k_q in k_queries]
     return lam / n, (root_n * phi).T @ ys, phi_q
 
-
-def mercer_posterior(spectrum: Spectrum, data: Dataset, query,
-                     spatial: SpatialKernel, temporal: TemporalKernel):
-    """Spectral approximation of the posterior mean and variance at a query.
-
-    Uses operator eigenpairs estimated from the data's kernel matrix
-    spectrum (see :func:`nystrom_expansion`).  The mean is
-    (1/n) sum_i phi_i(q) sum_j phi_i(z_j) y_j and the variance
-    approximation 1 - sum_i lam_bar_i phi_i(q)^2 is clipped to [0, 1].
-
-    ``query`` is an (x, t) pair.  Raises MissingEigenvectors when the
-    spectrum has no eigenvectors.
-    """
-    if spectrum.vectors is None:
-        raise MissingEigenvectors("mercer_posterior needs eigenvectors")
-    n = len(data)
-    if n == 0:
-        return 0.0, 1.0
-    vals = spectrum.to_matrix(n).values
-    xq, tq = query
-    xq = np.atleast_2d(np.asarray(xq, dtype=float))
-    k_q = cross_covariance(spatial, temporal, data.xs, data.ts,
-                           xq, np.atleast_1d(float(tq)))[:, 0]
-    lam_bar, inner, (phi_q,) = nystrom_expansion(
-        vals, spectrum.vectors, data.ys, [k_q])
-    mean = float(np.sum(phi_q * inner)) / n
-    var = 1.0 - float(np.sum(lam_bar * phi_q ** 2))
-    return mean, float(np.clip(var, 0.0, 1.0))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import DimensionMismatch, ToleranceUnreachable, WrongClass
+from .errors import DimensionMismatch, WrongClass
 
 __all__ = [
     "TemporalFamily",
@@ -37,13 +37,14 @@ __all__ = [
     "spectral_lines",
     "line_features",
     "classify",
-    "low_rank_approx",
     "kernel_to_dict",
     "kernel_from_dict",
 ]
 
 _MATERN_NUS = (0.5, 1.5, 2.5)
 _WEIGHT_TOL = 1e-9
+# Spectral mass a periodic kernel's truncated line list may leave out.
+_LINE_TOL = 1e-12
 
 
 class TemporalFamily(str, enum.Enum):
@@ -325,10 +326,10 @@ def _continuous_density(kernel: TemporalKernel, w: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, 1.0 - np.abs(w) / tau) / tau
 
 
-def spectral_lines(kernel: TemporalKernel, tol: float = 1e-12):
+def spectral_lines(kernel: TemporalKernel):
     """Two-sided spectral lines [(frequency, weight), ...] of a discrete-
     support kernel, heaviest first, truncated once the omitted mass is
-    below ``tol``.
+    below _LINE_TOL.
 
     The periodic kernel exp(-2 sin^2(pi u / r) / l^2) has lines at p / r
     with weights exp(-z) I_p(z), z = 1 / l^2.
@@ -348,7 +349,7 @@ def spectral_lines(kernel: TemporalKernel, tol: float = 1e-12):
         lines = [(0.0, float(special.ive(0, z)))]
         total = lines[0][1]
         p = 1
-        while total < 1.0 - tol and p < 10_000:
+        while total < 1.0 - _LINE_TOL and p < 10_000:
             w = float(special.ive(p, z))
             lines.append((p / r, w))
             lines.append((-p / r, w))
@@ -458,111 +459,6 @@ class SpatialKernel:
             sq *= -0.5
             return np.exp(sq, out=sq)
         return _matern(self.nu, np.sqrt(sq, out=sq))
-
-
-# ---------------------------------------------------------------------------
-# Low-rank (cosine-sum) approximation by cosine-transform truncation
-# ---------------------------------------------------------------------------
-
-
-def _dct1_candidates(values: np.ndarray, delta: float):
-    """Type-I cosine transform of ``values`` as (coefficient, frequency)
-    pairs such that values[j] = sum_i a_i cos(2 pi f_i * j * delta).
-
-    scipy.fft is imported here, so that importing tvbospec does not load it
-    for the one caller, ``low_rank_approx``."""
-    from scipy.fft import dct
-
-    n = len(values)
-    coeffs = dct(values, type=1) / (n - 1.0)
-    coeffs[0] /= 2.0
-    coeffs[-1] /= 2.0
-    freqs = np.arange(n) / (2.0 * (n - 1) * delta)
-    return coeffs, freqs
-
-
-def _greedy_truncation(coeffs, freqs, target, grid, eps):
-    """Drop coefficients smallest-in-magnitude-first while the renormalized
-    grid reconstruction stays within eps; returns (coeffs, freqs) or None if
-    even the full set misses eps."""
-    basis = np.cos(2.0 * np.pi * np.outer(grid, freqs))  # (n, m)
-    recon = basis @ coeffs
-    if float(np.max(np.abs(recon - target))) > eps:
-        return None
-    order = np.argsort(np.abs(coeffs))
-    keep = np.ones(len(coeffs), dtype=bool)
-    resid = recon - target
-    for idx in order:
-        trial = resid - coeffs[idx] * basis[:, idx]
-        kept = keep.copy()
-        kept[idx] = False
-        total = float(np.sum(coeffs[kept]))
-        if total <= 0:
-            break
-        # residual after the final renormalization to unit total weight
-        trial_renorm = (trial + target) / total - target
-        if np.max(np.abs(trial_renorm)) <= eps:
-            keep = kept
-            resid = trial
-    kept_coeffs = coeffs[keep] / float(np.sum(coeffs[keep]))
-    return kept_coeffs, freqs[keep]
-
-
-def _assemble_low_rank(coeffs, freqs) -> TemporalKernel:
-    return TemporalKernel.cosine_sum(
-        (f, c) for f, c in zip(freqs, coeffs) if c > 0)
-
-
-def low_rank_approx(kernel: TemporalKernel, delta: float, n: int,
-                    eps: float) -> TemporalKernel:
-    """Approximate a discrete-support kernel by a cosine-sum kernel.
-
-    The returned kernel matches k(j*delta) for j in [0, n-1] within ``eps``
-    in sup norm, with as few cosine terms as a smallest-first truncation
-    allows; lines of zero weight are dropped.  Accuracy is guaranteed on the
-    sampled grid only.
-
-    Truncation candidates come from the type-I cosine transform of the
-    sampled sequence, which is sparse exactly when the sampling step is
-    commensurate with the kernel's line structure.  Otherwise the transform
-    needs signed coefficients (spectral leakage), which cannot form a
-    correlation function, so the construction falls back to truncating the
-    kernel's own spectral lines - valid at any step.
-
-    Raises ToleranceUnreachable when no nonnegative truncation meets
-    ``eps``, WrongClass for kernels with continuous spectral support.
-    """
-    if n < 2:
-        raise ValueError("need at least two samples")
-    if eps <= 0:
-        raise ValueError("tolerance must be positive")
-    if not classify(kernel).support_discrete:
-        raise WrongClass("low-rank approximation applies to discrete-support "
-                         "kernels only")
-    grid = np.arange(n) * delta
-    target = eval_temporal(kernel, grid)
-
-    if kernel.family is not TemporalFamily.COSINE_SUM:
-        coeffs, freqs = _dct1_candidates(target, delta)
-        result = _greedy_truncation(coeffs, freqs, target, grid, eps)
-        if result is not None and np.all(result[0] >= -_WEIGHT_TOL):
-            kept_coeffs, kept_freqs = result
-            return _assemble_low_rank(np.maximum(kept_coeffs, 0.0), kept_freqs)
-
-    # line-truncation route: one-sided lines of the kernel itself
-    line_tol = min(eps * 1e-3, 1e-13)
-    one_sided: dict[float, float] = {}
-    for f, w in spectral_lines(kernel, tol=line_tol):
-        one_sided[abs(f)] = one_sided.get(abs(f), 0.0) + w
-    freqs = np.array(sorted(one_sided))
-    coeffs = np.array([one_sided[f] for f in freqs])
-    coeffs = coeffs / float(np.sum(coeffs))
-    result = _greedy_truncation(coeffs, freqs, target, grid, eps)
-    if result is None:
-        raise ToleranceUnreachable(
-            f"no nonnegative cosine truncation reaches eps={eps:.3e} on the "
-            f"sampled grid")
-    return _assemble_low_rank(*result)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Kernel matrices, exact eigendecomposition and spectrum approximations.
 
-Temporal kernel matrices on a uniform time grid are symmetric Toeplitz;
-their spectra admit cheap approximations depending on the kernel class:
-sampled spectral densities for continuous-support kernels, explicit
-weight formulas for low-rank kernels, and the largest pairwise products
+Temporal kernel matrices on a uniform time grid are symmetric Toeplitz.
+Two spectra have cheap approximations: sampled spectral densities for
+continuous-support temporal kernels, and the largest pairwise products
 of factor spectra for spatio-temporal product kernels.
 """
 
@@ -19,7 +18,6 @@ from ._blas import eigh_descending
 from .errors import ConvergenceFailure, WrongClass
 from .kernels import (
     SpatialKernel,
-    TemporalFamily,
     TemporalKernel,
     classify,
     eval_temporal,
@@ -36,10 +34,7 @@ __all__ = [
     "cross_covariance",
     "build_spatiotemporal_matrix",
     "eig_sym",
-    "circulant_embedding",
-    "circulant_spectrum",
     "approx_temporal_spectrum",
-    "approx_lowrank_spectrum",
     "approx_product_spectrum",
     "count_in_interval",
     "positive_count",
@@ -109,11 +104,6 @@ class Spectrum:
         if self.scale is Scale.OPERATOR:
             return self
         return Spectrum(self.values / n, self.vectors, Scale.OPERATOR)
-
-    def to_matrix(self, n: int) -> "Spectrum":
-        if self.scale is Scale.MATRIX:
-            return self
-        return Spectrum(self.values * n, self.vectors, Scale.MATRIX)
 
     def clipped(self) -> "Spectrum":
         """Copy with negative (floating-point noise) eigenvalues set to 0."""
@@ -186,30 +176,6 @@ def eig_sym(m: SymMatrix, want_vectors: bool = False) -> Spectrum:
     return Spectrum(vals, vecs, Scale.MATRIX)
 
 
-def circulant_embedding(kernel: TemporalKernel, grid: TimeGrid) -> np.ndarray:
-    """First row of the circulant embedding of the Toeplitz kernel matrix.
-
-    c_0 = k(0) and c_j = k(delta j) + k(delta (n - j)) for 1 <= j <= n-1,
-    which makes the row palindromic: c_j = c_{n-j}.
-    """
-    if grid.n < 2:
-        raise ValueError("circulant embedding needs n >= 2")
-    row = eval_temporal(kernel, grid.times)
-    c = row.copy()
-    c[1:] = row[1:] + eval_temporal(kernel, (grid.n - np.arange(1, grid.n)) * grid.delta)
-    return c
-
-
-def circulant_spectrum(first_row: np.ndarray) -> Spectrum:
-    """Eigenvalues of the symmetric circulant with the given first row.
-
-    They are the discrete Fourier transform of the row; the imaginary part
-    vanishes for palindromic rows.
-    """
-    vals = np.fft.fft(np.asarray(first_row, dtype=float)).real
-    return Spectrum(np.sort(vals)[::-1], None, Scale.MATRIX)
-
-
 @dataclass(frozen=True, eq=False)
 class SampledDensitySpectrum:
     """Spectral-density sampling of a temporal kernel matrix spectrum.
@@ -235,29 +201,13 @@ def approx_temporal_spectrum(kernel: TemporalKernel,
     if classify(kernel).support_discrete:
         raise WrongClass(
             "the sampled-density approximation applies to broadband and "
-            "band-limited kernels; use approx_lowrank_spectrum instead")
+            "band-limited kernels; for discrete support use spectral_lines, "
+            "or eig_sym on the kernel matrix")
     n, delta = grid.n, grid.delta
     freqs = (np.arange(n) - n / 2.0) / (n * delta)
     raw = spectral_density(kernel, freqs) / delta
     spectrum = Spectrum(np.sort(raw)[::-1], None, Scale.MATRIX)
     return SampledDensitySpectrum(spectrum, freqs, raw)
-
-
-def approx_lowrank_spectrum(kernel: TemporalKernel, n: int) -> Spectrum:
-    """Spectrum approximation for a low-rank (cosine-sum) kernel.
-
-    The n x n kernel matrix has approximate eigenvalues n*c0 (total weight
-    of the zero-frequency lines) and a pair n*c_j/2 per cosine line, all
-    other eigenvalues 0 - at most 2L+1 nonzeros in total.
-    """
-    if kernel.family is not TemporalFamily.COSINE_SUM:
-        raise WrongClass("need a low-rank kernel")
-    cosines = np.array([w for f, w in kernel.lines if f != 0.0])
-    pairs = np.repeat(0.5 * n * cosines, 2)[:n - 1]
-    vals = np.zeros(n)
-    vals[0] = n * sum(w for f, w in kernel.lines if f == 0.0)
-    vals[1:1 + len(pairs)] = pairs
-    return Spectrum(np.sort(vals)[::-1], None, Scale.MATRIX)
 
 
 @dataclass(frozen=True, eq=False)

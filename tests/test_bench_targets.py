@@ -43,5 +43,9 @@ def test_traced_bound_report_builds_one_gram():
         bounds.bound_report(trace)
     finally:
         traced.uninstall()
-    assert tracer.layer_metrics(traced.spans)[
-        "bounds.gram_builds_per_report"] == 1
+    metrics = tracer.layer_metrics(traced.spans)
+    assert metrics["bounds.gram_builds_per_report"] == 1
+    # bound_report reaches the lower bound through its public name
+    lower = [s for s in traced.spans if s.name == "bounds.lower_bound"]
+    assert [s.work for s in lower] == [cfg.horizon]
+    assert metrics["bounds.lower_bound.s_per_step"] > 0

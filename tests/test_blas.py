@@ -34,12 +34,13 @@ CLASSES = {
 }
 
 
-def _numpy_linalg_names(tree):
-    """Attribute names reached as np.linalg.<name> or numpy.linalg.<name>."""
+def _numpy_submodule_names(tree, submodule):
+    """Attribute names reached as np.<submodule>.<name> or
+    numpy.<submodule>.<name>."""
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute)
                 and isinstance(node.value, ast.Attribute)
-                and node.value.attr == "linalg"
+                and node.value.attr == submodule
                 and isinstance(node.value.value, ast.Name)
                 and node.value.value.id in ("np", "numpy")):
             yield node.attr
@@ -47,31 +48,34 @@ def _numpy_linalg_names(tree):
 
 def test_no_numpy_linalg_solver_in_package():
     # numpy's LAPACK would run on numpy's own OpenBLAS pool, which the
-    # package keeps at one thread; LAPACK calls go through tvbospec._blas
+    # package keeps at one thread; LAPACK calls go through tvbospec._blas.
+    # np.fft is not used either: spectra come from eig_sym.
     found = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         found += [f"{path.relative_to(SRC)}: np.linalg.{name}"
-                  for name in _numpy_linalg_names(tree)
+                  for name in _numpy_submodule_names(tree, "linalg")
                   if name != "LinAlgError"]
+        found += [f"{path.relative_to(SRC)}: np.fft.{name}"
+                  for name in _numpy_submodule_names(tree, "fft")]
     assert found == []
 
 
 def test_guard_sees_numpy_linalg_calls():
     tree = ast.parse("import numpy\nnp.linalg.eigh(a)\n"
-                     "numpy.linalg.cholesky(a)\nnp.linalg.LinAlgError\n")
-    assert sorted(_numpy_linalg_names(tree)) == \
+                     "numpy.linalg.cholesky(a)\nnp.linalg.LinAlgError\n"
+                     "np.fft.fft(a)\nnumpy.fft.rfft(a)\n")
+    assert sorted(_numpy_submodule_names(tree, "linalg")) == \
         ["LinAlgError", "cholesky", "eigh"]
+    assert sorted(_numpy_submodule_names(tree, "fft")) == ["fft", "rfft"]
 
 
 BLAS_MODULE = SRC / "_blas.py"
-KERNELS_MODULE = SRC / "kernels.py"
 
-# The only places scipy.linalg or scipy.fft may be imported: the
-# cython_lapack fallback of the LAPACK lookup and the one caller of dct.
+# The only place scipy.linalg may be imported: the cython_lapack fallback
+# of the LAPACK lookup.  scipy.fft may be imported nowhere.
 ALLOWED_SUBMODULE_USES = {
     (BLAS_MODULE, "_lapack", "scipy.linalg.cython_lapack"),
-    (KERNELS_MODULE, "_dct1_candidates", "scipy.fft.dct"),
 }
 
 
@@ -116,7 +120,7 @@ def _scipy_submodule_uses(tree):
 
 def _forbidden_scipy_submodule_uses(path, tree):
     """What the module at ``path`` takes from scipy.linalg or scipy.fft
-    beyond the allowed fallback and dct imports."""
+    beyond the allowed fallback import."""
     return [(name, function)
             for name, function in _scipy_submodule_uses(tree)
             if (path, function, name) not in ALLOWED_SUBMODULE_USES]
@@ -146,7 +150,7 @@ def test_guard_sees_scipy_linalg_uses():
         "import scipy.special as ss\nss.linalg\n"
         "def _lapack():\n"
         "    from scipy.linalg import cython_lapack\n"
-        "def _dct1_candidates():\n"
+        "def _cosine_transform():\n"
         "    from scipy.fft import dct\n"
         "    import scipy\n"
         "    return scipy.linalg.eigh(a)\n")
@@ -156,17 +160,18 @@ def test_guard_sees_scipy_linalg_uses():
         ("scipy.linalg", None), ("scipy.fft.dct", None),
         ("scipy.fft", None), ("scipy.linalg", None),
         ("scipy.linalg.cython_lapack", "_lapack"),
-        ("scipy.fft.dct", "_dct1_candidates"),
-        ("scipy.linalg", "_dct1_candidates")]
+        ("scipy.fft.dct", "_cosine_transform"),
+        ("scipy.linalg", "_cosine_transform")]
     forbidden = _forbidden_scipy_submodule_uses(BLAS_MODULE, tree)
     assert ("scipy.linalg.cython_lapack", "_lapack") not in forbidden
-    assert ("scipy.fft.dct", "_dct1_candidates") in forbidden
     assert len(forbidden) == 10
-    forbidden = _forbidden_scipy_submodule_uses(KERNELS_MODULE, tree)
-    assert ("scipy.fft.dct", "_dct1_candidates") not in forbidden
-    assert ("scipy.linalg.cython_lapack", "_lapack") in forbidden
-    assert len(forbidden) == 10
-    assert len(_forbidden_scipy_submodule_uses(SRC / "gp.py", tree)) == 11
+    # every fft use is forbidden in every module, inside a function too
+    fft_uses = [("scipy.fft.dct", None), ("scipy.fft", None),
+                ("scipy.fft.dct", "_cosine_transform")]
+    for path in sorted(SRC.rglob("*.py")):
+        forbidden = _forbidden_scipy_submodule_uses(path, tree)
+        assert all(use in forbidden for use in fft_uses), path
+        assert len(forbidden) == (10 if path == BLAS_MODULE else 11), path
 
 
 def _uses_bundled_openblas():

@@ -15,8 +15,8 @@ from tvbospec.expcli.experiments import (
 )
 from tvbospec.gp import (
     Dataset,
+    GPPosterior,
     conditioning_noise,
-    mercer_posterior,
     nystrom_expansion,
 )
 from tvbospec.bounds import (
@@ -53,6 +53,39 @@ def _spatiotemporal(rng, spatial, temporal, n, delta=0.1):
     xs = rng.uniform(0, 1, (n, spatial.dimension))
     ts = (np.arange(n) + 1) * delta
     return build_spatiotemporal_matrix(spatial, temporal, xs, ts), xs, ts
+
+
+def _lower_bound_of(trace):
+    """``lower_bound`` of a run, given the run's kernel matrix."""
+    cfg = trace.config
+    gram = build_spatiotemporal_matrix(cfg.spatial, cfg.temporal,
+                                       trace.chosen_x, trace.times)
+    return lower_bound(cfg.spatial, cfg.temporal, trace, gram)
+
+
+def _mercer_posterior(spectrum, data, query, spatial, temporal):
+    """Oracle for the lower bound's mu_hat: the spectral approximation of
+    the posterior mean and variance at a query.
+
+    ``spectrum`` is the matrix-scale eigensystem, with eigenvectors, of the
+    data's kernel matrix (see ``nystrom_expansion``).  The mean is
+    (1/n) sum_i phi_i(q) sum_j phi_i(z_j) y_j and the variance
+    approximation 1 - sum_i lam_bar_i phi_i(q)^2 is clipped to [0, 1].
+    ``query`` is an (x, t) pair.
+    """
+    assert spectrum.vectors is not None and spectrum.scale is Scale.MATRIX
+    n = len(data)
+    if n == 0:
+        return 0.0, 1.0
+    xq, tq = query
+    xq = np.atleast_2d(np.asarray(xq, dtype=float))
+    k_q = cross_covariance(spatial, temporal, data.xs, data.ts,
+                           xq, np.atleast_1d(float(tq)))[:, 0]
+    lam_bar, inner, (phi_q,) = nystrom_expansion(
+        spectrum.values, spectrum.vectors, data.ys, [k_q])
+    mean = float(np.sum(phi_q * inner)) / n
+    var = 1.0 - float(np.sum(lam_bar * phi_q ** 2))
+    return mean, float(np.clip(var, 0.0, 1.0))
 
 
 class TestMutualInformation:
@@ -250,7 +283,7 @@ class TestLowerBound:
         cfg = TVBOConfig(spatial=SpatialKernel.rbf([0.4]),
                          temporal=TemporalKernel.rbf(1.0), horizon=5, seed=1)
         trace = run_tvbo(cfg)
-        report = lower_bound(cfg.spatial, cfg.temporal, trace)
+        report = _lower_bound_of(trace)
         assert report.terms[0] == pytest.approx(math.sqrt(2 / (2 * math.pi)),
                                                 rel=1e-12)
         assert report.mu_hat[0] == 0.0
@@ -268,7 +301,7 @@ class TestLowerBound:
             instantaneous=np.zeros_like(trace.instantaneous), ys=trace.ys,
             posterior_sd=trace.posterior_sd, betas=trace.betas,
             objective=trace.objective)
-        report = lower_bound(cfg.spatial, cfg.temporal, rigged)
+        report = _lower_bound_of(rigged)
         assert np.allclose(report.mu_hat, 0.0, atol=1e-9)
         phi0 = 1 / math.sqrt(2 * math.pi)
         assert report.total == pytest.approx(
@@ -280,7 +313,7 @@ class TestLowerBound:
                                                           lengthscale=0.8),
                          horizon=40, seed=3)
         trace = run_tvbo(cfg)
-        report = lower_bound(cfg.spatial, cfg.temporal, trace)
+        report = _lower_bound_of(trace)
         assert np.all(report.sigma_hat >= 0.0)
         assert np.all(report.sigma_hat <= math.sqrt(2.0) + 1e-12)
 
@@ -291,8 +324,7 @@ class TestLowerBound:
                          temporal=TemporalKernel.rbf(1.0), horizon=60, seed=0)
         traces = run_replications(cfg, [0, 1, 2, 3])
         totals = np.array([t.total for t in traces])
-        lows = np.array([lower_bound(cfg.spatial, cfg.temporal, t).total
-                         for t in traces])
+        lows = np.array([_lower_bound_of(t).total for t in traces])
         sem = totals.std(ddof=1) / math.sqrt(len(totals))
         assert totals.mean() >= lows.mean() - 3 * sem
 
@@ -307,7 +339,7 @@ class TestLowerBound:
             cfg = TVBOConfig(spatial=SpatialKernel.rbf([0.4]),
                              temporal=temporal, horizon=40, seed=5)
             trace = run_tvbo(cfg)
-            report = lower_bound(cfg.spatial, cfg.temporal, trace)
+            report = _lower_bound_of(trace)
             xs, ts = trace.chosen_x, trace.times
             fvals = trace.objective_at_chosen
             for k in range(1, len(ts)):
@@ -315,9 +347,9 @@ class TestLowerBound:
                 spec = eig_sym(build_spatiotemporal_matrix(
                     cfg.spatial, temporal, data.xs, data.ts),
                     want_vectors=True)
-                m_star, _ = mercer_posterior(
+                m_star, _ = _mercer_posterior(
                     spec, data, (trace.star_x[k], ts[k]), cfg.spatial, temporal)
-                m_cur, _ = mercer_posterior(
+                m_cur, _ = _mercer_posterior(
                     spec, data, (xs[k], ts[k]), cfg.spatial, temporal)
                 assert abs(report.mu_hat[k] - (m_star - m_cur)) <= 1e-9, \
                     (temporal.family, k)
@@ -357,7 +389,7 @@ class TestLowerBound:
                             counting)
         report = bound_report(trace)
         assert len(builds) == 1
-        alone = lower_bound(cfg.spatial, cfg.temporal, trace)
+        alone = _lower_bound_of(trace)
         for field in ("mu_hat", "sigma_hat", "sigma_hat_full", "terms",
                       "terms_full"):
             assert np.array_equal(getattr(report.lower, field),
@@ -373,6 +405,76 @@ class TestLowerBound:
         assert np.array_equal(report.upper_curve, curve)
         assert report.upper == curve[-1]
         assert report.c1_violation_fraction == violations
+
+
+class TestMercerPosterior:
+    def _setup(self, rng, temporal, n, noise):
+        sp = SpatialKernel.rbf([0.2])
+        xs = rng.uniform(0, 1, (n, 1))
+        ts = (np.arange(n) + 1) * 0.1
+        gram = build_spatiotemporal_matrix(sp, temporal, xs, ts)
+        chol = np.linalg.cholesky(gram.values + 1e-10 * np.eye(n))
+        fbar = chol @ rng.standard_normal(n)
+        ys = fbar + (rng.normal(0, math.sqrt(noise), n) if noise else 0.0)
+        data = Dataset(xs, ts, ys, noise=noise)
+        spec = eig_sym(gram, want_vectors=True)
+        return sp, data, spec
+
+    def test_empty_data_returns_prior(self):
+        sp, tp = SpatialKernel.rbf([0.3]), TemporalKernel.rbf(1.0)
+        spec = eig_sym(SymMatrix(np.eye(1)), want_vectors=True)
+        data = Dataset(np.zeros((0, 1)), [], [], noise=0.01)
+        mean, var = _mercer_posterior(spec, data, ([0.5], 0.1), sp, tp)
+        assert (mean, var) == (0.0, 1.0)
+
+    def test_mean_at_observed_point(self, rng):
+        # noiseless conditioning at large n: the spectral mean reproduces
+        # the exact posterior mean at observed points
+        tp = TemporalKernel.rbf(1.0)
+        sp, data, spec = self._setup(rng, tp, 200, 0.0)
+        exact_mean, _ = GPPosterior(sp, tp, data).predict(data.xs[:20],
+                                                          data.ts[:20])
+        for j in range(20):
+            mean, _ = _mercer_posterior(spec, data, (data.xs[j], data.ts[j]),
+                                        sp, tp)
+            assert abs(mean - exact_mean[j]) < 0.05
+
+    def test_variance_in_unit_interval(self, rng):
+        tp = TemporalKernel.rbf(1.0)
+        sp, data, spec = self._setup(rng, tp, 40, 0.01)
+        for j in range(0, 40, 5):
+            _, var = _mercer_posterior(spec, data, (data.xs[j], data.ts[j]),
+                                       sp, tp)
+            assert 0.0 <= var <= 1.0
+
+    def test_variance_deviation_shrinks_with_n(self, rng):
+        # |spectral variance - exact variance| at the observed points decays
+        # as the spectrum estimates improve with n
+        tp = TemporalKernel.periodic(period=0.3, lengthscale=0.8)
+        devs = []
+        for n in (50, 100, 200):
+            sp, data, spec = self._setup(rng, tp, n, 0.01)
+            _, cov = GPPosterior(sp, tp, data).predict(data.xs, data.ts)
+            exact_var = np.diag(cov)
+            dev = [abs(_mercer_posterior(spec, data, (data.xs[j], data.ts[j]),
+                                         sp, tp)[1] - exact_var[j])
+                   for j in range(n)]
+            devs.append(float(np.mean(dev)))
+        assert devs[2] < devs[1] < devs[0], devs
+
+    def test_rbf_variance_consistency_direction(self, rng):
+        # same convergence direction for the broadband pair used throughout
+        tp = TemporalKernel.rbf(1.0)
+        devs = []
+        for n in (50, 200):
+            sp, data, spec = self._setup(rng, tp, n, 0.01)
+            _, cov = GPPosterior(sp, tp, data).predict(data.xs, data.ts)
+            exact_var = np.diag(cov)
+            dev = [abs(_mercer_posterior(spec, data, (data.xs[j], data.ts[j]),
+                                         sp, tp)[1] - exact_var[j])
+                   for j in range(n)]
+            devs.append(float(np.mean(dev)))
+        assert devs[1] < devs[0], devs
 
 
 def _scaling_oracle(spatial, temporal, ns, interval=(1.0, 2.0), noise=0.01,

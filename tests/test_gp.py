@@ -1,4 +1,4 @@
-"""GP posterior inference, prior sampling and the Mercer approximation."""
+"""GP posterior inference and prior sampling."""
 
 import gc
 import math
@@ -14,22 +14,18 @@ from tvbospec import _blas, gp, tvbo
 from tvbospec.errors import (
     CapExceeded,
     DimensionMismatch,
-    MissingEigenvectors,
     SingularSystem,
 )
 from tvbospec.gp import (
     Dataset,
     GPPosterior,
-    mercer_posterior,
     sample_prior_path,
 )
 from tvbospec.kernels import SpatialKernel, TemporalKernel, eval_temporal
 from tvbospec.spectral import (
-    SymMatrix,
     TimeGrid,
     build_spatiotemporal_matrix,
     cross_covariance,
-    eig_sym,
 )
 
 
@@ -528,80 +524,3 @@ class TestPriorSampling:
         sample_prior_path(spatial, TemporalKernel.rbf(1.0), grid,
                           TimeGrid(n, 0.1), 6)
         assert self._square_arrays_reachable(gp, m) == []
-
-
-class TestMercerPosterior:
-    def _setup(self, rng, temporal, n, noise):
-        sp = SpatialKernel.rbf([0.2])
-        xs = rng.uniform(0, 1, (n, 1))
-        ts = (np.arange(n) + 1) * 0.1
-        gram = build_spatiotemporal_matrix(sp, temporal, xs, ts)
-        chol = np.linalg.cholesky(gram.values + 1e-10 * np.eye(n))
-        fbar = chol @ rng.standard_normal(n)
-        ys = fbar + (rng.normal(0, math.sqrt(noise), n) if noise else 0.0)
-        data = Dataset(xs, ts, ys, noise=noise)
-        spec = eig_sym(gram, want_vectors=True)
-        return sp, data, spec
-
-    def test_missing_eigenvectors(self, rng):
-        tp = TemporalKernel.rbf(1.0)
-        sp, data, spec = self._setup(rng, tp, 10, 0.01)
-        without = eig_sym(build_spatiotemporal_matrix(sp, tp, data.xs, data.ts))
-        with pytest.raises(MissingEigenvectors):
-            mercer_posterior(without, data, (data.xs[0], data.ts[0]), sp, tp)
-
-    def test_empty_data_returns_prior(self):
-        sp, tp = SpatialKernel.rbf([0.3]), TemporalKernel.rbf(1.0)
-        spec = eig_sym(SymMatrix(np.eye(1)), want_vectors=True)
-        data = Dataset(np.zeros((0, 1)), [], [], noise=0.01)
-        mean, var = mercer_posterior(spec, data, ([0.5], 0.1), sp, tp)
-        assert (mean, var) == (0.0, 1.0)
-
-    def test_mean_at_observed_point(self, rng):
-        # noiseless conditioning at large n: the spectral mean reproduces
-        # the exact posterior mean at observed points
-        tp = TemporalKernel.rbf(1.0)
-        sp, data, spec = self._setup(rng, tp, 200, 0.0)
-        exact_mean, _ = GPPosterior(sp, tp, data).predict(data.xs[:20],
-                                                          data.ts[:20])
-        for j in range(20):
-            mean, _ = mercer_posterior(spec, data, (data.xs[j], data.ts[j]),
-                                       sp, tp)
-            assert abs(mean - exact_mean[j]) < 0.05
-
-    def test_variance_in_unit_interval(self, rng):
-        tp = TemporalKernel.rbf(1.0)
-        sp, data, spec = self._setup(rng, tp, 40, 0.01)
-        for j in range(0, 40, 5):
-            _, var = mercer_posterior(spec, data, (data.xs[j], data.ts[j]),
-                                      sp, tp)
-            assert 0.0 <= var <= 1.0
-
-    def test_variance_deviation_shrinks_with_n(self, rng):
-        # |spectral variance - exact variance| at the observed points decays
-        # as the spectrum estimates improve with n
-        tp = TemporalKernel.periodic(period=0.3, lengthscale=0.8)
-        devs = []
-        for n in (50, 100, 200):
-            sp, data, spec = self._setup(rng, tp, n, 0.01)
-            _, cov = GPPosterior(sp, tp, data).predict(data.xs, data.ts)
-            exact_var = np.diag(cov)
-            dev = [abs(mercer_posterior(spec, data, (data.xs[j], data.ts[j]),
-                                        sp, tp)[1] - exact_var[j])
-                   for j in range(n)]
-            devs.append(float(np.mean(dev)))
-        assert devs[2] < devs[1] < devs[0], devs
-
-    def test_rbf_variance_consistency_direction(self, rng):
-        # same convergence direction for the broadband pair used throughout
-        tp = TemporalKernel.rbf(1.0)
-        devs = []
-        for n in (50, 200):
-            sp, data, spec = self._setup(rng, tp, n, 0.01)
-            _, cov = GPPosterior(sp, tp, data).predict(data.xs, data.ts)
-            exact_var = np.diag(cov)
-            dev = [abs(mercer_posterior(spec, data, (data.xs[j], data.ts[j]),
-                                        sp, tp)[1] - exact_var[j])
-                   for j in range(n)]
-            devs.append(float(np.mean(dev)))
-        assert devs[1] < devs[0], devs

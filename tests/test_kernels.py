@@ -1,4 +1,4 @@
-"""Kernel evaluations, spectral densities, classification, low-rank DCT."""
+"""Kernel evaluations, spectral densities, classification, serialization."""
 
 import json
 import math
@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tvbospec.errors import ToleranceUnreachable, WrongClass
+from tvbospec.errors import WrongClass
 from tvbospec.kernels import (
     ClassTag,
     KernelClass,
@@ -18,7 +18,6 @@ from tvbospec.kernels import (
     eval_temporal,
     kernel_from_dict,
     kernel_to_dict,
-    low_rank_approx,
     spectral_density,
     spectral_lines,
 )
@@ -177,77 +176,22 @@ class TestClassification:
         assert seen == set(ClassTag)
 
 
-class TestLowRankApprox:
-    def test_periodic_commensurate_three(self):
-        # sampling a periodic kernel at a third of its period leaves only
-        # one cosine and a positive constant
-        k = TemporalKernel.periodic(period=1.0, lengthscale=1.0)
-        lr = low_rank_approx(k, 1.0 / 3.0, 64, 1e-8)
-        (f0, c0), (f1, _) = lr.lines
-        assert f0 == 0.0 and c0 > 0
-        assert f1 == pytest.approx(1.0, rel=1e-12)
-        grid = np.arange(64) / 3.0
-        assert np.max(np.abs(eval_temporal(lr, grid)
-                              - eval_temporal(k, grid))) <= 1e-8
-
-    def test_periodic_commensurate_half(self):
-        # at half the period the sequence alternates between 1 and
-        # b = k(r/2) > 0, so the constant term is (1 + b)/2 and the single
-        # cosine sits at the fundamental frequency 1/r with weight (1-b)/2
-        k = TemporalKernel.periodic(period=1.0, lengthscale=1.0)
-        b = eval_temporal(k, 0.5)
-        lr = low_rank_approx(k, 0.5, 64, 1e-8)
-        (f0, c0), (f1, c1) = lr.lines
-        assert f0 == 0.0
-        assert c0 == pytest.approx((1 + b) / 2, rel=1e-10)
-        assert c1 == pytest.approx((1 - b) / 2, rel=1e-10)
-        assert f1 == pytest.approx(1.0, rel=1e-12)
-
-    def test_cosine_sum_fixed_point(self):
-        k = TemporalKernel.cosine_sum([(0.0, 0.3), (0.7, 0.5), (2.1, 0.2)])
-        lr = low_rank_approx(k, 0.37, 50, 1e-8)
-        assert lr.lines[0] == pytest.approx((0.0, 0.3), abs=1e-12)
-        assert sorted(lr.lines[1:]) == pytest.approx([(0.7, 0.5), (2.1, 0.2)])
-        grid = np.arange(50) * 0.37
-        assert np.max(np.abs(eval_temporal(lr, grid)
-                              - eval_temporal(k, grid))) == 0.0
-
-    def test_round_trip_any_step(self):
-        # untruncated cosine-transform reconstruction is exact on the grid
-        # even at incommensurate sampling steps
-        k = TemporalKernel.periodic(period=1.0, lengthscale=0.6)
-        for delta in (1 / 3.0, 0.13, 0.2719):
-            lr = low_rank_approx(k, delta, 96, 1e-12)
-            grid = np.arange(96) * delta
-            assert np.max(np.abs(eval_temporal(lr, grid)
-                                  - eval_temporal(k, grid))) <= 1e-10
-
-    def test_tolerance_unreachable(self):
-        k = TemporalKernel.periodic(period=1.0, lengthscale=1.0)
-        with pytest.raises(ToleranceUnreachable):
-            low_rank_approx(k, 0.1, 64, 1e-300)
-
-    def test_wrong_class(self):
-        with pytest.raises(WrongClass):
-            low_rank_approx(TemporalKernel.rbf(1.0), 0.1, 32, 1e-6)
-
-    def test_weights_normalized(self):
-        lr = low_rank_approx(TemporalKernel.periodic(period=0.5, lengthscale=0.7),
-                             0.11, 80, 1e-6)
-        assert sum(w for _, w in lr.lines) == pytest.approx(1.0, abs=1e-12)
-
+class TestCosineSum:
     def test_low_rank_kernel_validation(self):
         with pytest.raises(ValueError):
             TemporalKernel.cosine_sum([(0.0, 0.5), (1.0, 0.6)])
         with pytest.raises(ValueError):
             TemporalKernel.cosine_sum([(0.0, 0.5), (1.0, -0.1), (2.0, 0.6)])
 
-    def test_serialization_round_trip(self):
-        k = TemporalKernel.periodic(period=1.0, lengthscale=0.6)
-        for delta in (1 / 3.0, 0.13):
-            lr = low_rank_approx(k, delta, 64, 1e-8)
-            text = json.dumps(kernel_to_dict(lr))
-            assert kernel_from_dict(json.loads(text)) == lr
+    def test_serialization_round_trip(self, rng):
+        # non-round float frequencies and weights come back bit for bit
+        for n_lines in (1, 3, 8):
+            weights = rng.uniform(0.1, 1.0, n_lines + 1)
+            weights /= weights.sum()
+            freqs = [0.0, *rng.uniform(0.1, 3.0, n_lines)]
+            k = TemporalKernel.cosine_sum(zip(freqs, weights))
+            text = json.dumps(kernel_to_dict(k))
+            assert kernel_from_dict(json.loads(text)) == k
 
 
 class TestSpatialKernel:

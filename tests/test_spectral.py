@@ -15,13 +15,10 @@ from tvbospec.spectral import (
     Spectrum,
     SymMatrix,
     TimeGrid,
-    approx_lowrank_spectrum,
     approx_product_spectrum,
     approx_temporal_spectrum,
     build_spatiotemporal_matrix,
     build_temporal_matrix,
-    circulant_embedding,
-    circulant_spectrum,
     count_in_interval,
     eig_sym,
     positive_count,
@@ -188,38 +185,6 @@ class TestEigSym:
             eig_sym(SymMatrix(np.eye(3)))
 
 
-class TestCirculant:
-    def test_two_by_two(self):
-        k = TemporalKernel.rbf(1.0)
-        row = circulant_embedding(k, TimeGrid(2, 0.4))
-        assert row[0] == 1.0
-        assert row[1] == pytest.approx(2 * eval_temporal(k, 0.4), rel=1e-14)
-
-    def test_three_rbf(self):
-        k = TemporalKernel.rbf(1.0)
-        row = circulant_embedding(k, TimeGrid(3, 1.0))
-        k1, k2 = eval_temporal(k, 1.0), eval_temporal(k, 2.0)
-        expected = [1.0, k1 + k2, k2 + k1]
-        assert np.allclose(row, expected, atol=1e-15)
-
-    def test_palindrome(self):
-        k = TemporalKernel.matern(0.5, 0.8)
-        row = circulant_embedding(k, TimeGrid(17, 0.21))
-        assert np.allclose(row[1:], row[1:][::-1], atol=1e-15)
-
-    def test_asymptotic_equivalence(self):
-        # sorted spectra of the Toeplitz matrix and its circulant embedding
-        # drift together as n grows at fixed sampling step
-        k = TemporalKernel.rbf(1.0)
-        mads = []
-        for n in (50, 100, 200, 400):
-            grid = TimeGrid(n, 0.1)
-            toep = eig_sym(build_temporal_matrix(k, grid)).values
-            circ = circulant_spectrum(circulant_embedding(k, grid)).values
-            mads.append(float(np.mean(np.abs(toep - circ))))
-        assert all(b < a for a, b in zip(mads, mads[1:])), mads
-
-
 class TestSampledDensityApprox:
     def test_sinc_time_bandwidth_count(self):
         approx = approx_temporal_spectrum(TemporalKernel.sinc(1.0),
@@ -241,7 +206,7 @@ class TestSampledDensityApprox:
             spectral_density(k, 0.0) / 0.5, rel=1e-12)
 
     def test_wrong_class(self):
-        with pytest.raises(WrongClass):
+        with pytest.raises(WrongClass, match="spectral_lines.*eig_sym"):
             approx_temporal_spectrum(TemporalKernel.periodic(1.0),
                                      TimeGrid(10, 0.1))
 
@@ -268,30 +233,6 @@ class TestSampledDensityApprox:
 
 
 class TestLowRankSpectrum:
-    def test_weights(self):
-        lr = TemporalKernel.cosine_sum([(0.0, 0.5), (1.7, 0.5)])
-        spec = approx_lowrank_spectrum(lr, 100)
-        assert np.allclose(spec.values[:3], [50.0, 25.0, 25.0])
-        assert np.allclose(spec.values[3:], 0.0)
-
-    def test_constant_rank_one(self):
-        lr = TemporalKernel.cosine_sum([(0.0, 1.0)])
-        spec = approx_lowrank_spectrum(lr, 7)
-        assert spec.values[0] == 7.0 and np.all(spec.values[1:] == 0.0)
-
-    def test_two_line_count(self):
-        lr = TemporalKernel.cosine_sum([(0.0, 0.2), (0.9, 0.5), (2.2, 0.3)])
-        spec = approx_lowrank_spectrum(lr, 64)
-        assert int(np.sum(spec.values > 0)) == 5
-
-    def test_matches_exact_eigenvalues(self):
-        k = TemporalKernel.cosine_sum([(0.0, 0.5), (1.3, 0.5)])
-        m = build_temporal_matrix(k, TimeGrid(100, 0.1))
-        exact = eig_sym(m).values
-        approx = approx_lowrank_spectrum(k, 100).values
-        assert np.max(np.abs(exact[:3] - approx[:3])) / approx[0] < 0.05
-        assert exact[3] < 1e-6 * exact[0]
-
     def test_rank_bound_generic_frequencies(self, rng):
         # any induced kernel matrix of an L-line kernel has at most 2L+1
         # numerically positive eigenvalues
@@ -448,7 +389,7 @@ class TestSpectrumType:
         op = spec.to_operator(4)
         assert op.scale is Scale.OPERATOR
         assert np.allclose(op.values, [1.0, 0.5])
-        assert np.allclose(op.to_matrix(4).values, spec.values)
+        assert op.to_operator(4) is op
 
     def test_monotonicity_enforced(self):
         with pytest.raises(ValueError):
