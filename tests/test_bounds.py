@@ -1,5 +1,6 @@
 """Mutual information, the regret bounds and the scaling diagnostics."""
 
+import inspect
 import math
 
 import numpy as np
@@ -394,6 +395,29 @@ class TestLowerBound:
                       "terms_full"):
             assert np.array_equal(getattr(report.lower, field),
                                   getattr(alone, field))
+
+    def test_gram_is_a_required_argument(self):
+        params = inspect.signature(lower_bound).parameters
+        assert list(params) == ["spatial", "temporal", "trace", "gram"]
+        assert all(p.default is inspect.Parameter.empty
+                   for p in params.values())
+
+    def test_lower_bound_builds_no_gram_of_its_own(self, monkeypatch):
+        cfg = TVBOConfig(spatial=SpatialKernel.rbf([0.4]),
+                         temporal=TemporalKernel.rbf(1.0), horizon=12, seed=5)
+        trace = run_tvbo(cfg)
+        gram = build_spatiotemporal_matrix(cfg.spatial, cfg.temporal,
+                                           trace.chosen_x, trace.times)
+        want = bound_report(trace).lower
+
+        def refused(*args):
+            raise AssertionError("lower_bound rebuilt the Gram matrix")
+
+        monkeypatch.setattr(bounds_module, "build_spatiotemporal_matrix",
+                            refused)
+        got = lower_bound(cfg.spatial, cfg.temporal, trace, gram)
+        assert np.array_equal(got.terms, want.terms)
+        assert got.total == want.total
 
     def test_report_serializes(self):
         cfg = TVBOConfig(spatial=SpatialKernel.rbf([0.4]),

@@ -1,4 +1,4 @@
-"""GP posterior inference and prior sampling."""
+"""GP posterior inference, prior sampling and the Nystrom expansion."""
 
 import gc
 import math
@@ -19,6 +19,7 @@ from tvbospec.errors import (
 from tvbospec.gp import (
     Dataset,
     GPPosterior,
+    nystrom_expansion,
     sample_prior_path,
 )
 from tvbospec.kernels import SpatialKernel, TemporalKernel, eval_temporal
@@ -26,6 +27,8 @@ from tvbospec.spectral import (
     TimeGrid,
     build_spatiotemporal_matrix,
     cross_covariance,
+    eig_sym,
+    positive_count,
 )
 
 
@@ -524,3 +527,60 @@ class TestPriorSampling:
         sample_prior_path(spatial, TemporalKernel.rbf(1.0), grid,
                           TimeGrid(n, 0.1), 6)
         assert self._square_arrays_reachable(gp, m) == []
+
+
+class TestNystromExpansion:
+    SPATIAL = SpatialKernel.rbf([0.3])
+    LINES = TemporalKernel.cosine_sum([(0.0, 0.2), (0.9, 0.5), (2.2, 0.3)])
+
+    def _eigensystem(self, rng, temporal, n, same_x=False):
+        xs = (np.full((n, 1), 0.4) if same_x
+              else rng.uniform(0, 1, (n, 1)))
+        ts = (np.arange(n) + 1) * 0.1
+        gram = build_spatiotemporal_matrix(self.SPATIAL, temporal, xs, ts)
+        return gram, eig_sym(gram, want_vectors=True), xs, ts
+
+    def test_extension_at_a_sample_is_the_scaled_eigenvector(self, rng):
+        gram, spec, _, _ = self._eigensystem(rng, TemporalKernel.rbf(1.0), 30)
+        n = len(spec)
+        _, _, phi_q = nystrom_expansion(spec.values, spec.vectors,
+                                        np.zeros(n), gram.values[:, :3].T)
+        kept = len(phi_q[0])
+        for j in range(3):
+            assert np.allclose(phi_q[j],
+                               math.sqrt(n) * spec.vectors[j, :kept],
+                               rtol=0.0, atol=1e-8)
+
+    def test_keeps_only_positive_eigenpairs(self, rng):
+        # a rank-5 kernel matrix keeps five operator eigenvalues lam_i / n,
+        # and the inner products are sum_j sqrt(n) Phi_ji y_j
+        _, spec, _, _ = self._eigensystem(rng, self.LINES, 40, same_x=True)
+        ys = rng.standard_normal(40)
+        lam_bar, inner, phi_q = nystrom_expansion(spec.values, spec.vectors,
+                                                  ys, [])
+        assert positive_count(spec) == 5 and phi_q == []
+        assert np.array_equal(lam_bar, spec.values[:5] / 40)
+        assert np.allclose(inner, math.sqrt(40) * spec.vectors[:, :5].T @ ys,
+                           rtol=0.0, atol=1e-12)
+
+    def test_expansion_reproduces_the_kernel_matrix(self, rng):
+        # sum_i lam_bar_i phi_i(z_j) phi_i(z_k) = K_jk on the samples
+        gram, spec, _, _ = self._eigensystem(rng, TemporalKernel.rbf(1.0), 25)
+        n = len(spec)
+        lam_bar, _, phi = nystrom_expansion(spec.values, spec.vectors,
+                                            np.zeros(n), gram.values)
+        phi = np.array(phi)
+        assert np.allclose((phi * lam_bar) @ phi.T, gram.values,
+                           rtol=0.0, atol=1e-8)
+
+    def test_finite_rank_query_has_no_residual_variance(self, rng):
+        # at one spatial point the matrix is the rank-5 line kernel; a new
+        # time lies in the span of its features, so the expansion recovers
+        # k(q, q) = 1 exactly and the Mercer variance 1 - sum lam phi^2 is 0
+        _, spec, xs, ts = self._eigensystem(rng, self.LINES, 40, same_x=True)
+        k_q = cross_covariance(self.SPATIAL, self.LINES, xs, ts,
+                               xs[:1], np.array([7.31]))[:, 0]
+        lam_bar, _, (phi_q,) = nystrom_expansion(spec.values, spec.vectors,
+                                                 np.zeros(40), [k_q])
+        assert float(np.sum(lam_bar * phi_q ** 2)) == pytest.approx(
+            1.0, abs=1e-8)

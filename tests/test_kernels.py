@@ -18,10 +18,11 @@ from tvbospec.kernels import (
     eval_temporal,
     kernel_from_dict,
     kernel_to_dict,
+    line_features,
     spectral_density,
     spectral_lines,
 )
-from tvbospec.kernels import _matern
+from tvbospec.kernels import _LINE_TOL, _matern
 
 
 class TestEvaluation:
@@ -152,6 +153,33 @@ class TestSpectralDensity:
         with pytest.raises(WrongClass, match="spectral_lines"):
             spectral_density(TemporalKernel.periodic(1.0), 0.0)
 
+    def test_each_class_refuses_the_other_spectrum(
+            self, shipped_temporal_kernels):
+        for k in shipped_temporal_kernels.values():
+            with pytest.raises(WrongClass):
+                if classify(k).support_discrete:
+                    spectral_density(k, 0.0)
+                else:
+                    spectral_lines(k)
+
+    def test_periodic_lines_reconstruct_kernel(self):
+        # the truncated line sum matches the kernel at any sampling step,
+        # commensurate with the period or not
+        k = TemporalKernel.periodic(period=1.0, lengthscale=0.6)
+        lines = spectral_lines(k)
+        for delta in (1 / 3.0, 0.13, 0.2719):
+            u = np.arange(96) * delta
+            rebuilt = sum(w * np.cos(2 * np.pi * f * u) for f, w in lines)
+            assert np.max(np.abs(rebuilt - eval_temporal(k, u))) <= 1e-10
+
+    def test_narrow_periodic_lines_reach_tolerance(self):
+        # z = 1/l^2 = 100 needs dozens of harmonics; the omitted mass still
+        # falls below the tolerance well before the harmonic cap
+        lines = spectral_lines(TemporalKernel.periodic(period=1.0,
+                                                       lengthscale=0.1))
+        assert 20 < len(lines) < 1000
+        assert abs(sum(w for _, w in lines) - 1.0) <= 10 * _LINE_TOL
+
 
 class TestClassification:
     @pytest.mark.parametrize("factory,tag", [
@@ -192,6 +220,31 @@ class TestCosineSum:
             k = TemporalKernel.cosine_sum(zip(freqs, weights))
             text = json.dumps(kernel_to_dict(k))
             assert kernel_from_dict(json.loads(text)) == k
+
+    def test_lines_reproduce_kernel(self):
+        k = TemporalKernel.cosine_sum([(0.0, 0.3), (0.7, 0.5), (2.1, 0.2)])
+        lines = spectral_lines(k)
+        assert sum(w for _, w in lines) == pytest.approx(1.0, abs=1e-15)
+        u = np.arange(50) * 0.37
+        rebuilt = sum(w * np.cos(2 * np.pi * f * u) for f, w in lines)
+        assert np.max(np.abs(rebuilt - eval_temporal(k, u))) <= 1e-14
+
+    def test_line_features_reproduce_kernel(self, rng):
+        # phi(s) . phi(t) = k(s - t) with one feature for the zero frequency
+        # and two for each other line
+        k = TemporalKernel.cosine_sum([(0.0, 0.3), (0.7, 0.5), (2.1, 0.2)])
+        s, t = rng.uniform(0.0, 5.0, 40), rng.uniform(0.0, 5.0, 30)
+        phi_s, phi_t = line_features(k, s), line_features(k, t)
+        assert phi_s.shape == (40, 5) and phi_t.shape == (30, 5)
+        assert np.allclose(phi_s @ phi_t.T,
+                           eval_temporal(k, s[:, None] - t[None, :]),
+                           rtol=0.0, atol=1e-14)
+
+    def test_no_line_features_without_finite_expansion(self):
+        times = np.arange(5) * 0.1
+        for k in (TemporalKernel.periodic(period=0.3, lengthscale=0.8),
+                  TemporalKernel.rbf(1.0)):
+            assert line_features(k, times) is None
 
 
 class TestSpatialKernel:

@@ -184,6 +184,15 @@ class TestEigSym:
         with pytest.raises(ValueError, match="argument 4"):
             eig_sym(SymMatrix(np.eye(3)))
 
+    def test_eigenvalues_sum_to_order(self, shipped_temporal_kernels):
+        # a unit-diagonal kernel matrix has trace n, and a PSD one has no
+        # eigenvalue below rounding
+        grid = TimeGrid(80, 0.13)
+        for name, kernel in shipped_temporal_kernels.items():
+            values = eig_sym(build_temporal_matrix(kernel, grid)).values
+            assert np.sum(values) == pytest.approx(grid.n, rel=1e-12), name
+            assert values[-1] >= -1e-10 * grid.n, name
+
 
 class TestSampledDensityApprox:
     def test_sinc_time_bandwidth_count(self):
@@ -210,6 +219,12 @@ class TestSampledDensityApprox:
             approx_temporal_spectrum(TemporalKernel.periodic(1.0),
                                      TimeGrid(10, 0.1))
 
+    def test_cosine_sum_refused(self):
+        with pytest.raises(WrongClass, match="spectral_lines.*eig_sym"):
+            approx_temporal_spectrum(
+                TemporalKernel.cosine_sum([(0.0, 0.4), (1.3, 0.6)]),
+                TimeGrid(10, 0.1))
+
     def test_frequency_axis_scales_with_rate(self):
         k = TemporalKernel.rbf(1.0)
         a1 = approx_temporal_spectrum(k, TimeGrid(100, 0.1))
@@ -233,6 +248,41 @@ class TestSampledDensityApprox:
 
 
 class TestLowRankSpectrum:
+    def test_constant_rank_one(self):
+        spec = eig_sym(build_temporal_matrix(
+            TemporalKernel.cosine_sum([(0.0, 1.0)]), TimeGrid(7, 0.37)))
+        assert spec.values[0] == pytest.approx(7.0, rel=1e-14)
+        assert np.max(np.abs(spec.values[1:])) <= 1e-14
+        assert positive_count(spec) == 1
+
+    def test_two_line_count(self):
+        # a constant and two cosines give 1 + 2 + 2 positive eigenvalues
+        lr = TemporalKernel.cosine_sum([(0.0, 0.2), (0.9, 0.5), (2.2, 0.3)])
+        spec = eig_sym(build_temporal_matrix(lr, TimeGrid(64, 0.1)))
+        assert positive_count(spec) == 5
+
+    def test_line_weights_set_leading_eigenvalues(self):
+        # at large n the cosine and sine vectors of a line are nearly
+        # orthogonal, so a weight-w line at f > 0 gives two eigenvalues
+        # near n w / 2 and the constant one near n w
+        k = TemporalKernel.cosine_sum([(0.0, 0.5), (1.3, 0.5)])
+        exact = eig_sym(build_temporal_matrix(k, TimeGrid(100, 0.1))).values
+        assert np.max(np.abs(exact[:3] - [50.0, 25.0, 25.0])) / 50.0 < 0.05
+        assert exact[3] < 1e-6 * exact[0]
+
+    def test_periodic_half_period_closed_form(self):
+        # at half the period the matrix alternates 1 and b = k(r/2): it is
+        # (1 + b)/2 * 11' + (1 - b)/2 * ss' with s_i = (-1)^i, so its only
+        # eigenvalues are n(1 + b)/2 and n(1 - b)/2
+        k = TemporalKernel.periodic(period=1.0, lengthscale=1.0)
+        b = float(eval_temporal(k, 0.5))
+        n = 64
+        spec = eig_sym(build_temporal_matrix(k, TimeGrid(n, 0.5)))
+        assert spec.values[0] == pytest.approx(n * (1 + b) / 2, rel=1e-12)
+        assert spec.values[1] == pytest.approx(n * (1 - b) / 2, rel=1e-12)
+        assert np.max(np.abs(spec.values[2:])) <= 1e-12 * n
+        assert positive_count(spec) == 2
+
     def test_rank_bound_generic_frequencies(self, rng):
         # any induced kernel matrix of an L-line kernel has at most 2L+1
         # numerically positive eigenvalues
