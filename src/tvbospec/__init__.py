@@ -13,6 +13,10 @@ Submodules:
 - ``expcli``    reproducible experiment runner (CSV + SVG artifacts)
 """
 
+# numpy imports numpy.random on first use; every experiment draws from it,
+# so it loads with the package instead of inside the first run.
+import numpy.random  # noqa: F401
+
 from . import _blas, bounds, errors, gp, kernels, spectral, tvbo
 from .kernels import (
     ClassTag,
@@ -25,5 +29,12 @@ from .kernels import (
 from .spectral import Scale, Spectrum, TimeGrid, eig_sym
 
 _blas.pin_numpy_openblas()
+
+# glibc's malloc gives each block above its mmap threshold (128 KiB at
+# start) a fresh mapping, whose pages fault in on every first touch, and
+# raises the threshold to the size of each such block freed (mallopt(3)).
+# Freeing one untouched 8 MiB block here lets a run's Gram matrices and
+# eigenvector arrays reuse heap pages instead.
+numpy.empty(1 << 20)
 
 __version__ = "0.1.0"

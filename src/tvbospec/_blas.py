@@ -3,10 +3,12 @@
 LAPACK policy: ``?syevd``, ``?potrf`` and ``?trtrs`` are called through
 ``ctypes`` on scipy's bundled OpenBLAS (``scipy.libs/libscipy_openblas*.so``,
 symbols ``scipy_dsyevd_``, ``scipy_dpotrf_``, ``scipy_dtrtrs_``), the
-library that ``scipy.special`` already loads and that scipy's own f2py
-handles call, on the same thread pool.  Arguments, workspace sizes and
-layouts are those of ``scipy.linalg.lapack``'s handles as scipy's ``eigh``,
-``cholesky`` and ``solve_triangular`` call them, so the bits are theirs:
+library that scipy's own f2py handles call, on the same thread pool.
+``ctypes.CDLL`` loads it here before any scipy extension module does; the
+extension modules imported later link the same copy.  Arguments,
+workspace sizes and layouts are those of ``scipy.linalg.lapack``'s
+handles as scipy's ``eigh``, ``cholesky`` and ``solve_triangular`` call
+them, so the bits are theirs:
 
 - ``?syevd`` works on a Fortran-ordered copy of ``a``, the upper or lower
   triangle (``lower`` = 1) as f2py passes it, and takes
@@ -31,9 +33,10 @@ their ``argtypes``, are made once.
 Where scipy bundles no such library (a distribution build), each routine's
 address is looked up once in ``scipy.linalg.cython_lapack.__pyx_capi__``
 instead; the call path is the same, and only that install imports
-``scipy.linalg``.  Elsewhere tvbospec imports numpy and ``scipy.special``
-and nothing else of scipy's.  The module holds scipy's library handle
-(``scipy_openblas()``, None in that case).
+``scipy.linalg``.  Elsewhere ``import tvbospec`` loads numpy and the
+top-level ``scipy`` package only; ``kernels`` imports ``scipy.special``
+in the branches that need Bessel or gamma functions.  The module holds
+scipy's library handle (``scipy_openblas()``, None in that case).
 
 numpy and scipy wheels each bundle an OpenBLAS with its own thread pool,
 and an idle pool's workers busy-wait for a while after each call.  All of

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from ._blas import eigh_descending
 from .errors import ScaleMismatch
@@ -119,6 +118,82 @@ def upper_bound_curve(trace: RegretTrace):
     return bounds, violation_fraction
 
 
+# Phi through the cephes ndtr/erf/erfc that scipy.special.ndtr evaluates:
+# their coefficient tables, branches and operation order, so the bits are
+# scipy's (tests/test_bounds.py checks them), without importing
+# scipy.special.  erf and erfc keep only the branches ndtr reaches.
+_SQRTH = 7.07106781186547524401E-1  # 1/sqrt(2)
+_MAXLOG = 7.09782712893383996843E2  # log(DBL_MAX)
+_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
+      7.46321056442269912687E0, 4.86371970985681366614E1,
+      1.96520832956077098242E2, 5.26445194995477358631E2,
+      9.34528527171957607540E2, 1.02755188689515710272E3,
+      5.57535335369399327526E2)
+_Q = (1.32281951154744992508E1, 8.67072140885989742329E1,
+      3.54937778887819891062E2, 9.75708501743205489753E2,
+      1.82390916687909736289E3, 2.24633760818710981792E3,
+      1.65666309194161350182E3, 5.57535340817727675546E2)
+_R = (5.64189583547755073984E-1, 1.27536670759978104416E0,
+      5.01905042251180477414E0, 6.16021097993053585195E0,
+      7.40974269950448939160E0, 2.97886665372100240670E0)
+_S = (2.26052863220117276590E0, 9.39603524938001434673E0,
+      1.20489539808096656605E1, 1.70814450747565897222E1,
+      9.60896809063285878198E0, 3.36907645100081516050E0)
+_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
+      2.23200534594684319226E3, 7.00332514112805075473E3,
+      5.55923013010394962768E4)
+_U = (3.35617141647503099647E1, 5.21357949780152679795E2,
+      4.59432382970980127987E3, 2.26290000613890934246E4,
+      4.92673942608635921086E4)
+
+
+def _polevl(x: float, coef) -> float:
+    """coef[0] x^N + ... + coef[N] by Horner's rule (cephes polevl)."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef) -> float:
+    """x^N + coef[0] x^(N-1) + ... + coef[N-1] (cephes p1evl)."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: float) -> float:
+    """erf(x) for |x| < 1/sqrt(2)."""
+    z = x * x
+    return x * _polevl(z, _T) / _p1evl(z, _U)
+
+
+def _erfc(a: float) -> float:
+    """erfc(a) for a >= 1/sqrt(2)."""
+    if a < 1.0:
+        return 1.0 - _erf(a)
+    z = -a * a
+    if z < -_MAXLOG:
+        return 0.0
+    z = math.exp(z)
+    if a < 8.0:
+        return (z * _polevl(a, _P)) / _p1evl(a, _Q)
+    return (z * _polevl(a, _R)) / _p1evl(a, _S)
+
+
+def _ndtr(a: float) -> float:
+    """Standard normal CDF Phi(a), bit for bit scipy.special.ndtr."""
+    if math.isnan(a):
+        return math.nan
+    x = a * _SQRTH
+    z = abs(x)
+    if z < _SQRTH:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0 else y
+
+
 def truncated_gaussian_mean(mu: float, sigma: float) -> float:
     """E[max(0, X)] for X ~ N(mu, sigma^2): mu Phi(mu/sigma) + sigma phi(mu/sigma).
 
@@ -129,7 +204,7 @@ def truncated_gaussian_mean(mu: float, sigma: float) -> float:
     if sigma == 0.0:
         return max(0.0, mu)
     z = mu / sigma
-    return mu * float(ndtr(z)) + sigma * _norm_pdf(z)
+    return mu * _ndtr(z) + sigma * _norm_pdf(z)
 
 
 @dataclass(frozen=True, eq=False)

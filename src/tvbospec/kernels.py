@@ -21,7 +21,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DimensionMismatch, WrongClass
 
@@ -292,6 +291,7 @@ def _continuous_density(kernel: TemporalKernel, w: np.ndarray) -> np.ndarray:
         return ell * math.sqrt(2.0 * math.pi) * np.exp(
             -2.0 * np.pi ** 2 * ell ** 2 * w ** 2)
     if f is TemporalFamily.MATERN:
+        from scipy import special
         nu = kernel.nu
         two_nu = 2.0 * nu
         const = (2.0 * math.sqrt(math.pi) * special.gamma(nu + 0.5)
@@ -302,6 +302,7 @@ def _continuous_density(kernel: TemporalKernel, w: np.ndarray) -> np.ndarray:
         #   S(w) = a * (2 sqrt(pi) / Gamma(alpha)) (pi a |w|)^(alpha-1/2)
         #          * K_{alpha-1/2}(2 pi a |w|)
         # with the finite w -> 0 limit a sqrt(pi) Gamma(alpha-1/2)/Gamma(alpha).
+        from scipy import special
         alpha = kernel.alpha
         a = math.sqrt(2.0 * alpha) * ell
         order = alpha - 0.5
@@ -344,6 +345,7 @@ def spectral_lines(kernel: TemporalKernel):
                 lines.append((freq, weight / 2.0))
                 lines.append((-freq, weight / 2.0))
     elif f is TemporalFamily.PERIODIC:
+        from scipy import special
         z = 1.0 / kernel.lengthscale ** 2
         r = kernel.period
         lines = [(0.0, float(special.ive(0, z)))]

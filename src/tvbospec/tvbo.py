@@ -242,10 +242,11 @@ def _ucb_candidates(post: GPPosterior, ks_rows: np.ndarray, k_t: np.ndarray,
              + _SCREEN_UCB_MARGIN)
     top = np.sort(np.argpartition(bound, -2)[-2:])
     best = np.max(_ucb(post, _columns(ks_rows, k_t, top), root_beta)[0])
-    survivors = np.flatnonzero(bound >= best)
-    if len(survivors) > len(bound) // 2:
+    keep = bound >= best
+    if np.count_nonzero(keep) > len(bound) // 2:
         return None
-    return np.union1d(survivors, top)
+    keep[top] = True
+    return np.flatnonzero(keep)
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,7 +4,10 @@ OpenBLAS, numpy's OpenBLAS at one thread."""
 import ast
 import ctypes
 import functools
+import importlib.util
+import json
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -20,7 +23,12 @@ from tvbospec import _blas
 from tvbospec._blas import numpy_openblas
 from tvbospec.bounds import bound_report, scaling_diagnostic
 from tvbospec.gp import Dataset
-from tvbospec.kernels import SpatialKernel, TemporalKernel, eval_temporal
+from tvbospec.kernels import (
+    SpatialKernel,
+    TemporalKernel,
+    eval_temporal,
+    spectral_lines,
+)
 from tvbospec.spectral import TimeGrid, build_spatiotemporal_matrix
 from tvbospec.tvbo import TVBOConfig, run_tvbo
 
@@ -174,6 +182,15 @@ def test_guard_sees_scipy_linalg_uses():
         assert len(forbidden) == (10 if path == BLAS_MODULE else 11), path
 
 
+def _fresh_interpreter(code: str) -> str:
+    """stdout of ``code`` run by a new interpreter that imports this
+    tvbospec."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=300).stdout
+
+
 def _uses_bundled_openblas():
     lib = _blas.scipy_openblas()
     return lib is not None and hasattr(lib, "scipy_dsyevd_")
@@ -193,11 +210,94 @@ def test_import_and_validation_load_neither_scipy_linalg_nor_fft():
         "    ex.validate_config(ex.default_config(name))\n"
         "print(sorted(m for m in sys.modules\n"
         "             if m.startswith(('scipy.linalg', 'scipy.fft'))))\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert _fresh_interpreter(code).strip() == "[]"
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+_spec = importlib.util.spec_from_file_location("bench_workloads",
+                                               BENCH / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+
+# What the kernels that import scipy.special lazily return; these are the
+# values they gave when kernels imported it at module level.
+LAZY_SPECIAL_CALLS = (
+    "from tvbospec.kernels import (TemporalKernel, spectral_density,\n"
+    "                              spectral_lines)\n"
+    "w = [0.0, 0.3, 1.7]\n"
+    "out = [list(spectral_density(TemporalKernel.matern(1.5, 1.2), w)),\n"
+    "       list(spectral_density(\n"
+    "           TemporalKernel.rational_quadratic(0.8, alpha=1.0), w)),\n"
+    "       spectral_lines(TemporalKernel.periodic(period=0.3,\n"
+    "                                              lengthscale=0.8))]\n")
+MATERN_DENSITY = [2.771281292110204, 0.3786133492904112,
+                  0.0008911803334401867]
+RQ_DENSITY = [3.5543063505266934, 0.4212941964202706, 2.0066041145079372e-05]
+PERIODIC_HEAVIEST_LINES = [
+    [0.0, 0.35844525508684205], [3.3333333333333335, 0.21908451709421356],
+    [-3.3333333333333335, 0.21908451709421356]]
+
+
+def test_workloads_load_no_module_after_setup(tmp_path):
+    # a fresh interpreter sets up and runs every benchmark workload's tiny
+    # configs (regret with bounds on included), plus the d = 2 loop on a
+    # 16 x 16 grid, which screens: the runs import no module that the
+    # import and validate_config did not (numpy loads numpy.random and
+    # numpy.ma on first use), and scipy.special is never loaded, since the
+    # lower bound's Phi is bounds' own and no kernel they use needs it.
+    # The Matern and rational-quadratic densities and periodic lines then
+    # load it.
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(BENCH)!r})\n"
+        "import workloads\n"
+        "import tvbospec.expcli.experiments as ex\n"
+        "runs = [run for name in sorted(workloads.TINY)\n"
+        "        for run in workloads.experiments(name, 0, True)]\n"
+        "screened = workloads.experiments('loop_d2', 0, True)[0]\n"
+        "screened['config']['params']['grid_resolution'] = 16\n"
+        "runs.append(screened)\n"
+        "for run in runs:\n"
+        "    ex.validate_config(run['config'])\n"
+        "setup = set(sys.modules)\n"
+        "for i, run in enumerate(runs):\n"
+        f"    ex.run_experiment(run['config'], {str(tmp_path)!r} + f'/{{i}}',\n"
+        "                      jobs=run['jobs'])\n"
+        "loaded = sorted(set(sys.modules) - setup)\n"
+        "special = sorted(m for m in sys.modules\n"
+        "                 if m.startswith('scipy.special'))\n"
+        + LAZY_SPECIAL_CALLS +
+        "print(json.dumps([loaded, special, 'scipy.special' in sys.modules,\n"
+        "                  out]))\n")
+    loaded, special, special_after, (matern, rq, lines) = json.loads(
+        _fresh_interpreter(code).splitlines()[-1])
+    assert len(list(tmp_path.glob("*/manifest.json"))) == 1 + sum(
+        len(runs) for runs in workloads.TINY.values())
+    assert loaded == []
+    assert special == []
+    assert special_after
+    assert matern == MATERN_DENSITY
+    assert rq == RQ_DENSITY
+    assert lines[:3] == PERIODIC_HEAVIEST_LINES
+    assert lines == [list(line) for line in spectral_lines(
+        TemporalKernel.periodic(period=0.3, lengthscale=0.8))]
+
+
+def test_one_scipy_openblas_mapped():
+    # _blas loads scipy's bundled OpenBLAS with ctypes before any scipy
+    # extension module does; scipy.special and scipy.linalg, imported
+    # after it, must link that same file rather than map a second copy
+    # with its own thread pool
+    if not sys.platform.startswith("linux"):
+        pytest.skip("reads /proc/self/maps")
+    if _blas.scipy_openblas() is None:
+        pytest.skip("scipy bundles no scipy_openblas library")
+    import scipy.linalg  # noqa: F401
+    import scipy.special  # noqa: F401
+    maps = Path("/proc/self/maps").read_text(encoding="utf-8").splitlines()
+    mapped = {line.split(maxsplit=5)[-1] for line in maps
+              if "scipy.libs/libscipy_openblas" in line}
+    assert len(mapped) == 1, mapped
 
 
 def _spatial_d2_gram():
@@ -431,6 +531,25 @@ def _numpy_lib():
 
 def test_numpy_openblas_pinned_to_one_thread():
     assert _numpy_lib().scipy_openblas_get_num_threads64_() == 1
+
+
+def test_import_lets_arrays_below_8_mib_reuse_heap_pages():
+    # in a fresh interpreter: after `import tvbospec`, a freed 4 MiB array
+    # stays in glibc's heap, so the next one faults no page in
+    if not sys.platform.startswith("linux") or \
+            platform.libc_ver()[0] != "glibc":
+        pytest.skip("glibc's dynamic mmap threshold")
+    code = (
+        "import resource\n"
+        "import tvbospec, numpy as np\n"
+        "def faults():\n"
+        "    start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    np.ones(1 << 19)\n"
+        "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start\n"
+        "print([faults(), faults()])\n")
+    first, second = json.loads(_fresh_interpreter(code))
+    assert first > 64  # fresh pages do count
+    assert second < 64, (first, second)
 
 
 def _regret_arrays(temporal):

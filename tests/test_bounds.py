@@ -279,6 +279,71 @@ class TestTruncatedGaussianMean:
                 truncated_gaussian_mean(mu, float(s1)) - 1e-12
 
 
+# |a| where _ndtr changes branch: 1 (erf), sqrt(2) (erfc's own erf
+# switch), 8 sqrt(2) (P/Q to R/S), sqrt(2 MAXLOG) (erfc underflows to 0)
+NDTR_EDGES = (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0),
+              math.sqrt(bounds_module._MAXLOG) / bounds_module._SQRTH)
+
+
+def _ndtr_edge_points():
+    """Each branch edge of either sign with its 4 nextafter neighbours on
+    each side, and the special values."""
+    points = [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan,
+              1e308, -1e308]
+    for edge in NDTR_EDGES:
+        for a in (edge, -edge):
+            points.append(a)
+            up = down = a
+            for _ in range(4):
+                up = math.nextafter(up, math.inf)
+                down = math.nextafter(down, -math.inf)
+                points += [up, down]
+    return np.array(points)
+
+
+class TestNdtr:
+    """bounds._ndtr is the cephes ndtr that scipy.special.ndtr evaluates,
+    ported to math: the same bits."""
+
+    @staticmethod
+    def _assert_same_bits(xs):
+        from scipy.special import ndtr
+        got = np.array([bounds_module._ndtr(float(a)) for a in xs])
+        want = ndtr(xs)
+        bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        assert bad.size == 0, (xs[bad][:5], got[bad][:5], want[bad][:5])
+
+    def test_bitwise_equal_to_scipy_on_seeded_values(self):
+        rng = np.random.default_rng(23)
+        self._assert_same_bits(np.concatenate([
+            10.0 * rng.standard_normal(400_000),
+            rng.uniform(-40.0, 40.0, 300_000),
+            np.linspace(-12.0, 12.0, 300_001)]))
+
+    def test_bitwise_equal_to_scipy_at_branch_edges(self):
+        self._assert_same_bits(_ndtr_edge_points())
+
+    def test_truncated_gaussian_mean_matches_scipy_formula(self):
+        from scipy.special import ndtr
+
+        def reference(mu, sigma):
+            if sigma == 0.0:
+                return max(0.0, mu)
+            z = mu / sigma
+            pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+            return mu * float(ndtr(z)) + sigma * pdf
+
+        mus = np.concatenate([np.linspace(-6.0, 6.0, 241), [0.0, -0.0]])
+        sigmas = np.concatenate([[0.0, 1e-300, 1e-8],
+                                 np.linspace(0.01, math.sqrt(2.0), 60)])
+        for mu in mus:
+            for sigma in sigmas:
+                got = truncated_gaussian_mean(float(mu), float(sigma))
+                want = reference(float(mu), float(sigma))
+                assert np.float64(got).view(np.int64) == \
+                    np.float64(want).view(np.int64), (mu, sigma)
+
+
 class TestLowerBound:
     def test_first_step_convention(self):
         cfg = TVBOConfig(spatial=SpatialKernel.rbf([0.4]),
