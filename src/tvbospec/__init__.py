@@ -4,8 +4,9 @@ Submodules:
 
 - ``kernels``   stationary correlation functions, their spectral densities
                 and the four-class support taxonomy
-- ``spectral``  kernel matrices, exact eigendecomposition and spectrum
-                approximations (sampled densities, product lattices)
+- ``spectral``  kernel matrices, their eigenvalues (one descending
+                matrix-scale ``Spectrum``) and spectrum approximations
+                (sampled densities, product lattices)
 - ``gp``        exact GP posteriors, prior path sampling, the Mercer
                 (Nystrom) expansion the lower bound uses
 - ``tvbo``      the GP-UCB simulation loop and regret traces
@@ -26,7 +27,7 @@ from .kernels import (
     classify,
     spectral_density,
 )
-from .spectral import Scale, Spectrum, TimeGrid, eig_sym
+from .spectral import Spectrum, TimeGrid, eig_sym
 
 _blas.pin_numpy_openblas()
 

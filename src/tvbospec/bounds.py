@@ -15,11 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import eigh_descending
-from .errors import ScaleMismatch
 from .gp import conditioning_noise, nystrom_expansion
 from .kernels import SpatialKernel, TemporalKernel, eval_temporal
 from .spectral import (
-    Scale,
     Spectrum,
     SymMatrix,
     approx_product_spectrum,
@@ -79,14 +77,12 @@ def mutual_info_exact(matrix, noise: float) -> float:
 
 def mutual_info_spectral(spectrum: Spectrum, n: int, noise: float) -> float:
     """Asymptotic mutual information 1/2 sum_i log(1 + n lam_bar_i / noise)
-    over the first n operator-scale eigenvalues."""
+    from the first n eigenvalues lam_i of the n x n kernel matrix ``spectrum``;
+    the operator eigenvalues are lam_bar_i = max(lam_i, 0) / n."""
     if noise <= 0:
         raise ValueError("noise variance must be positive")
-    if spectrum.scale is not Scale.OPERATOR:
-        raise ScaleMismatch("operator-scale spectrum required; divide matrix "
-                            "eigenvalues by n first")
-    vals = np.maximum(spectrum.values[:n], 0.0)
-    return float(0.5 * np.sum(np.log1p(n * vals / noise)))
+    lam_bar = np.maximum(spectrum.values[:n], 0.0) / n
+    return float(0.5 * np.sum(np.log1p(n * lam_bar / noise)))
 
 
 def upper_bound(n: int, beta_n: float, noise: float, info: float) -> float:
@@ -338,8 +334,7 @@ def bound_report(trace: RegretTrace) -> BoundReport:
     curve, violations = upper_bound_curve(trace)
     return BoundReport(
         info_exact=mutual_info_exact(spec, noise),
-        info_spectral=mutual_info_spectral(spec.clipped().to_operator(n), n,
-                                           noise),
+        info_spectral=mutual_info_spectral(spec, n, noise),
         upper_curve=curve,
         c1_violation_fraction=violations,
         lower=lower_bound(cfg.spatial, cfg.temporal, trace, gram),

@@ -17,10 +17,6 @@ class ConvergenceFailure(TvbospecError):
     """The eigensolver failed to converge."""
 
 
-class ScaleMismatch(TvbospecError):
-    """A spectrum was supplied in the wrong scale (matrix vs operator)."""
-
-
 class SingularSystem(TvbospecError):
     """The regularized Gram matrix could not be factorized."""
 

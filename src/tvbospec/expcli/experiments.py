@@ -278,8 +278,13 @@ def _parse_panels(params: dict):
             _real(panel["delta"], f"panels[{i}].delta")
         grids.append(_checked(f"panels[{i}]", TimeGrid, **panel))
     _distinct([_panel_tag(grid) for grid in grids], "panels")
-    inputs = {"temporal": _kernel("temporal", params["temporal"]),
-              "grids": grids}
+    temporal = _kernel("temporal", params["temporal"])
+    if classify(temporal).support_discrete:
+        raise InvalidConfig(
+            f"field temporal: a {temporal.family.value} kernel has discrete "
+            "spectral support; the sampled-density panels need a broadband "
+            "or band-limited kernel")
+    inputs = {"temporal": temporal, "grids": grids}
     return inputs, [(grid.n, 1) for grid in grids]
 
 
@@ -405,7 +410,7 @@ def _parse_scaling(params: dict):
             f"field interval must satisfy a <= b, got {interval!r}")
     inputs = {"spatial": _kernel("spatial", params["spatial"]),
               "kernels": _kernels(params["kernels"]), "ns": ns,
-              "delta": _checked(None, TimeGrid, 1,
+              "delta": _checked(None, TimeGrid, max(ns),
                                 _real(params["delta"], "delta")).delta,
               "noise": noise, "interval": (a, b)}
     if "replications" in params:

@@ -17,11 +17,7 @@ import numpy as np
 from ._blas import cholesky_lower, solve_transposed, solve_upper
 from .errors import CapExceeded, SingularSystem
 from .kernels import SpatialKernel, TemporalKernel, eval_temporal
-from .spectral import (
-    POSITIVE_EIGENVALUE_REL_THRESHOLD,
-    TimeGrid,
-    cross_covariance,
-)
+from .spectral import TimeGrid, cross_covariance, positive_mask
 
 __all__ = [
     "Dataset",
@@ -356,8 +352,8 @@ def nystrom_expansion(vals, vecs, ys, k_queries):
     """Truncated Mercer expansion from an n x n kernel-matrix eigensystem.
 
     ``vals`` are the matrix eigenvalues in descending order and ``vecs`` the
-    matching eigenvector columns Phi; only the positive eigenpairs (above
-    POSITIVE_EIGENVALUE_REL_THRESHOLD * lam_max) are kept.  The operator
+    matching eigenvector columns Phi; only the positive eigenpairs
+    (``spectral.positive_mask``) are kept.  The operator
     eigenvalues are lam_bar_i = lam_i / n and the eigenfunctions take the
     values sqrt(n) Phi_ji at the samples.  Returns ``(lam_bar, inner, phi_q)``:
     the kept operator eigenvalues, the sample inner products
@@ -367,7 +363,7 @@ def nystrom_expansion(vals, vecs, ys, k_queries):
     sqrt(n) Phi_ji exactly when q is the j-th sample.
     """
     n = len(ys)
-    keep = vals > POSITIVE_EIGENVALUE_REL_THRESHOLD * max(vals[0], 0.0)
+    keep = positive_mask(vals)
     lam = vals[keep]
     phi = vecs[:, keep]
     root_n = math.sqrt(n)

@@ -1,14 +1,16 @@
-"""Kernel matrices, exact eigendecomposition and spectrum approximations.
+"""Kernel matrices, their exact eigenvalues and spectrum approximations.
 
-Temporal kernel matrices on a uniform time grid are symmetric Toeplitz.
-Two spectra have cheap approximations: sampled spectral densities for
-continuous-support temporal kernels, and the largest pairwise products
-of factor spectra for spatio-temporal product kernels.
+A ``Spectrum`` holds the eigenvalues of an n x n kernel matrix, in
+descending order; the operator eigenvalues lam_i / n are formed where a
+formula needs them.  Temporal kernel matrices on a uniform time grid are
+symmetric Toeplitz.  Two spectra have cheap approximations: sampled
+spectral densities for continuous-support temporal kernels, and the
+largest pairwise products of factor spectra for spatio-temporal product
+kernels.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -25,7 +27,6 @@ from .kernels import (
 )
 
 __all__ = [
-    "Scale",
     "Spectrum",
     "TimeGrid",
     "SymMatrix",
@@ -37,16 +38,12 @@ __all__ = [
     "approx_temporal_spectrum",
     "approx_product_spectrum",
     "count_in_interval",
+    "positive_mask",
     "positive_count",
 ]
 
 # Relative cutoff under which an eigenvalue counts as numerically zero.
 POSITIVE_EIGENVALUE_REL_THRESHOLD = 1e-8
-
-
-class Scale(str, enum.Enum):
-    MATRIX = "matrix"      # eigenvalues of the n x n kernel matrix
-    OPERATOR = "operator"  # matrix eigenvalues divided by n
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,39 +72,18 @@ class SymMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Eigenvalues in descending order, optionally with eigenvectors.
-
-    Eigenvector columns (when present) are orthonormal and aligned with the
-    eigenvalues.  ``scale`` records whether the values are raw kernel-matrix
-    eigenvalues or the operator normalization (divided by the matrix order).
-    """
+    """Eigenvalues of an n x n kernel matrix, in descending order."""
 
     values: np.ndarray
-    vectors: np.ndarray | None = None
-    scale: Scale = Scale.MATRIX
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
         if np.any(np.diff(v) > 1e-12 * max(1.0, float(np.max(np.abs(v), initial=0.0)))):
             raise ValueError("eigenvalues must be nonincreasing")
-        if self.vectors is not None:
-            q = np.asarray(self.vectors, dtype=float)
-            object.__setattr__(self, "vectors", q)
-            if q.shape[1] != len(v):
-                raise ValueError("one eigenvector column per eigenvalue")
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def to_operator(self, n: int) -> "Spectrum":
-        if self.scale is Scale.OPERATOR:
-            return self
-        return Spectrum(self.values / n, self.vectors, Scale.OPERATOR)
-
-    def clipped(self) -> "Spectrum":
-        """Copy with negative (floating-point noise) eigenvalues set to 0."""
-        return Spectrum(np.maximum(self.values, 0.0), self.vectors, self.scale)
 
 
 @dataclass(frozen=True)
@@ -125,6 +101,13 @@ class TimeGrid:
             raise ValueError("n must be at least 1")
         if not 0 < self.delta < math.inf:
             raise ValueError("delta must be positive and finite")
+        # Callers sample at up to n * delta.
+        try:
+            last = float(self.n) * self.delta
+        except OverflowError:  # n beyond float range
+            last = math.inf
+        if last == math.inf:
+            raise ValueError("delta times n must be finite")
 
     @property
     def times(self) -> np.ndarray:
@@ -163,17 +146,17 @@ def build_spatiotemporal_matrix(spatial: SpatialKernel,
     return SymMatrix(cross_covariance(spatial, temporal, xs, ts, xs, ts))
 
 
-def eig_sym(m: SymMatrix, want_vectors: bool = False) -> Spectrum:
-    """Exact symmetric eigendecomposition, eigenvalues descending.
+def eig_sym(m: SymMatrix) -> Spectrum:
+    """Exact symmetric eigenvalues, descending.
 
     Backed by LAPACK's deterministic tridiagonalization solvers; raises
     ConvergenceFailure if the iteration fails on pathological input.
     """
     try:
-        vals, vecs = eigh_descending(m.values, want_vectors)
+        vals, _ = eigh_descending(m.values, vectors=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    return Spectrum(vals, vecs, Scale.MATRIX)
+    return Spectrum(vals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,7 +189,7 @@ def approx_temporal_spectrum(kernel: TemporalKernel,
     n, delta = grid.n, grid.delta
     freqs = (np.arange(n) - n / 2.0) / (n * delta)
     raw = spectral_density(kernel, freqs) / delta
-    spectrum = Spectrum(np.sort(raw)[::-1], None, Scale.MATRIX)
+    spectrum = Spectrum(np.sort(raw)[::-1])
     return SampledDensitySpectrum(spectrum, freqs, raw)
 
 
@@ -240,7 +223,7 @@ def approx_product_spectrum(spatial: Spectrum, temporal: Spectrum,
     a = np.maximum(spatial.values, 0.0)
     b = np.maximum(temporal.values, 0.0)
     if len(a) == 0 or len(b) == 0 or n <= 0:
-        return ProductSpectrum(Spectrum(np.zeros(0), None, Scale.MATRIX), ())
+        return ProductSpectrum(Spectrum(np.zeros(0)), ())
     per_row = np.minimum(n // np.arange(1, len(a) + 1), len(b))
     i = np.repeat(np.arange(len(a)), per_row)
     j = np.arange(len(i)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
@@ -248,8 +231,7 @@ def approx_product_spectrum(spatial: Spectrum, temporal: Spectrum,
     order = np.lexsort((j, i, -products))[:n]
     i, j = i[order], j[order]
     pairs = tuple(zip((i + 1).tolist(), (j + 1).tolist()))
-    return ProductSpectrum(Spectrum(products[order] / n, None, Scale.MATRIX),
-                           pairs)
+    return ProductSpectrum(Spectrum(products[order] / n), pairs)
 
 
 def count_in_interval(spectrum: Spectrum, a: float, b: float) -> int:
@@ -260,13 +242,19 @@ def count_in_interval(spectrum: Spectrum, a: float, b: float) -> int:
     return int(np.count_nonzero((v >= a) & (v <= b)))
 
 
-def positive_count(spectrum: Spectrum) -> int:
-    """Number of eigenvalues above POSITIVE_EIGENVALUE_REL_THRESHOLD * lam_max.
+def positive_mask(values: np.ndarray) -> np.ndarray:
+    """Which of the descending eigenvalues ``values`` are positive: those
+    above POSITIVE_EIGENVALUE_REL_THRESHOLD * lam_max, none when
+    lam_max <= 0.
 
     Numerically tiny eigenvalues of rank-deficient kernel matrices are not
     exact zeros; this is the package-wide notion of 'positive eigenvalue'.
     """
-    v = spectrum.values
-    if len(v) == 0 or v[0] <= 0:
-        return 0
-    return int(np.count_nonzero(v > POSITIVE_EIGENVALUE_REL_THRESHOLD * v[0]))
+    if len(values) == 0 or values[0] <= 0:
+        return np.zeros(len(values), dtype=bool)
+    return values > POSITIVE_EIGENVALUE_REL_THRESHOLD * values[0]
+
+
+def positive_count(spectrum: Spectrum) -> int:
+    """Number of positive eigenvalues (see ``positive_mask``)."""
+    return int(np.count_nonzero(positive_mask(spectrum.values)))

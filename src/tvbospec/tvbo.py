@@ -120,6 +120,8 @@ class TVBOConfig:
             raise ValueError("lipschitz must be positive")
         if not self.delta > 0:
             raise ValueError("delta must be positive")
+        if float(self.horizon) * self.delta == math.inf:
+            raise ValueError("delta times horizon must be finite")
         if not self.noise >= 0:
             raise ValueError("noise must be nonnegative")
 

@@ -182,6 +182,69 @@ def test_guard_sees_scipy_linalg_uses():
         assert len(forbidden) == (10 if path == BLAS_MODULE else 11), path
 
 
+# The two eigensolver entry points: spectral.eig_sym takes a kernel
+# matrix's eigenvalues, bounds.lower_bound the eigenpairs of its leading
+# blocks.  Entries are (module, enclosing function, vectors).
+EIGEN_ENTRY_POINTS = [("bounds.py", "lower_bound", True),
+                      ("spectral.py", "eig_sym", False)]
+
+
+def _eigh_descending_uses(tree):
+    """(enclosing function or None, vectors) for each use of
+    eigh_descending in ``tree``: for a call, the ``vectors`` literal it
+    passes (True by default, None when not a constant); for any other
+    reference to the name, "reference"."""
+    found = []
+
+    def named(node):
+        return ((isinstance(node, ast.Name) and node.id == "eigh_descending")
+                or (isinstance(node, ast.Attribute)
+                    and node.attr == "eigh_descending"))
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and named(node.func):
+            arg = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "vectors"), None)
+            found.append((function, True if arg is None else
+                          arg.value if isinstance(arg, ast.Constant) else None))
+            children = [*node.args, *node.keywords]
+        else:
+            if named(node):
+                found.append((function, "reference"))
+            children = ast.iter_child_nodes(node)
+        for child in children:
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_eigensolver_has_two_entry_points():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [(str(path.relative_to(SRC)), function, vectors)
+                  for function, vectors in _eigh_descending_uses(tree)]
+    assert sorted(found) == EIGEN_ENTRY_POINTS
+
+
+def test_guard_sees_eigh_descending_uses():
+    tree = ast.parse(
+        "from tvbospec._blas import eigh_descending\n"
+        "eigh_descending(a)\n"
+        "def f():\n    _blas.eigh_descending(a, False)\n"
+        "def g():\n    eigh_descending(a, vectors=flag)\n"
+        "class C:\n    def h(self):\n"
+        "        return eigh_descending(eigh_descending(a)[0], vectors=True)\n"
+        "solve = eigh_descending\n"
+        "eigh(a)\n")
+    assert _eigh_descending_uses(tree) == [
+        (None, True), ("f", False), ("g", None), ("h", True), ("h", True),
+        (None, "reference")]
+
+
 def _fresh_interpreter(code: str) -> str:
     """stdout of ``code`` run by a new interpreter that imports this
     tvbospec."""

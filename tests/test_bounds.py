@@ -8,7 +8,7 @@ import pytest
 
 import tvbospec.bounds as bounds_module
 import tvbospec.spectral as spectral_module
-from tvbospec.errors import ScaleMismatch
+from tvbospec._blas import eigh_descending
 from tvbospec.expcli.experiments import (
     FIG5_DEFAULTS,
     REGRET_DEFAULTS,
@@ -38,7 +38,6 @@ from tvbospec.kernels import (
     kernel_from_dict,
 )
 from tvbospec.spectral import (
-    Scale,
     Spectrum,
     SymMatrix,
     approx_product_spectrum,
@@ -64,17 +63,18 @@ def _lower_bound_of(trace):
     return lower_bound(cfg.spatial, cfg.temporal, trace, gram)
 
 
-def _mercer_posterior(spectrum, data, query, spatial, temporal):
+def _mercer_posterior(pairs, data, query, spatial, temporal):
     """Oracle for the lower bound's mu_hat: the spectral approximation of
     the posterior mean and variance at a query.
 
-    ``spectrum`` is the matrix-scale eigensystem, with eigenvectors, of the
-    data's kernel matrix (see ``nystrom_expansion``).  The mean is
+    ``pairs`` are the descending eigenvalues and eigenvector columns of the
+    data's kernel matrix, as ``eigh_descending`` returns them (see
+    ``nystrom_expansion``).  The mean is
     (1/n) sum_i phi_i(q) sum_j phi_i(z_j) y_j and the variance
     approximation 1 - sum_i lam_bar_i phi_i(q)^2 is clipped to [0, 1].
     ``query`` is an (x, t) pair.
     """
-    assert spectrum.vectors is not None and spectrum.scale is Scale.MATRIX
+    vals, vecs = pairs
     n = len(data)
     if n == 0:
         return 0.0, 1.0
@@ -82,8 +82,7 @@ def _mercer_posterior(spectrum, data, query, spatial, temporal):
     xq = np.atleast_2d(np.asarray(xq, dtype=float))
     k_q = cross_covariance(spatial, temporal, data.xs, data.ts,
                            xq, np.atleast_1d(float(tq)))[:, 0]
-    lam_bar, inner, (phi_q,) = nystrom_expansion(
-        spectrum.values, spectrum.vectors, data.ys, [k_q])
+    lam_bar, inner, (phi_q,) = nystrom_expansion(vals, vecs, data.ys, [k_q])
     mean = float(np.sum(phi_q * inner)) / n
     var = 1.0 - float(np.sum(lam_bar * phi_q ** 2))
     return mean, float(np.clip(var, 0.0, 1.0))
@@ -114,17 +113,33 @@ class TestMutualInformation:
             assert mutual_info_exact(sub, 0.01) <= mutual_info_exact(m, 0.01) + 1e-12
 
     def test_spectral_scalar_agrees(self):
-        spec = Spectrum(np.array([1.0]), scale=Scale.OPERATOR)
+        spec = Spectrum(np.array([1.0]))
         assert mutual_info_spectral(spec, 1, 1.0) == pytest.approx(0.5 * math.log(2))
 
     def test_spectral_zero(self):
-        spec = Spectrum(np.zeros(5), scale=Scale.OPERATOR)
+        spec = Spectrum(np.zeros(5))
         assert mutual_info_spectral(spec, 5, 0.3) == 0.0
 
-    def test_scale_mismatch(self):
-        spec = Spectrum(np.array([2.0, 1.0]), scale=Scale.MATRIX)
-        with pytest.raises(ScaleMismatch):
-            mutual_info_spectral(spec, 2, 1.0)
+    def test_spectral_takes_the_matrix_spectrum(self):
+        # lam_bar = max(lam, 0) / n is formed inside, so negative matrix
+        # eigenvalues add nothing and the bits are those of the formula
+        values = np.array([7.5, 3.25, 0.1, -1e-13, -0.4])
+        n, noise = len(values), 0.01
+        want = float(0.5 * np.sum(np.log1p(
+            n * (np.maximum(values, 0.0) / n) / noise)))
+        assert mutual_info_spectral(Spectrum(values), n, noise) == want
+        assert mutual_info_spectral(Spectrum(values), n, noise) == \
+            mutual_info_spectral(Spectrum(values[:3]), n, noise)
+
+    def test_spectral_agrees_with_exact_for_the_same_matrix(self):
+        # on the n x n matrix's own spectrum, 1/2 sum log(1 + n lam_bar /
+        # noise) is 1/2 sum log(1 + lam / noise), the exact information
+        # (a generator of its own leaves the session rng's draws as they were)
+        sp, tp = SpatialKernel.rbf([0.3]), TemporalKernel.rbf(1.0)
+        m, _, _ = _spatiotemporal(np.random.default_rng(3), sp, tp, 30)
+        spec = eig_sym(m)
+        assert mutual_info_spectral(spec, 30, 0.05) == pytest.approx(
+            mutual_info_exact(spec, 0.05), rel=1e-12)
 
     def test_product_estimate_converges_for_discrete_kernels(self, rng):
         # Cor.-style product estimate of the operator spectrum: its mutual
@@ -144,7 +159,7 @@ class TestMutualInformation:
                 kt = eval_temporal(tp, np.abs(ts[:, None] - ts[None, :]))
                 spec_t = eig_sym(SymMatrix(kt))
                 prod = approx_product_spectrum(spec_s, spec_t, n)
-                approx = mutual_info_spectral(prod.spectrum.to_operator(n), n, 0.01)
+                approx = mutual_info_spectral(prod.spectrum, n, 0.01)
                 gaps[n] = abs(approx - exact) / exact
             assert gaps[200] < gaps[50], (tp.family, gaps)
 
@@ -159,8 +174,8 @@ class TestMutualInformation:
             from tvbospec.kernels import eval_temporal
             kt = eval_temporal(tp, np.abs(ts[:, None] - ts[None, :]))
             prod = approx_product_spectrum(spec_s, eig_sym(SymMatrix(kt)), n)
-            gaps[n] = abs(mutual_info_spectral(prod.spectrum.to_operator(n),
-                                               n, 0.01) - exact) / exact
+            gaps[n] = abs(mutual_info_spectral(prod.spectrum, n, 0.01)
+                          - exact) / exact
         assert gaps[150] < gaps[50]
 
     @pytest.mark.parametrize("noise", [0.01, 0.0])
@@ -410,13 +425,13 @@ class TestLowerBound:
             fvals = trace.objective_at_chosen
             for k in range(1, len(ts)):
                 data = Dataset(xs[:k], ts[:k], fvals[:k])
-                spec = eig_sym(build_spatiotemporal_matrix(
-                    cfg.spatial, temporal, data.xs, data.ts),
-                    want_vectors=True)
+                pairs = eigh_descending(build_spatiotemporal_matrix(
+                    cfg.spatial, temporal, data.xs, data.ts).values)
                 m_star, _ = _mercer_posterior(
-                    spec, data, (trace.star_x[k], ts[k]), cfg.spatial, temporal)
+                    pairs, data, (trace.star_x[k], ts[k]), cfg.spatial,
+                    temporal)
                 m_cur, _ = _mercer_posterior(
-                    spec, data, (xs[k], ts[k]), cfg.spatial, temporal)
+                    pairs, data, (xs[k], ts[k]), cfg.spatial, temporal)
                 assert abs(report.mu_hat[k] - (m_star - m_cur)) <= 1e-9, \
                     (temporal.family, k)
 
@@ -506,33 +521,32 @@ class TestMercerPosterior:
         fbar = chol @ rng.standard_normal(n)
         ys = fbar + (rng.normal(0, math.sqrt(noise), n) if noise else 0.0)
         data = Dataset(xs, ts, ys, noise=noise)
-        spec = eig_sym(gram, want_vectors=True)
-        return sp, data, spec
+        return sp, data, eigh_descending(gram.values)
 
     def test_empty_data_returns_prior(self):
         sp, tp = SpatialKernel.rbf([0.3]), TemporalKernel.rbf(1.0)
-        spec = eig_sym(SymMatrix(np.eye(1)), want_vectors=True)
+        pairs = eigh_descending(np.eye(1))
         data = Dataset(np.zeros((0, 1)), [], [], noise=0.01)
-        mean, var = _mercer_posterior(spec, data, ([0.5], 0.1), sp, tp)
+        mean, var = _mercer_posterior(pairs, data, ([0.5], 0.1), sp, tp)
         assert (mean, var) == (0.0, 1.0)
 
     def test_mean_at_observed_point(self, rng):
         # noiseless conditioning at large n: the spectral mean reproduces
         # the exact posterior mean at observed points
         tp = TemporalKernel.rbf(1.0)
-        sp, data, spec = self._setup(rng, tp, 200, 0.0)
+        sp, data, pairs = self._setup(rng, tp, 200, 0.0)
         exact_mean, _ = GPPosterior(sp, tp, data).predict(data.xs[:20],
                                                           data.ts[:20])
         for j in range(20):
-            mean, _ = _mercer_posterior(spec, data, (data.xs[j], data.ts[j]),
+            mean, _ = _mercer_posterior(pairs, data, (data.xs[j], data.ts[j]),
                                         sp, tp)
             assert abs(mean - exact_mean[j]) < 0.05
 
     def test_variance_in_unit_interval(self, rng):
         tp = TemporalKernel.rbf(1.0)
-        sp, data, spec = self._setup(rng, tp, 40, 0.01)
+        sp, data, pairs = self._setup(rng, tp, 40, 0.01)
         for j in range(0, 40, 5):
-            _, var = _mercer_posterior(spec, data, (data.xs[j], data.ts[j]),
+            _, var = _mercer_posterior(pairs, data, (data.xs[j], data.ts[j]),
                                        sp, tp)
             assert 0.0 <= var <= 1.0
 
@@ -542,10 +556,10 @@ class TestMercerPosterior:
         tp = TemporalKernel.periodic(period=0.3, lengthscale=0.8)
         devs = []
         for n in (50, 100, 200):
-            sp, data, spec = self._setup(rng, tp, n, 0.01)
+            sp, data, pairs = self._setup(rng, tp, n, 0.01)
             _, cov = GPPosterior(sp, tp, data).predict(data.xs, data.ts)
             exact_var = np.diag(cov)
-            dev = [abs(_mercer_posterior(spec, data, (data.xs[j], data.ts[j]),
+            dev = [abs(_mercer_posterior(pairs, data, (data.xs[j], data.ts[j]),
                                          sp, tp)[1] - exact_var[j])
                    for j in range(n)]
             devs.append(float(np.mean(dev)))
@@ -556,10 +570,10 @@ class TestMercerPosterior:
         tp = TemporalKernel.rbf(1.0)
         devs = []
         for n in (50, 200):
-            sp, data, spec = self._setup(rng, tp, n, 0.01)
+            sp, data, pairs = self._setup(rng, tp, n, 0.01)
             _, cov = GPPosterior(sp, tp, data).predict(data.xs, data.ts)
             exact_var = np.diag(cov)
-            dev = [abs(_mercer_posterior(spec, data, (data.xs[j], data.ts[j]),
+            dev = [abs(_mercer_posterior(pairs, data, (data.xs[j], data.ts[j]),
                                          sp, tp)[1] - exact_var[j])
                    for j in range(n)]
             devs.append(float(np.mean(dev)))

@@ -144,15 +144,15 @@ class TestValidate:
         assert report["estimated_seconds"] == \
             3.0 * _EIGH_SECONDS_PER_N3 * float(2_000_000 * 4 * cubes)
 
-    @pytest.mark.parametrize("digits", [201, 401])
-    def test_estimate_beyond_float_range_is_inf(self, tmp_path, capsys,
-                                                digits):
-        # a size of 10**200 or 10**400 overflows the integer total (a regret
-        # horizon that large exceeds the sampling cap, see
-        # TestCli::test_unknown_and_malformed_fields_exit_code)
+    def test_estimate_beyond_float_range_is_inf(self, tmp_path, capsys):
+        # a size of 10**200 overflows the integer total (a regret horizon
+        # that large exceeds the sampling cap, see
+        # TestCli::test_unknown_and_malformed_fields_exit_code; a size
+        # beyond float range overflows the sampling times, see
+        # TestCli::test_malformed_number_fields_exit_code)
         cfg = tmp_path / "cfg.toml"
         cfg.write_text('experiment = "fig5"\n[params]\nns = [1'
-                       + "0" * (digits - 1) + "]\n")
+                       + "0" * 200 + "]\n")
         assert main(["validate", str(cfg)]) == 0
         out = capsys.readouterr().out
         assert "warning: estimated eigendecomposition cost inf" in out
@@ -471,11 +471,28 @@ class TestCli:
         ('experiment = "fig4"\n[params]\nperiod = -0.3\n', "period"),
         ('experiment = "fig4"\n[params]\nlengthscale = 0\n', "lengthscale"),
         ('experiment = "fig4"\nout = 5\n', "out"),
+        ('experiment = "fig2"\n[params.temporal]\nfamily = "periodic"\n'
+         'period = 1\n', "temporal"),
+        ('experiment = "fig3"\n[params.temporal]\nfamily = "cosine_sum"\n'
+         'lines = [[0, 1]]\n', "temporal"),
+        ('experiment = "fig1"\n[params]\nn = 10\ndelta = 1e308\n', "delta"),
+        ('experiment = "fig5"\n[params]\ndelta = 1e307\nns = [20]\n',
+         "delta"),
+        ('experiment = "fig5"\n[params]\nns = [1' + "0" * 400 + ']\n',
+         "delta"),
+        ('experiment = "table1"\n[params]\ndelta = 1e307\nns = [20]\n',
+         "delta"),
+        ('experiment = "regret"\n[params]\ndelta = 1e308\nhorizon = 3\n',
+         "delta"),
     ], ids=["fig1_delta_string", "fig1_delta_negative", "fig5_noise_negative",
             "fig5_delta_zero", "fig5_interval_reversed", "fig5_interval_string",
             "table1_noise_string", "table1_delta_nan", "table1_interval_bool",
             "fig4_period_string", "fig4_period_negative",
-            "fig4_lengthscale_zero", "out_number"])
+            "fig4_lengthscale_zero", "out_number", "fig2_periodic_temporal",
+            "fig3_cosine_sum_temporal", "fig1_times_overflow",
+            "fig5_times_overflow", "fig5_size_beyond_float_range",
+            "table1_times_overflow",
+            "regret_times_overflow"])
     def test_malformed_number_fields_exit_code(self, tmp_path, capsys, text,
                                                field):
         cfg = tmp_path / "cfg.toml"

@@ -538,37 +538,38 @@ class TestNystromExpansion:
               else rng.uniform(0, 1, (n, 1)))
         ts = (np.arange(n) + 1) * 0.1
         gram = build_spatiotemporal_matrix(self.SPATIAL, temporal, xs, ts)
-        return gram, eig_sym(gram, want_vectors=True), xs, ts
+        return gram, _blas.eigh_descending(gram.values), xs, ts
 
     def test_extension_at_a_sample_is_the_scaled_eigenvector(self, rng):
-        gram, spec, _, _ = self._eigensystem(rng, TemporalKernel.rbf(1.0), 30)
-        n = len(spec)
-        _, _, phi_q = nystrom_expansion(spec.values, spec.vectors,
-                                        np.zeros(n), gram.values[:, :3].T)
+        gram, (vals, vecs), _, _ = self._eigensystem(
+            rng, TemporalKernel.rbf(1.0), 30)
+        n = len(vals)
+        _, _, phi_q = nystrom_expansion(vals, vecs, np.zeros(n),
+                                        gram.values[:, :3].T)
         kept = len(phi_q[0])
         for j in range(3):
-            assert np.allclose(phi_q[j],
-                               math.sqrt(n) * spec.vectors[j, :kept],
+            assert np.allclose(phi_q[j], math.sqrt(n) * vecs[j, :kept],
                                rtol=0.0, atol=1e-8)
 
     def test_keeps_only_positive_eigenpairs(self, rng):
         # a rank-5 kernel matrix keeps five operator eigenvalues lam_i / n,
         # and the inner products are sum_j sqrt(n) Phi_ji y_j
-        _, spec, _, _ = self._eigensystem(rng, self.LINES, 40, same_x=True)
+        gram, (vals, vecs), _, _ = self._eigensystem(rng, self.LINES, 40,
+                                                     same_x=True)
         ys = rng.standard_normal(40)
-        lam_bar, inner, phi_q = nystrom_expansion(spec.values, spec.vectors,
-                                                  ys, [])
-        assert positive_count(spec) == 5 and phi_q == []
-        assert np.array_equal(lam_bar, spec.values[:5] / 40)
-        assert np.allclose(inner, math.sqrt(40) * spec.vectors[:, :5].T @ ys,
+        lam_bar, inner, phi_q = nystrom_expansion(vals, vecs, ys, [])
+        assert positive_count(eig_sym(gram)) == 5 and phi_q == []
+        assert np.array_equal(lam_bar, vals[:5] / 40)
+        assert np.allclose(inner, math.sqrt(40) * vecs[:, :5].T @ ys,
                            rtol=0.0, atol=1e-12)
 
     def test_expansion_reproduces_the_kernel_matrix(self, rng):
         # sum_i lam_bar_i phi_i(z_j) phi_i(z_k) = K_jk on the samples
-        gram, spec, _, _ = self._eigensystem(rng, TemporalKernel.rbf(1.0), 25)
-        n = len(spec)
-        lam_bar, _, phi = nystrom_expansion(spec.values, spec.vectors,
-                                            np.zeros(n), gram.values)
+        gram, (vals, vecs), _, _ = self._eigensystem(
+            rng, TemporalKernel.rbf(1.0), 25)
+        n = len(vals)
+        lam_bar, _, phi = nystrom_expansion(vals, vecs, np.zeros(n),
+                                            gram.values)
         phi = np.array(phi)
         assert np.allclose((phi * lam_bar) @ phi.T, gram.values,
                            rtol=0.0, atol=1e-8)
@@ -577,10 +578,11 @@ class TestNystromExpansion:
         # at one spatial point the matrix is the rank-5 line kernel; a new
         # time lies in the span of its features, so the expansion recovers
         # k(q, q) = 1 exactly and the Mercer variance 1 - sum lam phi^2 is 0
-        _, spec, xs, ts = self._eigensystem(rng, self.LINES, 40, same_x=True)
+        _, (vals, vecs), xs, ts = self._eigensystem(rng, self.LINES, 40,
+                                                    same_x=True)
         k_q = cross_covariance(self.SPATIAL, self.LINES, xs, ts,
                                xs[:1], np.array([7.31]))[:, 0]
-        lam_bar, _, (phi_q,) = nystrom_expansion(spec.values, spec.vectors,
-                                                 np.zeros(40), [k_q])
+        lam_bar, _, (phi_q,) = nystrom_expansion(vals, vecs, np.zeros(40),
+                                                 [k_q])
         assert float(np.sum(lam_bar * phi_q ** 2)) == pytest.approx(
             1.0, abs=1e-8)

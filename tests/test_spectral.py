@@ -1,5 +1,6 @@
 """Kernel matrices, eigendecomposition and spectrum approximations."""
 
+import dataclasses
 import heapq
 import math
 
@@ -9,9 +10,15 @@ import scipy.linalg
 
 from tvbospec import _blas
 from tvbospec.errors import ConvergenceFailure, WrongClass
-from tvbospec.kernels import SpatialKernel, TemporalKernel, eval_temporal
+from tvbospec.expcli.experiments import REGRET_KERNELS
+from tvbospec.gp import nystrom_expansion
+from tvbospec.kernels import (
+    SpatialKernel,
+    TemporalKernel,
+    eval_temporal,
+    kernel_from_dict,
+)
 from tvbospec.spectral import (
-    Scale,
     Spectrum,
     SymMatrix,
     TimeGrid,
@@ -22,12 +29,14 @@ from tvbospec.spectral import (
     count_in_interval,
     eig_sym,
     positive_count,
+    positive_mask,
 )
 
 
 @pytest.mark.parametrize("field, n, delta", [
     ("n", True, 0.1), ("n", 2.5, 0.1), ("n", 0, 0.1), ("delta", 3, math.inf),
-    ("delta", 3, math.nan), ("delta", 3, 0.0)])
+    ("delta", 3, math.nan), ("delta", 3, 0.0), ("delta", 10, 1e308),
+    ("delta", 10 ** 400, 0.1)])
 def test_time_grid_validation(field, n, delta):
     with pytest.raises(ValueError, match=f"^{field} "):
         TimeGrid(n, delta)
@@ -133,8 +142,7 @@ class TestEigSym:
     def test_reconstruction(self, rng):
         m = rng.standard_normal((40, 40))
         m = m + m.T
-        spec = eig_sym(SymMatrix(m), want_vectors=True)
-        q, lam = spec.vectors, spec.values
+        lam, q = _blas.eigh_descending(m)
         recon = q @ np.diag(lam) @ q.T
         assert np.linalg.norm(recon - m) <= 1e-8 * np.linalg.norm(m)
         assert np.allclose(q.T @ q, np.eye(40), atol=1e-8)
@@ -172,12 +180,17 @@ class TestEigSym:
         monkeypatch.setattr(_blas, "_SYEVD", syevd)
         monkeypatch.setattr(_blas, "_syevd_lwork", lambda n, vectors: (1, 1))
 
-    @pytest.mark.parametrize("want_vectors", [False, True])
-    def test_nonconvergence_raises_convergence_failure(self, monkeypatch,
-                                                       want_vectors):
+    def test_nonconvergence_raises_convergence_failure(self, monkeypatch):
         self._syevd_reporting(monkeypatch, 2)
         with pytest.raises(ConvergenceFailure, match="did not converge"):
-            eig_sym(SymMatrix(np.eye(3)), want_vectors=want_vectors)
+            eig_sym(SymMatrix(np.eye(3)))
+
+    def test_nonconvergence_of_eigenpairs_raises_linalg_error(self,
+                                                             monkeypatch):
+        # the lower bound's eigenpairs come from eigh_descending directly
+        self._syevd_reporting(monkeypatch, 2)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            _blas.eigh_descending(np.eye(3), vectors=True)
 
     def test_illegal_argument_raises_value_error(self, monkeypatch):
         self._syevd_reporting(monkeypatch, -4)
@@ -307,6 +320,56 @@ class TestLowRankSpectrum:
                 assert positive_count(spec) == divisor
 
 
+
+class TestPositiveEigenvalueRule:
+    """``positive_mask`` is the one rule behind ``positive_count`` and the
+    eigenpairs ``nystrom_expansion`` keeps."""
+
+    REGRET_LINES = kernel_from_dict({"kind": "temporal",
+                                     **REGRET_KERNELS["cosine_sum"]})
+
+    @pytest.mark.parametrize("kernel, delta, rank", [
+        (TemporalKernel.periodic(period=1.0, lengthscale=1.0), 1.0 / 3, 3),
+        (TemporalKernel.periodic(period=1.0, lengthscale=1.0), 1.0 / 6, 6),
+        (REGRET_LINES, 0.1, 3),
+    ], ids=["periodic_p3", "periodic_p6", "regret_cosine_sum"])
+    @pytest.mark.parametrize("n", [40, 97])
+    def test_rank_deficient_matrix_keeps_its_rank(self, kernel, delta, rank,
+                                                  n):
+        # a period of p samples gives rank p; a constant plus one cosine
+        # line at a generic frequency gives rank 1 + 2
+        gram = build_temporal_matrix(kernel, TimeGrid(n, delta))
+        assert positive_count(eig_sym(gram)) == rank
+        vals, vecs = _blas.eigh_descending(gram.values)
+        assert np.count_nonzero(positive_mask(vals)) == rank
+        lam_bar, inner, _ = nystrom_expansion(vals, vecs, np.ones(n), [])
+        assert len(lam_bar) == len(inner) == rank
+        assert np.array_equal(lam_bar, vals[:rank] / n)
+
+    def test_threshold_is_relative_to_the_largest(self):
+        values = np.array([2.0, 2e-8 * (1 + 1e-12), 2e-8, 0.0, -1.0])
+        assert positive_mask(values).tolist() == [True, True, False, False,
+                                                  False]
+        assert positive_mask(values * 2.0 ** -100).tolist() == \
+            positive_mask(values).tolist()
+        # nystrom_expansion keeps exactly the eigenpairs the rule counts
+        lam_bar, _, _ = nystrom_expansion(values, np.eye(5), np.zeros(5), [])
+        assert len(lam_bar) == positive_count(Spectrum(values)) == 2
+
+    @pytest.mark.parametrize("values", [[], [0.0, 0.0], [-1e-3, -2.0]],
+                             ids=["empty", "zero", "negative"])
+    def test_nonpositive_largest_keeps_none(self, values):
+        values = np.array(values)
+        mask = positive_mask(values)
+        assert mask.dtype == bool and mask.shape == values.shape
+        assert not mask.any()
+        assert positive_count(Spectrum(values)) == 0
+        if len(values):
+            lam_bar, _, _ = nystrom_expansion(values, np.eye(len(values)),
+                                              np.zeros(len(values)), [])
+            assert len(lam_bar) == 0
+
+
 def _heap_products(a, b, n):
     """Oracle for approx_product_spectrum: pop the n largest products of
     two nonincreasing spectra from a lazy max-heap over the index lattice,
@@ -434,12 +497,10 @@ class TestCounting:
 
 
 class TestSpectrumType:
-    def test_scale_round_trip(self):
-        spec = Spectrum(np.array([4.0, 2.0]), scale=Scale.MATRIX)
-        op = spec.to_operator(4)
-        assert op.scale is Scale.OPERATOR
-        assert np.allclose(op.values, [1.0, 0.5])
-        assert op.to_operator(4) is op
+    def test_holds_only_values(self):
+        spec = Spectrum([4.0, 2.0])
+        assert spec.values.dtype == float and len(spec) == 2
+        assert [f.name for f in dataclasses.fields(Spectrum)] == ["values"]
 
     def test_monotonicity_enforced(self):
         with pytest.raises(ValueError):

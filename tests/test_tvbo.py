@@ -202,7 +202,7 @@ class TestRunTvbo:
         ("horizon", True), ("horizon", 10.5), ("grid_resolution", 2.5),
         ("seed", True), ("seed", 1.5), ("seed", -1), ("delta", math.inf),
         ("lipschitz", math.inf), ("confidence", math.nan),
-        ("noise", math.inf)])
+        ("noise", math.inf), ("delta", 1e308)])
     def test_config_rejects_non_integer_and_non_finite(self, field, value):
         # messages start with the field name, for the CLI to report
         with pytest.raises(ValueError, match=f"^{field} "):
