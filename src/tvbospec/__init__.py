@@ -30,6 +30,7 @@ from .kernels import (
 from .spectral import Spectrum, TimeGrid, eig_sym
 
 _blas.pin_numpy_openblas()
+_blas.pin_scipy_openblas()
 
 # glibc's malloc gives each block above its mmap threshold (128 KiB at
 # start) a fresh mapping, whose pages fault in on every first touch, and

@@ -1,4 +1,4 @@
-"""Every LAPACK call of tvbospec; numpy's bundled OpenBLAS kept at one thread.
+"""Every LAPACK call of tvbospec, and the thread policy of both OpenBLAS pools.
 
 LAPACK policy: ``?syevd``, ``?potrf`` and ``?trtrs`` are called through
 ``ctypes`` on scipy's bundled OpenBLAS (``scipy.libs/libscipy_openblas*.so``,
@@ -39,13 +39,33 @@ in the branches that need Bessel or gamma functions.  The module holds
 scipy's library handle (``scipy_openblas()``, None in that case).
 
 numpy and scipy wheels each bundle an OpenBLAS with its own thread pool,
-and an idle pool's workers busy-wait for a while after each call.  All of
-tvbospec's LAPACK calls go to scipy's library, so numpy's is left with
-matmul, gemv and short dot products, which OpenBLAS splits across threads
-by output element: their bits do not depend on the thread count.  Running
-them on one thread keeps numpy's spinning workers from taking the cores
-that scipy's pool needs.  scipy's pool keeps its default size, which the
-artifact bytes still depend on.
+and an idle pool's workers busy-wait for a while after each call (about
+0.1 s: OpenBLAS's 2^28-cycle ``THREAD_TIMEOUT``).  All of tvbospec's
+LAPACK calls go to scipy's library, so numpy's is left with matmul, gemv
+and short dot products, which OpenBLAS splits across threads by output
+element: their bits do not depend on the thread count.  Running them on
+one thread keeps numpy's spinning workers from taking the cores that
+scipy's pool needs.
+
+scipy's pool runs at one thread too, except for the calls whose bits
+depend on its size.  The size it started with is recorded when this
+module loads (``_POOL_SIZE``), and ``pin_scipy_openblas`` then sets it to
+one thread and stops its workers.  A call runs at the recorded size only
+from the order given in ``_THREAD_DEPENDENT_FROM`` on: ``?syevd`` (either
+``jobz``) from 145, ``?potrf`` from 128, ``?trtrs`` at no order (a
+200 x 1600 right-hand side included).  Below those orders the bits at one
+thread and at two are the same; they were measured with OpenBLAS 0.3.30
+(``DYNAMIC_ARCH``, SkylakeX kernels) on n = 2..259 Gram matrices of the
+rbf, periodic and cosine-sum classes, and ``tests/test_blas.py`` checks
+them on the installed library.  Such a call raises the pool to the
+recorded size, sets it back to one thread and stops its workers with the
+library's ``blas_thread_shutdown_`` (skipped where the library does not
+export it), so no worker busy-waits between calls; the next threaded call
+starts the pool again.  This assumes that no other Python thread uses
+scipy's pool at the same moment: a call on another thread could run at
+the raised size, or lose its worker to the stop.  Without the bundled
+library, or when the pool started at one thread, every call goes straight
+through.
 """
 
 from __future__ import annotations
@@ -123,6 +143,53 @@ def _lapack() -> tuple:
 
 _SYEVD, _POTRF, _TRTRS = _lapack()
 
+
+def _started_pool_size() -> int:
+    """The size of scipy's bundled pool as the library started it; 1
+    without the library."""
+    try:
+        return scipy_openblas().scipy_openblas_get_num_threads()
+    except AttributeError:  # no bundled library, or not this symbol
+        return 1
+
+
+_POOL_SIZE = _started_pool_size()
+_SHUTDOWN = getattr(scipy_openblas(), "blas_thread_shutdown_", None)
+
+# The smallest order from which a routine's bits depend on the size of
+# scipy's pool (None: from no order); see the module docstring.
+_THREAD_DEPENDENT_FROM = {"syevd": 145, "potrf": 128, "trtrs": None}
+
+
+def pool_threads(routine: str, order: int) -> int:
+    """The number of scipy threads ``routine`` of order ``order`` runs on."""
+    start = _THREAD_DEPENDENT_FROM[routine]
+    return _POOL_SIZE if start is not None and order >= start else 1
+
+
+def _sleep_pool() -> None:
+    """Set scipy's pool to one thread and stop its workers."""
+    scipy_openblas().scipy_openblas_set_num_threads(1)
+    if _SHUTDOWN is not None:
+        _SHUTDOWN()
+
+
+def _call(routine: str, order: int, *args) -> None:
+    """Call ``routine`` with ``args`` at ``pool_threads(routine, order)``
+    scipy threads, leaving the pool at one thread with no worker.  The
+    handles are read at call time, so that tests can replace them."""
+    handle = {"syevd": _SYEVD, "potrf": _POTRF, "trtrs": _TRTRS}[routine]
+    threads = pool_threads(routine, order)
+    if threads == 1:
+        handle(*args)
+        return
+    scipy_openblas().scipy_openblas_set_num_threads(threads)
+    try:
+        handle(*args)
+    finally:
+        _sleep_pool()
+
+
 _BUFFER = ctypes.c_char * 0
 
 
@@ -165,10 +232,10 @@ def _syevd_lwork(n: int, vectors: bool) -> tuple[int, int]:
     problem (the query reads no matrix)."""
     work, iwork, dummy = ctypes.c_double(), ctypes.c_int(), ctypes.c_double()
     info = ctypes.c_int()
-    _SYEVD(b"V" if vectors else b"N", b"L", ctypes.c_int(n),
-           ctypes.addressof(dummy), ctypes.c_int(max(1, n)),
-           ctypes.addressof(dummy), ctypes.addressof(work), ctypes.c_int(-1),
-           ctypes.addressof(iwork), ctypes.c_int(-1), info)
+    _call("syevd", n, b"V" if vectors else b"N", b"L", ctypes.c_int(n),
+          ctypes.addressof(dummy), ctypes.c_int(max(1, n)),
+          ctypes.addressof(dummy), ctypes.addressof(work), ctypes.c_int(-1),
+          ctypes.addressof(iwork), ctypes.c_int(-1), info)
     _check("syevd", info.value)
     return int(work.value), int(iwork.value)
 
@@ -181,9 +248,9 @@ def eigh_descending(a: np.ndarray, vectors: bool = True):
     lwork, liwork = _syevd_lwork(n, vectors)
     work, iwork = np.empty(lwork), np.empty(liwork, dtype=np.intc)
     info = ctypes.c_int()
-    _SYEVD(b"V" if vectors else b"N", b"L", ctypes.c_int(n), _address(v),
-           ctypes.c_int(max(1, n)), _address(w), _address(work),
-           ctypes.c_int(lwork), _address(iwork), ctypes.c_int(liwork), info)
+    _call("syevd", n, b"V" if vectors else b"N", b"L", ctypes.c_int(n),
+          _address(v), ctypes.c_int(max(1, n)), _address(w), _address(work),
+          ctypes.c_int(lwork), _address(iwork), ctypes.c_int(liwork), info)
     _check("syevd", info.value)
     return w[::-1], (v[:, ::-1] if vectors else None)
 
@@ -192,7 +259,7 @@ def _potrf(a: np.ndarray, uplo: bytes) -> np.ndarray:
     square = a.ndim == 2 and a.shape[0] == a.shape[1]
     c = a if square and _in_place(a) else _fortran_copy(a)
     n, info = ctypes.c_int(c.shape[0]), ctypes.c_int()
-    _POTRF(uplo, n, _address(c), n, info)
+    _call("potrf", n.value, uplo, n, _address(c), n, info)
     # f2py's clean=1: zero the other triangle, a column at a time
     for j in range(c.shape[0]):
         if uplo == b"L":
@@ -224,9 +291,9 @@ def _trtrs(u: np.ndarray, b: np.ndarray, trans: bytes) -> np.ndarray:
         b = np.array(b, dtype=np.float64, order="F")
     lda, n = u.shape
     info = ctypes.c_int()
-    _TRTRS(b"U", trans, b"N", ctypes.c_int(n),
-           ctypes.c_int(b.shape[1] if b.ndim == 2 else 1), _address(u),
-           ctypes.c_int(lda), _address(b), ctypes.c_int(b.shape[0]), info)
+    _call("trtrs", n, b"U", trans, b"N", ctypes.c_int(n),
+          ctypes.c_int(b.shape[1] if b.ndim == 2 else 1), _address(u),
+          ctypes.c_int(lda), _address(b), ctypes.c_int(b.shape[0]), info)
     _check("trtrs", info.value)
     return b
 
@@ -246,3 +313,10 @@ def pin_numpy_openblas() -> None:
     lib = numpy_openblas()
     if lib is not None:
         lib.scipy_openblas_set_num_threads64_(1)
+
+
+def pin_scipy_openblas() -> None:
+    """Set scipy's bundled OpenBLAS to one thread and stop its workers;
+    no-op without it or when it started at one thread."""
+    if _POOL_SIZE > 1:
+        _sleep_pool()

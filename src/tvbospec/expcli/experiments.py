@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import re
 from pathlib import Path
 
@@ -342,6 +343,9 @@ def _parse_fig4(params: dict):
     temporal = _checked(None, TemporalKernel.periodic,
                         **{field: _real(params[field], field)
                            for field in ("period", "lengthscale")})
+    for i, k in enumerate(divisors):  # run_fig4's widest grid at each step
+        step = _checked(f"divisors[{i}]", operator.truediv, temporal.period, k)
+        _checked("period", TimeGrid, max(ns), step)
     inputs = {"temporal": temporal, "divisors": divisors, "ns": ns}
     return inputs, [(n, len(divisors)) for n in ns]
 

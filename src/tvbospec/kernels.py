@@ -148,6 +148,13 @@ class TemporalKernel:
         if f is TemporalFamily.PERIODIC:
             if self.period is None or not self.period > 0:
                 raise ValueError("period must be positive")
+        # k(0) is NaN (0/0) once eval_temporal's denominator underflows
+        denominator = _lag_denominator(self)
+        if denominator is not None and not (
+                sys.float_info.min <= denominator <= sys.float_info.max):
+            raise ValueError(
+                f"lengthscale {self.lengthscale!r} makes eval_temporal's "
+                f"denominator {denominator!r}, not a positive normal float")
         if f is TemporalFamily.COSINE_SUM:
             try:
                 lines = [tuple(line) for line in self.lines]
@@ -238,6 +245,20 @@ def _sinc(x):
     return out
 
 
+def _lag_denominator(kernel: TemporalKernel) -> float | None:
+    """What eval_temporal divides the squared lag (rbf, rational quadratic)
+    or the squared sine (periodic) by, in its order of operations; None for
+    the other families."""
+    f, ell = kernel.family, kernel.lengthscale
+    if f is TemporalFamily.RBF:
+        return 2.0 * ell * ell
+    if f is TemporalFamily.RATIONAL_QUADRATIC:
+        return 2.0 * kernel.alpha * ell * ell
+    if f is TemporalFamily.PERIODIC:
+        return ell * ell
+    return None
+
+
 def eval_temporal(kernel: TemporalKernel, u):
     """Evaluate the correlation k(u) at lags ``u`` (scalar or array).
 
@@ -250,19 +271,19 @@ def eval_temporal(kernel: TemporalKernel, u):
     f = kernel.family
     ell = kernel.lengthscale
     if f is TemporalFamily.RBF:
-        out = np.exp(-(u * u) / (2.0 * ell * ell))
+        out = np.exp(-(u * u) / _lag_denominator(kernel))
     elif f is TemporalFamily.MATERN:
         out = _matern(kernel.nu, np.abs(u) / ell)
     elif f is TemporalFamily.RATIONAL_QUADRATIC:
         a = kernel.alpha
-        out = (1.0 + (u * u) / (2.0 * a * ell * ell)) ** (-a)
+        out = (1.0 + (u * u) / _lag_denominator(kernel)) ** (-a)
     elif f is TemporalFamily.SINC:
         out = _sinc(2.0 * np.pi * kernel.bandlimit * u)
     elif f is TemporalFamily.SINC_SQUARED:
         out = _sinc(np.pi * kernel.bandlimit * u) ** 2
     elif f is TemporalFamily.PERIODIC:
         s = np.sin(np.pi * u / kernel.period)
-        out = np.exp(-2.0 * s * s / (ell * ell))
+        out = np.exp(-2.0 * s * s / _lag_denominator(kernel))
     else:  # COSINE_SUM
         out = np.zeros_like(u)
         for freq, weight in kernel.lines:

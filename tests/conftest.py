@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tvbospec import _blas
 from tvbospec.kernels import SpatialKernel, TemporalKernel
 
 if not hasattr(np, "trapezoid"):  # numpy < 2
@@ -32,6 +33,23 @@ def shipped_temporal_kernels():
         "periodic": TemporalKernel.periodic(period=0.3, lengthscale=0.8),
         "cosine_sum": TemporalKernel.cosine_sum([(0.0, 0.4), (1.3, 0.6)]),
     }
+
+
+@pytest.fixture(scope="session")
+def at_wrapper_pool_size():
+    """Runs ``reference(*args, **kwargs)``, an f2py LAPACK handle's call, on
+    as many scipy BLAS threads as tvbospec._blas runs ``routine`` of order
+    ``n`` on, so that the two compare bit for bit."""
+    def run(routine, n, reference, *args, **kwargs):
+        threads = _blas.pool_threads(routine, n)
+        if threads == 1:
+            return reference(*args, **kwargs)
+        _blas.scipy_openblas().scipy_openblas_set_num_threads(threads)
+        try:
+            return reference(*args, **kwargs)
+        finally:
+            _blas._sleep_pool()
+    return run
 
 
 @pytest.fixture(scope="session")

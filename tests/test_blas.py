@@ -245,6 +245,67 @@ def test_guard_sees_eigh_descending_uses():
         (None, "reference")]
 
 
+# The LAPACK handles, read only by _blas._call, which sets scipy's pool
+# size around them; the pool functions, named only in _blas.
+LAPACK_HANDLES = {"_SYEVD", "_POTRF", "_TRTRS"}
+POOL_FUNCTIONS = {"scipy_openblas_set_num_threads", "blas_thread_shutdown_"}
+
+
+def _name_uses(tree, names):
+    """(enclosing function or None, name) for each of ``names`` that
+    ``tree`` reads as a variable, takes as an attribute or spells as a
+    string."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            name = None
+        if name in names:
+            found.append((function, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_lapack_handles_are_called_in_one_helper():
+    found, helper = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        module = str(path.relative_to(SRC))
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function, name in _name_uses(tree,
+                                         LAPACK_HANDLES | POOL_FUNCTIONS):
+            if (module, function) == ("_blas.py", "_call"):
+                helper.add(name)
+            elif name in LAPACK_HANDLES or module != "_blas.py":
+                found.append((module, function, name))
+    assert found == []
+    assert LAPACK_HANDLES <= helper
+
+
+def test_guard_sees_handle_and_pool_function_uses():
+    tree = ast.parse(
+        "_SYEVD, _POTRF = handles()\n"
+        "def _call():\n    _SYEVD(a)\n    h = {'p': _POTRF}\n"
+        "def f():\n    _blas._TRTRS(b)\n"
+        "    lib.scipy_openblas_set_num_threads(1)\n"
+        "    getattr(lib, 'blas_thread_shutdown_')()\n"
+        "    lib.scipy_openblas_set_num_threads64_(1)\n")
+    assert _name_uses(tree, LAPACK_HANDLES | POOL_FUNCTIONS) == [
+        ("_call", "_SYEVD"), ("_call", "_POTRF"), ("f", "_TRTRS"),
+        ("f", "scipy_openblas_set_num_threads"),
+        ("f", "blas_thread_shutdown_")]
+
+
 def _fresh_interpreter(code: str) -> str:
     """stdout of ``code`` run by a new interpreter that imports this
     tvbospec."""
@@ -371,7 +432,7 @@ def _spatial_d2_gram():
 
 @pytest.mark.parametrize("factor", ["spatial_d2", "rbf", "periodic",
                                     "cosine_sum"])
-def test_potrf_matches_scipy_cholesky(factor):
+def test_potrf_matches_scipy_cholesky(factor, at_wrapper_pool_size):
     # ctypes ?potrf with the arguments scipy's f2py handle passes (a Fortran
     # copy, clean=1), on the jittered prior factors of the regret defaults
     # (200 steps) and of the d = 2 loop (40 x 40 grid): the same bits
@@ -384,7 +445,8 @@ def test_potrf_matches_scipy_cholesky(factor):
     before = gram.copy()
     for lower, factorize in ((1, _blas.cholesky_lower),
                              (0, _blas.cholesky_upper)):
-        want, info = lapack.dpotrf(gram, lower=lower, clean=1)
+        want, info = at_wrapper_pool_size("potrf", len(gram), lapack.dpotrf,
+                                          gram, lower=lower, clean=1)
         assert info == 0
         got = factorize(gram)
         assert got.flags.f_contiguous
@@ -417,11 +479,13 @@ FACTORIZATIONS = [(1, _blas.cholesky_lower), (0, _blas.cholesky_upper)]
 
 
 @pytest.mark.parametrize("lower, factorize", FACTORIZATIONS)
-def test_potrf_factors_writeable_fortran_input_in_place(lower, factorize):
+def test_potrf_factors_writeable_fortran_input_in_place(
+        lower, factorize, at_wrapper_pool_size):
     # f2py's overwrite_a=1: the input becomes the factor, with the copy
     # path's bits, and no n x n array is allocated
     gram = _jittered_gram()
-    want = lapack.dpotrf(gram, lower=lower, clean=1)[0]
+    want = at_wrapper_pool_size("potrf", len(gram), lapack.dpotrf, gram,
+                                lower=lower, clean=1)[0]
     a = np.asfortranarray(gram)
     tracemalloc.start()
     try:
@@ -446,14 +510,16 @@ def _read_only_fortran(gram):
     np.ascontiguousarray, _read_only_fortran,
     lambda g: np.asfortranarray(np.pad(g, ((0, 1), (0, 1))))[:-1, :-1]],
     ids=["c_ordered", "read_only_fortran", "strided_fortran"])
-def test_potrf_leaves_other_input_untouched(build, lower, factorize):
+def test_potrf_leaves_other_input_untouched(build, lower, factorize,
+                                            at_wrapper_pool_size):
     gram = _jittered_gram()
     a = build(gram)
     assert not _blas._in_place(a)
     got = factorize(a)
     assert got is not a and got.flags.f_contiguous
     assert np.array_equal(a, gram)
-    assert np.array_equal(got, lapack.dpotrf(gram, lower=lower, clean=1)[0])
+    assert np.array_equal(got, at_wrapper_pool_size(
+        "potrf", len(gram), lapack.dpotrf, gram, lower=lower, clean=1)[0])
 
 
 # The f2py handles scipy's eigh calls: the reference for the ctypes ones.
@@ -461,11 +527,12 @@ SYEVD, SYEVD_LWORK = get_lapack_funcs(("syevd", "syevd_lwork"),
                                       dtype=np.float64)
 
 
-def _f2py_syevd(a, vectors):
+def _f2py_syevd(a, vectors, at_wrapper_pool_size):
     lwork, liwork = _compute_lwork(SYEVD_LWORK, n=a.shape[0],
                                    lower=1, compute_v=int(vectors))
-    w, v, info = SYEVD(a, compute_v=int(vectors), lower=1,
-                               lwork=lwork, liwork=liwork)
+    w, v, info = at_wrapper_pool_size("syevd", a.shape[0], SYEVD, a,
+                                      compute_v=int(vectors), lower=1,
+                                      lwork=lwork, liwork=liwork)
     assert info == 0
     return w[::-1], (v[:, ::-1] if vectors else None)
 
@@ -479,10 +546,10 @@ def _regret_gram(temporal, n=200):
                                        xs, TimeGrid(n, 0.1).times).values
 
 
-def _assert_syevd_matches_f2py(a):
+def _assert_syevd_matches_f2py(a, at_wrapper_pool_size):
     for vectors in (True, False):
         vals, vecs = _blas.eigh_descending(a, vectors)
-        want_vals, want_vecs = _f2py_syevd(a, vectors)
+        want_vals, want_vecs = _f2py_syevd(a, vectors, at_wrapper_pool_size)
         assert np.array_equal(vals, want_vals)
         if vectors:
             assert np.array_equal(vecs, want_vecs)
@@ -492,11 +559,11 @@ def _assert_syevd_matches_f2py(a):
 
 @pytest.mark.parametrize("label", ["rbf", "periodic"])
 @pytest.mark.parametrize("k", [1, 2, 7, 64, 145, 200])
-def test_syevd_matches_f2py_on_gram_slices(label, k):
+def test_syevd_matches_f2py_on_gram_slices(label, k, at_wrapper_pool_size):
     gram = _regret_gram(CLASSES[label])
     before = gram.copy()
     assert gram.flags.c_contiguous
-    _assert_syevd_matches_f2py(gram[:k, :k])
+    _assert_syevd_matches_f2py(gram[:k, :k], at_wrapper_pool_size)
     assert np.array_equal(gram, before)
 
 
@@ -548,7 +615,8 @@ def test_trtrs_matches_f2py(rhs, trans, solve):
     assert np.array_equal(u, before)
 
 
-def test_capsule_fallback_gives_the_same_bits(monkeypatch):
+def test_capsule_fallback_gives_the_same_bits(monkeypatch,
+                                              at_wrapper_pool_size):
     # without scipy's bundled library the routines come from
     # cython_lapack's exported pointers, called the same way
     from scipy.linalg import cython_lapack
@@ -562,7 +630,7 @@ def test_capsule_fallback_gives_the_same_bits(monkeypatch):
     monkeypatch.setattr(_blas, "_syevd_lwork",
                         functools.cache(_blas._syevd_lwork.__wrapped__))
     gram = _regret_gram(CLASSES["periodic"], 64)
-    _assert_syevd_matches_f2py(gram[:40, :40])
+    _assert_syevd_matches_f2py(gram[:40, :40], at_wrapper_pool_size)
     gram[np.diag_indices_from(gram)] += 0.01
     assert np.array_equal(_blas.cholesky_lower(gram),
                           lapack.dpotrf(gram, lower=1, clean=1)[0])
@@ -652,3 +720,124 @@ def test_results_do_not_depend_on_numpy_thread_count():
         assert len(want) == len(got)
         for a, b in zip(want, got):
             assert np.array_equal(a, b)
+
+
+def _scipy_lib():
+    lib = _blas.scipy_openblas()
+    if lib is None:
+        pytest.skip("scipy bundles no scipy_openblas library")
+    return lib
+
+
+@pytest.fixture
+def threaded_everywhere(monkeypatch):
+    """Makes _blas run every routine, at every order, on as many scipy
+    threads as its pool started with, and at least two."""
+    _scipy_lib()
+    monkeypatch.setattr(_blas, "_POOL_SIZE", max(2, _blas._POOL_SIZE))
+    monkeypatch.setattr(_blas, "_THREAD_DEPENDENT_FROM",
+                        dict.fromkeys(_blas._THREAD_DEPENDENT_FROM, 1))
+
+
+@pytest.mark.parametrize("label", sorted(CLASSES))
+def test_calls_below_the_threaded_order_do_not_depend_on_threads(
+        label, request):
+    # the orders _blas runs on one scipy thread give the bits the pool's
+    # size gives, on every leading block of a regret Gram of each class
+    gram = _regret_gram(CLASSES[label], 259)
+    syevd_orders = range(1, _blas._THREAD_DEPENDENT_FROM["syevd"])
+    potrf_orders = range(1, _blas._THREAD_DEPENDENT_FROM["potrf"])
+
+    def results():
+        out = []
+        for k in syevd_orders:
+            for vectors in (True, False):
+                vals, vecs = _blas.eigh_descending(gram[:k, :k], vectors)
+                out += [vals, vecs]
+        for k in potrf_orders:
+            block = gram[:k, :k] + 0.01 * np.eye(k)
+            out += [_blas.cholesky_lower(block), _blas.cholesky_upper(block)]
+        return out
+
+    single = results()
+    request.getfixturevalue("threaded_everywhere")
+    threaded = results()
+    assert len(single) == len(threaded)
+    for want, got in zip(single, threaded):
+        assert np.array_equal(want, got)
+
+
+def test_trtrs_does_not_depend_on_threads(request):
+    # a 200 x 1600 right-hand side, the regret loop's widest solve
+    gram = _jittered_gram(200)
+    u = _blas.cholesky_upper(gram)
+    b = np.asfortranarray(
+        np.random.default_rng(7).standard_normal((200, 1600)))
+
+    def results():
+        return [solve(u, b.copy(order="F"))
+                for solve in (_blas.solve_transposed, _blas.solve_upper)]
+
+    single = results()
+    request.getfixturevalue("threaded_everywhere")
+    for want, got in zip(single, results()):
+        assert np.array_equal(want, got)
+
+
+def _pool_calls():
+    """Threaded ?syevd (order 200) and ?potrf (orders 1600 and 200) calls
+    and a ?trtrs solve, with their results."""
+    gram = _jittered_gram(200)
+    vals, vecs = _blas.eigh_descending(gram)
+    spatial = np.asfortranarray(_spatial_d2_gram())
+    spatial[np.diag_indices_from(spatial)] += 1e-10
+    factor = _blas.cholesky_lower(spatial)
+    u = _blas.cholesky_upper(gram)
+    x = _blas.solve_transposed(u, np.asfortranarray(factor[:200, :]))
+    return [vals, vecs, factor, u, x]
+
+
+def test_threaded_calls_run_without_the_stop_to_the_same_bits(monkeypatch):
+    with_stop = _pool_calls()
+    monkeypatch.setattr(_blas, "_SHUTDOWN", None)
+    without = _pool_calls()
+    assert _scipy_lib().scipy_openblas_get_num_threads() == 1
+    for a, b in zip(with_stop, without):
+        assert np.array_equal(a, b)
+
+
+def test_no_scipy_worker_runs_after_a_call():
+    # in a fresh interpreter: after threaded calls, scipy's pool is back at
+    # one thread, the process has no more threads than after the import,
+    # and no thread but the caller is running (a worker left in the pool
+    # busy-waits for about 0.1 s after each call)
+    if not sys.platform.startswith("linux"):
+        pytest.skip("reads /proc/self/task")
+    lib = _scipy_lib()
+    if _blas._POOL_SIZE == 1:
+        pytest.skip("scipy's pool started at one thread")
+    if not hasattr(lib, "blas_thread_shutdown_"):
+        pytest.skip("the library cannot stop its pool's workers")
+    code = (
+        "import json, os, sys, threading\n"
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "import tvbospec\n"
+        "from tvbospec import _blas\n"
+        "def states():\n"
+        "    return {int(t): open(f'/proc/self/task/{t}/stat').read()\n"
+        "            .rsplit(')', 1)[1].split()[0]\n"
+        "            for t in os.listdir('/proc/self/task')}\n"
+        "imported = len(states())\n"
+        "from test_blas import _pool_calls\n"
+        "_pool_calls()\n"
+        "after = states()\n"
+        "after.pop(threading.get_native_id())\n"
+        "print(json.dumps([_blas.scipy_openblas()\n"
+        "                  .scipy_openblas_get_num_threads(),\n"
+        "                  imported, len(after) + 1,\n"
+        "                  sorted(after.values())]))\n")
+    threads, imported, after, states = json.loads(
+        _fresh_interpreter(code).splitlines()[-1])
+    assert threads == 1
+    assert after <= imported
+    assert "R" not in states, states

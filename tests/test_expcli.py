@@ -484,6 +484,10 @@ class TestCli:
          "delta"),
         ('experiment = "regret"\n[params]\ndelta = 1e308\nhorizon = 3\n',
          "delta"),
+        ('experiment = "fig4"\n[params]\nperiod = 1e308\n', "period"),
+        ('experiment = "fig4"\n[params]\nperiod = 5e-324\n', "period"),
+        ('experiment = "fig1"\n[params.temporal]\nfamily = "rbf"\n'
+         'lengthscale = 1e-300\n', "temporal"),
     ], ids=["fig1_delta_string", "fig1_delta_negative", "fig5_noise_negative",
             "fig5_delta_zero", "fig5_interval_reversed", "fig5_interval_string",
             "table1_noise_string", "table1_delta_nan", "table1_interval_bool",
@@ -492,7 +496,8 @@ class TestCli:
             "fig3_cosine_sum_temporal", "fig1_times_overflow",
             "fig5_times_overflow", "fig5_size_beyond_float_range",
             "table1_times_overflow",
-            "regret_times_overflow"])
+            "regret_times_overflow", "fig4_step_overflow",
+            "fig4_step_underflow", "fig1_lengthscale_underflow"])
     def test_malformed_number_fields_exit_code(self, tmp_path, capsys, text,
                                                field):
         cfg = tmp_path / "cfg.toml"
@@ -502,6 +507,12 @@ class TestCli:
         assert main(["run", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 2
         assert f"field {field}" in capsys.readouterr().err
+
+    def test_fig4_divisor_beyond_float_range_named(self):
+        # a JSON config can hold an integer that no float holds
+        with pytest.raises(InvalidConfig, match=r"^field divisors\[1\]: "):
+            validate_config({"experiment": "fig4",
+                             "params": {"divisors": [3, 10 ** 400]}})
 
     def test_non_table_config_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

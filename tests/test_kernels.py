@@ -398,6 +398,25 @@ class TestNumberFields:
         assert lines == ((0.0, 0.25), (1.0, 0.75))
         assert all(type(v) is float for line in lines for v in line)
 
+    # The lengthscales at which eval_temporal's denominator (2 l^2 for rbf,
+    # 2 alpha l^2 for rational quadratic, l^2 for periodic) is the smallest
+    # and the largest positive normal float.
+    @pytest.mark.parametrize("build, low, high", [
+        (TemporalKernel.rbf, 1.0547686614863e-154, 9.480751908109176e+153),
+        (lambda v: TemporalKernel.rational_quadratic(v, alpha=0.75),
+         1.217941941283793e-154, 1.0947429332533783e+154),
+        (lambda v: TemporalKernel.periodic(period=0.3, lengthscale=v),
+         1.4916681462400413e-154, 1.3407807929942596e+154),
+    ], ids=["rbf", "rational_quadratic", "periodic"])
+    def test_lengthscale_keeps_unit_value_at_zero_lag(self, build, low, high):
+        for edge, beyond in ((low, 0.0), (high, math.inf)):
+            assert eval_temporal(build(edge), 0.0) == 1.0
+            with pytest.raises(ValueError,
+                               match="^lengthscale .* positive normal float"):
+                build(math.nextafter(edge, beyond))
+        with pytest.raises(ValueError, match="^lengthscale "):
+            build(10 ** 200)  # an int whose square no float holds
+
     @pytest.mark.parametrize("lines", [[], "x", 5, [(0.0, 0.5, 0.5)], [-1]],
                              ids=["empty", "string", "number", "triple",
                                   "not_pairs"])

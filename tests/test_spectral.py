@@ -153,7 +153,8 @@ class TestEigSym:
         assert np.all(np.diff(spec.values) <= 0)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 145, 200])
-    def test_cached_syevd_matches_scipy_eigh(self, rng, n):
+    def test_cached_syevd_matches_scipy_eigh(self, rng, n,
+                                             at_wrapper_pool_size):
         # same routine, workspace and layout as scipy's wrapper, so the same
         # bits (in reverse order), on a whole matrix and on a leading block
         # of a larger one
@@ -162,14 +163,15 @@ class TestEigSym:
         before = big.copy()
         for a in (big[:n, :n], np.ascontiguousarray(big[:n, :n])):
             vals, vecs = _blas.eigh_descending(a)
-            want_vals, want_vecs = scipy.linalg.eigh(a, driver="evd")
+            want_vals, want_vecs = at_wrapper_pool_size(
+                "syevd", n, scipy.linalg.eigh, a, driver="evd")
             assert np.array_equal(vals, want_vals[::-1])
             assert np.array_equal(vecs, want_vecs[:, ::-1])
             vals, vecs = _blas.eigh_descending(a, vectors=False)
             assert vecs is None
-            assert np.array_equal(
-                vals,
-                scipy.linalg.eigh(a, driver="evd", eigvals_only=True)[::-1])
+            assert np.array_equal(vals, at_wrapper_pool_size(
+                "syevd", n, scipy.linalg.eigh, a, driver="evd",
+                eigvals_only=True)[::-1])
         assert np.array_equal(big, before)
 
     @staticmethod
