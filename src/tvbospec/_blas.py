@@ -1,20 +1,38 @@
 """Every LAPACK call of tvbospec, and the thread policy of both OpenBLAS pools.
 
-LAPACK policy: ``?syevd``, ``?potrf`` and ``?trtrs`` are called through
-``ctypes`` on scipy's bundled OpenBLAS (``scipy.libs/libscipy_openblas*.so``,
-symbols ``scipy_dsyevd_``, ``scipy_dpotrf_``, ``scipy_dtrtrs_``), the
-library that scipy's own f2py handles call, on the same thread pool.
-``ctypes.CDLL`` loads it here before any scipy extension module does; the
-extension modules imported later link the same copy.  Arguments,
-workspace sizes and layouts are those of ``scipy.linalg.lapack``'s
-handles as scipy's ``eigh``, ``cholesky`` and ``solve_triangular`` call
-them, so the bits are theirs:
+LAPACK policy: the routines of ``_SIGNATURES`` (``?syevd``'s workspace
+query and the stages of ``?syevd``, then ``?potrf`` and ``?trtrs``) are
+called through ``ctypes`` on scipy's bundled OpenBLAS
+(``scipy.libs/libscipy_openblas*.so``, symbols ``scipy_dsytrd_`` and so
+on), the library that scipy's own f2py handles call, on the same thread
+pool.  ``ctypes.CDLL`` loads it here before any scipy extension module
+does; the extension modules imported later link the same copy.  Each
+CHARACTER argument is followed, after the last argument, by its length as
+a hidden ``size_t``, as gfortran passes it: ``?ormtr`` concatenates
+``SIDE // TRANS`` for ``ILAENV``, which reads those lengths, and would
+read whatever the stack holds without them.  Arguments, workspace sizes
+and layouts are those of ``scipy.linalg.lapack``'s handles as scipy's
+``eigh``, ``cholesky`` and ``solve_triangular`` call them, so the bits are
+theirs:
 
-- ``?syevd`` works on a Fortran-ordered copy of ``a``, the upper or lower
-  triangle (``lower`` = 1) as f2py passes it, and takes
-  ``lwork``/``liwork`` from the routine's own ``lwork = -1`` query, as
-  ``_compute_lwork`` does, in a workspace made for the call and freed
-  after it (650 KB for a 200 x 200 problem with vectors);
+- an eigensolve is ``?syevd`` (``uplo`` = "L", as f2py's ``lower`` = 1
+  passes it) run stage by stage, as the reference driver runs them
+  (LAPACK Users' Guide, Anderson et al.; ``?stedc`` is the divide and
+  conquer of Gu and Eisenstat, SIMAX 1995), on a Fortran-ordered copy of
+  ``a``: the quick returns for n = 0 and n = 1; ``?lansy``'s max-abs norm
+  of the triangle, ``?lascl`` scaling by sigma when it lies outside
+  [sqrt(safmin / eps), 1 / sqrt(safmin / eps)], and the eigenvalues
+  multiplied by 1 / sigma after (``?scal``'s one rounded product each);
+  ``?sytrd`` to tridiagonal form; then ``?sterf`` for eigenvalues only,
+  or ``?stedc`` (``compz`` = "I"), ``?ormtr`` transforming its vectors
+  back and ``?lacpy`` copying them over ``a``.  The stages share one
+  workspace at ``?syevd``'s offsets (``inde``, ``indtau``, ``indwrk``,
+  ``indwk2``), sized by ``?syevd``'s own ``lwork = -1`` query as
+  ``_compute_lwork`` sizes it, made for the call and freed after it
+  (650 KB for a 200 x 200 problem with vectors).  The info is
+  ``?sterf``'s or ``?stedc``'s, reported as ``?syevd``'s, and ``?syevd``
+  ignores ``?sytrd``'s and ``?ormtr``'s too.  Called one by one, each on as
+  many threads as the one-shot call, the stages give its bits;
 - ``?potrf`` factors ``a`` in place when it is a writeable Fortran-ordered
   float64 square array and in a Fortran copy otherwise (f2py's
   ``overwrite_a=1``), so a caller that builds its Gram matrix in Fortran
@@ -32,11 +50,12 @@ their ``argtypes``, are made once.
 
 Where scipy bundles no such library (a distribution build), each routine's
 address is looked up once in ``scipy.linalg.cython_lapack.__pyx_capi__``
-instead; the call path is the same, and only that install imports
-``scipy.linalg``.  Elsewhere ``import tvbospec`` loads numpy and the
-top-level ``scipy`` package only; ``kernels`` imports ``scipy.special``
-in the branches that need Bessel or gamma functions.  The module holds
-scipy's library handle (``scipy_openblas()``, None in that case).
+instead; the call path is the same (cython's functions take no hidden
+lengths and ignore them), and only that install imports ``scipy.linalg``.
+Elsewhere ``import tvbospec`` loads numpy and the top-level ``scipy``
+package only; ``kernels`` imports ``scipy.special`` in the branches that
+need Bessel or gamma functions.  The module holds scipy's library handle
+(``scipy_openblas()``, None in that case).
 
 numpy and scipy wheels each bundle an OpenBLAS with its own thread pool,
 and an idle pool's workers busy-wait for a while after each call (about
@@ -50,28 +69,55 @@ scipy's pool needs.
 scipy's pool runs at one thread too, except for the calls whose bits
 depend on its size.  The size it started with is recorded when this
 module loads (``_POOL_SIZE``), and ``pin_scipy_openblas`` then sets it to
-one thread and stops its workers.  A call runs at the recorded size only
-from the order given in ``_THREAD_DEPENDENT_FROM`` on: ``?syevd`` (either
-``jobz``) from 145, ``?potrf`` from 128, ``?trtrs`` at no order (a
-200 x 1600 right-hand side included).  Below those orders the bits at one
-thread and at two are the same; they were measured with OpenBLAS 0.3.30
-(``DYNAMIC_ARCH``, SkylakeX kernels) on n = 2..259 Gram matrices of the
-rbf, periodic and cosine-sum classes, and ``tests/test_blas.py`` checks
-them on the installed library.  Such a call raises the pool to the
-recorded size, sets it back to one thread and stops its workers with the
-library's ``blas_thread_shutdown_`` (skipped where the library does not
-export it), so no worker busy-waits between calls; the next threaded call
-starts the pool again.  This assumes that no other Python thread uses
-scipy's pool at the same moment: a call on another thread could run at
-the raised size, or lose its worker to the stop.  Without the bundled
-library, or when the pool started at one thread, every call goes straight
-through.
+one thread and stops its workers.  Each routine runs at the recorded size
+from its order in ``_THREAD_DEPENDENT_FROM`` on:
+
+    ?sytrd                                           145
+    ?ormtr                                           193
+    ?potrf                                           128
+    ?lansy, ?lascl, ?sterf, ?stedc, ?lacpy, ?trtrs,
+    ?syevd's workspace query                         260
+
+The orders were measured with OpenBLAS 0.3.30 (``DYNAMIC_ARCH``,
+SkylakeX kernels) over the range 1..259 on the leading blocks of regret
+Gram matrices of the rbf, sinc-squared, periodic and cosine-sum classes:
+the stages of ``?syevd`` at seeds 1-3, as built and scaled to max-abs
+1e-150 and 1e150, each stage alone at the pool size against all of them
+on one thread.  ``?sytrd``'s bits depend on the pool size from order 145
+on, for either ``jobz``, and ``?ormtr``'s from 193; those of ``?stedc``,
+``?sterf`` and the other stages at no measured order, nor those of
+``?trtrs`` (a 200 x 1600 right-hand side included).  A routine that
+showed no dependence runs at the pool size from 260, the first order
+past the measured range (``_UNMEASURED_FROM``): nothing measured it
+there, so no entry reads "never".  ``tests/test_blas.py`` checks on the
+installed library that each routine, at every order below its entry,
+gives the bits that the pool's size gives.
+
+``?sytrd`` runs at the pool size from 145 only because its bits do.  On
+the lower bound's steps of order 145..199 of 8 regret traces (2-vCPU Xeon
+VM, the pool's raise and stop included) it took 0.65 s CPU and 0.35 s
+wall at two threads against 0.30 s and 0.30 s on one, but one thread
+moves the artifact bytes (ROADMAP item 2).  Splitting it further, into
+``?latrd``'s panels and ``?syr2k``'s trailing updates, so that only the
+part whose bits depend on the pool size runs on it, is the follow-up; it
+is not done here.
+
+A threaded call raises the pool to the recorded size, sets it back to one
+thread and stops its workers with the library's ``blas_thread_shutdown_``
+(skipped where the library does not export it), so no worker busy-waits
+between calls, nor between the stages of one eigensolve: none spins
+through ``?stedc``.  The next threaded call starts the pool again.  This
+assumes that no other Python thread uses scipy's pool at the same moment:
+a call on another thread could run at the raised size, or lose its worker
+to the stop.  Without the bundled library, or when the pool started at
+one thread, every call goes straight through.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -79,18 +125,45 @@ import scipy
 
 _F8 = np.dtype(np.float64)
 _INT = ctypes.POINTER(ctypes.c_int)
+_DOUBLE = ctypes.POINTER(ctypes.c_double)
 _PTR, _CHAR = ctypes.c_void_p, ctypes.c_char_p
+# gfortran passes each CHARACTER argument's length as a hidden size_t after
+# the last argument; a C routine ignores what it does not declare.
+_LENGTH = ctypes.c_size_t
 
-# Prototypes in the LAPACK argument order; arrays are passed by address.
+# Prototypes in the LAPACK argument order, the return type first; arrays
+# are passed by address.
 _SIGNATURES = {
     # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info
-    "dsyevd": (_CHAR, _CHAR, _INT, _PTR, _INT, _PTR, _PTR, _INT, _PTR, _INT,
+    "dsyevd": (None, _CHAR, _CHAR, _INT, _PTR, _INT, _PTR, _PTR, _INT, _PTR,
+               _INT, _INT),
+    # norm, uplo, n, a, lda, work -> the norm
+    "dlansy": (ctypes.c_double, _CHAR, _CHAR, _INT, _PTR, _INT, _PTR),
+    # type, kl, ku, cfrom, cto, m, n, a, lda, info
+    "dlascl": (None, _CHAR, _INT, _INT, _DOUBLE, _DOUBLE, _INT, _INT, _PTR,
+               _INT, _INT),
+    # uplo, n, a, lda, d, e, tau, work, lwork, info
+    "dsytrd": (None, _CHAR, _INT, _PTR, _INT, _PTR, _PTR, _PTR, _PTR, _INT,
                _INT),
+    # n, d, e, info
+    "dsterf": (None, _INT, _PTR, _PTR, _INT),
+    # compz, n, d, e, z, ldz, work, lwork, iwork, liwork, info
+    "dstedc": (None, _CHAR, _INT, _PTR, _PTR, _PTR, _INT, _PTR, _INT, _PTR,
+               _INT, _INT),
+    # side, uplo, trans, m, n, a, lda, tau, c, ldc, work, lwork, info
+    "dormtr": (None, _CHAR, _CHAR, _CHAR, _INT, _INT, _PTR, _INT, _PTR, _PTR,
+               _INT, _PTR, _INT, _INT),
+    # uplo, m, n, a, lda, b, ldb
+    "dlacpy": (None, _CHAR, _INT, _INT, _PTR, _INT, _PTR, _INT),
     # uplo, n, a, lda, info
-    "dpotrf": (_CHAR, _INT, _PTR, _INT, _INT),
+    "dpotrf": (None, _CHAR, _INT, _PTR, _INT, _INT),
     # uplo, trans, diag, n, nrhs, a, lda, b, ldb, info
-    "dtrtrs": (_CHAR, _CHAR, _CHAR, _INT, _INT, _PTR, _INT, _PTR, _INT, _INT),
+    "dtrtrs": (None, _CHAR, _CHAR, _CHAR, _INT, _INT, _PTR, _INT, _PTR, _INT,
+               _INT),
 }
+# The hidden lengths each routine takes: one per CHARACTER argument, all 1.
+_LENGTHS = {name[1:]: (1,) * signature.count(_CHAR)
+            for name, signature in _SIGNATURES.items()}
 
 
 def _bundled_openblas(package, pattern: str) -> ctypes.CDLL | None:
@@ -126,9 +199,10 @@ def _capsule_address(capsule) -> int:
     return get_pointer(capsule, get_name(capsule))
 
 
-def _lapack() -> tuple:
-    """ctypes handles of ?syevd, ?potrf and ?trtrs: the symbols of
-    scipy's bundled OpenBLAS, else cython_lapack's exported pointers."""
+def _lapack() -> dict:
+    """ctypes handles of the routines in ``_SIGNATURES``, keyed by name
+    without the type letter: the symbols of scipy's bundled OpenBLAS, else
+    cython_lapack's exported pointers."""
     lib = scipy_openblas()
     try:
         addresses = [ctypes.cast(getattr(lib, f"scipy_{name}_"), _PTR).value
@@ -137,11 +211,13 @@ def _lapack() -> tuple:
         from scipy.linalg import cython_lapack
         addresses = [_capsule_address(cython_lapack.__pyx_capi__[name])
                      for name in _SIGNATURES]
-    return tuple(ctypes.CFUNCTYPE(None, *argtypes)(address)
-                 for argtypes, address in zip(_SIGNATURES.values(), addresses))
+    return {name[1:]: ctypes.CFUNCTYPE(
+                *signature, *(_LENGTH,) * len(_LENGTHS[name[1:]]))(address)
+            for (name, signature), address in zip(_SIGNATURES.items(),
+                                                  addresses)}
 
 
-_SYEVD, _POTRF, _TRTRS = _lapack()
+_HANDLES = _lapack()
 
 
 def _started_pool_size() -> int:
@@ -156,15 +232,31 @@ def _started_pool_size() -> int:
 _POOL_SIZE = _started_pool_size()
 _SHUTDOWN = getattr(scipy_openblas(), "blas_thread_shutdown_", None)
 
-# The smallest order from which a routine's bits depend on the size of
-# scipy's pool (None: from no order); see the module docstring.
-_THREAD_DEPENDENT_FROM = {"syevd": 145, "potrf": 128, "trtrs": None}
+# The first order past the measured range, 1..259.  A routine whose bits
+# did not depend on the pool size at any measured order runs at the pool
+# size from here on, since no measurement covers it.
+_UNMEASURED_FROM = 260
+
+# The order from which each routine runs at the size of scipy's pool: the
+# smallest measured order at which its bits depend on that size, else
+# _UNMEASURED_FROM; see the module docstring.
+_THREAD_DEPENDENT_FROM = {
+    "syevd": _UNMEASURED_FROM,  # the workspace query only
+    "lansy": _UNMEASURED_FROM,
+    "lascl": _UNMEASURED_FROM,
+    "sytrd": 145,
+    "sterf": _UNMEASURED_FROM,
+    "stedc": _UNMEASURED_FROM,
+    "ormtr": 193,
+    "lacpy": _UNMEASURED_FROM,
+    "potrf": 128,
+    "trtrs": _UNMEASURED_FROM,
+}
 
 
 def pool_threads(routine: str, order: int) -> int:
     """The number of scipy threads ``routine`` of order ``order`` runs on."""
-    start = _THREAD_DEPENDENT_FROM[routine]
-    return _POOL_SIZE if start is not None and order >= start else 1
+    return _POOL_SIZE if order >= _THREAD_DEPENDENT_FROM[routine] else 1
 
 
 def _sleep_pool() -> None:
@@ -174,18 +266,19 @@ def _sleep_pool() -> None:
         _SHUTDOWN()
 
 
-def _call(routine: str, order: int, *args) -> None:
-    """Call ``routine`` with ``args`` at ``pool_threads(routine, order)``
-    scipy threads, leaving the pool at one thread with no worker.  The
-    handles are read at call time, so that tests can replace them."""
-    handle = {"syevd": _SYEVD, "potrf": _POTRF, "trtrs": _TRTRS}[routine]
+def _call(routine: str, order: int, *args):
+    """Call ``routine`` with ``args`` and its hidden CHARACTER lengths at
+    ``pool_threads(routine, order)`` scipy threads, leaving the pool at one
+    thread with no worker; return what it returns.  The handles are read at
+    call time, so that tests can replace them."""
+    handle = _HANDLES[routine]
+    args += _LENGTHS[routine]
     threads = pool_threads(routine, order)
     if threads == 1:
-        handle(*args)
-        return
+        return handle(*args)
     scipy_openblas().scipy_openblas_set_num_threads(threads)
     try:
-        handle(*args)
+        return handle(*args)
     finally:
         _sleep_pool()
 
@@ -240,17 +333,55 @@ def _syevd_lwork(n: int, vectors: bool) -> tuple[int, int]:
     return int(work.value), int(iwork.value)
 
 
+# ?syevd's scaling range [RMIN, RMAX]: the square roots of SAFMIN / EPS
+# and its inverse, with DLAMCH's safe minimum (2^-1022) and precision
+# (2^-52); all four are powers of two, so these are exact.
+_SMLNUM = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
+_RMIN, _RMAX = math.sqrt(_SMLNUM), math.sqrt(1.0 / _SMLNUM)
+
+
 def eigh_descending(a: np.ndarray, vectors: bool = True):
-    """Descending eigenvalues of symmetric ``a``; their vectors or None."""
+    """Descending eigenvalues of symmetric ``a``; their vectors or None.
+
+    ?syevd (``uplo`` = "L") run stage by stage, each stage through
+    ``_call`` at its own pool size, with the driver's quick returns,
+    scaling, workspace offsets and info code."""
     v = _fortran_copy(a)
     n = v.shape[0]
     w = np.empty(n)
+    if n <= 1:  # ?syevd's quick returns
+        w[:] = v.diagonal()
+        if vectors:
+            v[:] = 1.0
+        return w, (v if vectors else None)
     lwork, liwork = _syevd_lwork(n, vectors)
     work, iwork = np.empty(lwork), np.empty(liwork, dtype=np.intc)
-    info = ctypes.c_int()
-    _call("syevd", n, b"V" if vectors else b"N", b"L", ctypes.c_int(n),
-          _address(v), ctypes.c_int(max(1, n)), _address(w), _address(work),
-          ctypes.c_int(lwork), _address(iwork), ctypes.c_int(liwork), info)
+    order, info = ctypes.c_int(n), ctypes.c_int()
+    a_ptr, w_ptr, e_ptr = _address(v), _address(w), _address(work)
+    # WORK(INDE), WORK(INDTAU), WORK(INDWRK), WORK(INDWK2) of ?syevd
+    tau_ptr, wrk_ptr = e_ptr + 8 * n, e_ptr + 16 * n
+    wk2_ptr = wrk_ptr + 8 * n * n
+    norm = _call("lansy", n, b"M", b"L", order, a_ptr, order, e_ptr)
+    sigma = (_RMIN / norm if 0.0 < norm < _RMIN else
+             _RMAX / norm if norm > _RMAX else None)
+    if sigma is not None:
+        zero = ctypes.c_int(0)
+        _call("lascl", n, b"L", zero, zero, ctypes.c_double(1.0),
+              ctypes.c_double(sigma), order, order, a_ptr, order, info)
+    stage_info = ctypes.c_int()  # ?syevd ignores ?sytrd's and ?ormtr's
+    _call("sytrd", n, b"L", order, a_ptr, order, w_ptr, e_ptr, tau_ptr,
+          wrk_ptr, ctypes.c_int(lwork - 2 * n), stage_info)
+    if not vectors:
+        _call("sterf", n, order, w_ptr, e_ptr, info)
+    else:
+        llwrk2 = ctypes.c_int(lwork - 2 * n - n * n)
+        _call("stedc", n, b"I", order, w_ptr, e_ptr, wrk_ptr, order, wk2_ptr,
+              llwrk2, _address(iwork), ctypes.c_int(liwork), info)
+        _call("ormtr", n, b"L", b"L", b"N", order, order, a_ptr, order,
+              tau_ptr, wrk_ptr, order, wk2_ptr, llwrk2, stage_info)
+        _call("lacpy", n, b"A", order, order, wrk_ptr, order, a_ptr, order)
+    if sigma is not None:
+        w *= 1.0 / sigma  # ?scal: one rounded product per eigenvalue
     _check("syevd", info.value)
     return w[::-1], (v[:, ::-1] if vectors else None)
 

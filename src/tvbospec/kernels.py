@@ -178,6 +178,14 @@ class TemporalKernel:
             if abs(total - 1.0) > _WEIGHT_TOL:
                 raise ValueError(
                     f"lines must have weights summing to 1, got {total!r}")
+        # k(0) is NaN (inf * 0) once a factor of eval_temporal's lag
+        # overflows
+        factors = _lag_factors(self)
+        if not all(map(math.isfinite, factors)):
+            field = "lines" if f is TemporalFamily.COSINE_SUM else "bandlimit"
+            raise ValueError(
+                f"{field} {getattr(self, field)!r} makes eval_temporal's "
+                f"lag factor {max(factors)!r}, not a finite float")
 
     # -- constructors -----------------------------------------------------
 
@@ -259,6 +267,20 @@ def _lag_denominator(kernel: TemporalKernel) -> float | None:
     return None
 
 
+def _lag_factors(kernel: TemporalKernel) -> tuple[float, ...]:
+    """What eval_temporal multiplies the lag by inside sin or cos, in its
+    order of operations: 2 pi b (sinc), pi b (sinc squared) or 2 pi f for
+    each cosine-sum line, in line order; none for the other families."""
+    f = kernel.family
+    if f is TemporalFamily.SINC:
+        return (2.0 * np.pi * kernel.bandlimit,)
+    if f is TemporalFamily.SINC_SQUARED:
+        return (np.pi * kernel.bandlimit,)
+    if f is TemporalFamily.COSINE_SUM:
+        return tuple(2.0 * np.pi * freq for freq, _ in kernel.lines)
+    return ()
+
+
 def eval_temporal(kernel: TemporalKernel, u):
     """Evaluate the correlation k(u) at lags ``u`` (scalar or array).
 
@@ -278,16 +300,16 @@ def eval_temporal(kernel: TemporalKernel, u):
         a = kernel.alpha
         out = (1.0 + (u * u) / _lag_denominator(kernel)) ** (-a)
     elif f is TemporalFamily.SINC:
-        out = _sinc(2.0 * np.pi * kernel.bandlimit * u)
+        out = _sinc(_lag_factors(kernel)[0] * u)
     elif f is TemporalFamily.SINC_SQUARED:
-        out = _sinc(np.pi * kernel.bandlimit * u) ** 2
+        out = _sinc(_lag_factors(kernel)[0] * u) ** 2
     elif f is TemporalFamily.PERIODIC:
         s = np.sin(np.pi * u / kernel.period)
         out = np.exp(-2.0 * s * s / _lag_denominator(kernel))
     else:  # COSINE_SUM
         out = np.zeros_like(u)
-        for freq, weight in kernel.lines:
-            out += weight * np.cos(2.0 * np.pi * freq * u)
+        for (_, weight), factor in zip(kernel.lines, _lag_factors(kernel)):
+            out += weight * np.cos(factor * u)
     return float(out[0]) if scalar else out
 
 
@@ -398,12 +420,12 @@ def line_features(kernel: TemporalKernel, times):
         return None
     t = _as_array(times)
     features = []
-    for freq, weight in kernel.lines:
+    for (freq, weight), factor in zip(kernel.lines, _lag_factors(kernel)):
         root = math.sqrt(weight)
         if freq == 0.0:
             features.append(np.full_like(t, root))
         else:
-            phase = 2.0 * np.pi * freq * t
+            phase = factor * t
             features += [root * np.cos(phase), root * np.sin(phase)]
     return np.stack(features, axis=-1)
 

@@ -19,6 +19,7 @@ from scipy.linalg import get_lapack_funcs, lapack
 from scipy.linalg.lapack import _compute_lwork
 
 import tvbospec
+from conftest import SYEVD_STAGES
 from tvbospec import _blas
 from tvbospec._blas import numpy_openblas
 from tvbospec.bounds import bound_report, scaling_diagnostic
@@ -221,13 +222,60 @@ def _eigh_descending_uses(tree):
     return found
 
 
-def test_eigensolver_has_two_entry_points():
+# The routine each function of _blas passes to _call: ?syevd's stages only
+# in eigh_descending, its workspace query only in _syevd_lwork.
+LAPACK_CALL_SITES = sorted(
+    [("_blas.py", "_syevd_lwork", "syevd"), ("_blas.py", "_potrf", "potrf"),
+     ("_blas.py", "_trtrs", "trtrs")]
+    + [("_blas.py", "eigh_descending", stage) for stage in SYEVD_STAGES])
+
+
+def _call_sites(tree):
+    """(enclosing function or None, routine) for each call of ``_call`` in
+    ``tree``; the routine is None when it is not a string literal."""
     found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and "_call" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None)):
+            first = node.args[0] if node.args else None
+            literal = (isinstance(first, ast.Constant)
+                       and isinstance(first.value, str))
+            found.append((function, first.value if literal else None))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_eigensolver_has_two_entry_points():
+    found, sites = [], []
     for path in sorted(SRC.rglob("*.py")):
+        module = str(path.relative_to(SRC))
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        found += [(str(path.relative_to(SRC)), function, vectors)
+        found += [(module, function, vectors)
                   for function, vectors in _eigh_descending_uses(tree)]
+        sites += [(module, function, routine)
+                  for function, routine in _call_sites(tree)]
     assert sorted(found) == EIGEN_ENTRY_POINTS
+    # ?syevd's stages are called inside eigh_descending only, and every
+    # routine with a handle has a pool-size entry and one call site
+    assert sorted(sites) == LAPACK_CALL_SITES
+    assert ({routine for _, _, routine in LAPACK_CALL_SITES}
+            == set(_blas._HANDLES) == set(_blas._THREAD_DEPENDENT_FROM))
+
+
+def test_guard_sees_call_sites():
+    tree = ast.parse(
+        "_call('syevd', n)\n"
+        "def f():\n    _blas._call('sytrd', n, a)\n    _call(name, n)\n"
+        "    call('stedc', n)\n    _call()\n")
+    assert _call_sites(tree) == [(None, "syevd"), ("f", "sytrd"),
+                                 ("f", None), ("f", None)]
 
 
 def test_guard_sees_eigh_descending_uses():
@@ -247,7 +295,7 @@ def test_guard_sees_eigh_descending_uses():
 
 # The LAPACK handles, read only by _blas._call, which sets scipy's pool
 # size around them; the pool functions, named only in _blas.
-LAPACK_HANDLES = {"_SYEVD", "_POTRF", "_TRTRS"}
+LAPACK_HANDLES = {"_HANDLES"}
 POOL_FUNCTIONS = {"scipy_openblas_set_num_threads", "blas_thread_shutdown_"}
 
 
@@ -294,14 +342,14 @@ def test_lapack_handles_are_called_in_one_helper():
 
 def test_guard_sees_handle_and_pool_function_uses():
     tree = ast.parse(
-        "_SYEVD, _POTRF = handles()\n"
-        "def _call():\n    _SYEVD(a)\n    h = {'p': _POTRF}\n"
-        "def f():\n    _blas._TRTRS(b)\n"
+        "_HANDLES = handles()\n"
+        "def _call():\n    _HANDLES['syevd'](a)\n    h = {'p': _HANDLES}\n"
+        "def f():\n    _blas._HANDLES['trtrs'](b)\n"
         "    lib.scipy_openblas_set_num_threads(1)\n"
         "    getattr(lib, 'blas_thread_shutdown_')()\n"
         "    lib.scipy_openblas_set_num_threads64_(1)\n")
     assert _name_uses(tree, LAPACK_HANDLES | POOL_FUNCTIONS) == [
-        ("_call", "_SYEVD"), ("_call", "_POTRF"), ("f", "_TRTRS"),
+        ("_call", "_HANDLES"), ("_call", "_HANDLES"), ("f", "_HANDLES"),
         ("f", "scipy_openblas_set_num_threads"),
         ("f", "blas_thread_shutdown_")]
 
@@ -557,14 +605,35 @@ def _assert_syevd_matches_f2py(a, at_wrapper_pool_size):
             assert vecs is None
 
 
-@pytest.mark.parametrize("label", ["rbf", "periodic"])
-@pytest.mark.parametrize("k", [1, 2, 7, 64, 145, 200])
-def test_syevd_matches_f2py_on_gram_slices(label, k, at_wrapper_pool_size):
-    gram = _regret_gram(CLASSES[label])
+# Max-abs scales of a regret Gram (unit diagonal): as built, and beyond
+# either end of ?syevd's [RMIN, RMAX], where it runs ?lascl.
+SCALES = {"unit": 1.0, "tiny": 1e-150, "huge": 1e150}
+
+
+@pytest.mark.parametrize("label, scale", [
+    *((label, "unit") for label in sorted(CLASSES)),
+    ("cosine_sum", "tiny"), ("periodic", "huge"), ("rbf", "tiny"),
+    ("sinc_squared", "huge")])
+def test_syevd_matches_f2py_on_gram_slices(label, scale,
+                                           at_wrapper_pool_size):
+    # the stage-by-stage solve gives the bits of f2py's one-shot ?syevd,
+    # both jobz, on every leading block of order 0..259 of each class's
+    # Gram, and of one scaled to each side of ?syevd's [RMIN, RMAX]
+    gram = _regret_gram(CLASSES[label], 259) * SCALES[scale]
+    assert (scale == "unit") == (_blas._RMIN <= np.abs(gram).max()
+                                 <= _blas._RMAX)
     before = gram.copy()
     assert gram.flags.c_contiguous
-    _assert_syevd_matches_f2py(gram[:k, :k], at_wrapper_pool_size)
+    for k in range(len(gram) + 1):
+        _assert_syevd_matches_f2py(gram[:k, :k], at_wrapper_pool_size)
     assert np.array_equal(gram, before)
+
+
+def test_syevd_scaling_range_is_lapacks():
+    # RMIN = sqrt(SAFMIN / EPS) and RMAX = 1 / RMIN, from DLAMCH
+    smlnum = lapack.dlamch("S") / lapack.dlamch("P")
+    assert _blas._RMIN == np.sqrt(smlnum)
+    assert _blas._RMAX == np.sqrt(1.0 / smlnum)
 
 
 def test_syevd_workspace_query_matches_compute_lwork():
@@ -619,18 +688,22 @@ def test_capsule_fallback_gives_the_same_bits(monkeypatch,
                                               at_wrapper_pool_size):
     # without scipy's bundled library the routines come from
     # cython_lapack's exported pointers, called the same way
+    # (cython functions, which take no hidden CHARACTER lengths and
+    # ignore them)
     from scipy.linalg import cython_lapack
     monkeypatch.setattr(_blas, "scipy_openblas", lambda: None)
     handles = _blas._lapack()
-    assert [ctypes.cast(h, ctypes.c_void_p).value for h in handles] == [
+    assert [ctypes.cast(h, ctypes.c_void_p).value
+            for h in handles.values()] == [
         _blas._capsule_address(cython_lapack.__pyx_capi__[name])
-        for name in ("dsyevd", "dpotrf", "dtrtrs")]
-    for name, handle in zip(("_SYEVD", "_POTRF", "_TRTRS"), handles):
-        monkeypatch.setattr(_blas, name, handle)
+        for name in _blas._SIGNATURES]
+    monkeypatch.setattr(_blas, "_HANDLES", handles)
     monkeypatch.setattr(_blas, "_syevd_lwork",
                         functools.cache(_blas._syevd_lwork.__wrapped__))
     gram = _regret_gram(CLASSES["periodic"], 64)
-    _assert_syevd_matches_f2py(gram[:40, :40], at_wrapper_pool_size)
+    for scale in SCALES.values():  # ?lascl runs for two of them
+        _assert_syevd_matches_f2py(gram[:40, :40] * scale,
+                                   at_wrapper_pool_size)
     gram[np.diag_indices_from(gram)] += 0.01
     assert np.array_equal(_blas.cholesky_lower(gram),
                           lapack.dpotrf(gram, lower=1, clean=1)[0])
@@ -739,27 +812,61 @@ def threaded_everywhere(monkeypatch):
                         dict.fromkeys(_blas._THREAD_DEPENDENT_FROM, 1))
 
 
+# The measured orders of the table in _blas: 1..259.
+MEASURED_ORDERS = range(1, _blas._UNMEASURED_FROM)
+
+
 @pytest.mark.parametrize("label", sorted(CLASSES))
 def test_calls_below_the_threaded_order_do_not_depend_on_threads(
-        label, request):
-    # the orders _blas runs on one scipy thread give the bits the pool's
-    # size gives, on every leading block of a regret Gram of each class
-    gram = _regret_gram(CLASSES[label], 259)
-    syevd_orders = range(1, _blas._THREAD_DEPENDENT_FROM["syevd"])
+        label, request, monkeypatch):
+    # every routine in _blas's table, at every measured order below its
+    # entry, gives on one scipy thread the bits the pool's size gives: the
+    # ?syevd stages on every leading block of a regret Gram of each class
+    # (eigenvalues of it scaled beyond RMAX too, so that ?lascl runs),
+    # with ?syevd's workspace query, ?potrf on the jittered blocks, and
+    # ?trtrs with the leading blocks of their upper factor
+    gram = _regret_gram(CLASSES[label], MEASURED_ORDERS[-1])
+    factor = _blas.cholesky_upper(gram + 0.01 * np.eye(len(gram)))
+    rhs = np.random.default_rng(8).standard_normal((len(gram), 3))
+    single_orders = {}  # routine: the orders it ran on one thread at
+    gate = _blas.pool_threads
+
+    def pool_threads(routine, order):
+        threads = gate(routine, order)
+        if threads == 1:
+            single_orders.setdefault(routine, set()).add(order)
+        return threads
+
+    monkeypatch.setattr(_blas, "pool_threads", pool_threads)
+
     potrf_orders = range(1, _blas._THREAD_DEPENDENT_FROM["potrf"])
 
     def results():
         out = []
-        for k in syevd_orders:
+        for k in MEASURED_ORDERS:
+            block = gram[:k, :k]
             for vectors in (True, False):
-                vals, vecs = _blas.eigh_descending(gram[:k, :k], vectors)
-                out += [vals, vecs]
+                out.append(_blas._syevd_lwork.__wrapped__(k, vectors))
+                out += _blas.eigh_descending(block, vectors)
+            out.append(_blas.eigh_descending(block * SCALES["huge"],
+                                             vectors=False)[0])
         for k in potrf_orders:
             block = gram[:k, :k] + 0.01 * np.eye(k)
             out += [_blas.cholesky_lower(block), _blas.cholesky_upper(block)]
+        for k in MEASURED_ORDERS:
+            u = factor[:k, :k]
+            out += [solve(u, rhs[:k].copy(order="F")) for solve in
+                    (_blas.solve_transposed, _blas.solve_upper)]
         return out
 
     single = results()
+    # each routine ran on one thread at every order from 2 (order 1 is
+    # ?syevd's quick return, with no stage) to below its entry
+    assert set(single_orders) == set(_blas._THREAD_DEPENDENT_FROM)
+    for routine, orders in single_orders.items():
+        start = min(_blas._THREAD_DEPENDENT_FROM[routine],
+                    _blas._UNMEASURED_FROM)
+        assert orders >= set(range(2, start)), routine
     request.getfixturevalue("threaded_everywhere")
     threaded = results()
     assert len(single) == len(threaded)
@@ -785,8 +892,9 @@ def test_trtrs_does_not_depend_on_threads(request):
 
 
 def _pool_calls():
-    """Threaded ?syevd (order 200) and ?potrf (orders 1600 and 200) calls
-    and a ?trtrs solve, with their results."""
+    """Threaded calls, with their results: an order-200 eigensolve with
+    vectors (its ?sytrd and ?ormtr), ?potrf at orders 1600 and 200, and a
+    ?trtrs solve."""
     gram = _jittered_gram(200)
     vals, vecs = _blas.eigh_descending(gram)
     spatial = np.asfortranarray(_spatial_d2_gram())
@@ -810,7 +918,9 @@ def test_no_scipy_worker_runs_after_a_call():
     # in a fresh interpreter: after threaded calls, scipy's pool is back at
     # one thread, the process has no more threads than after the import,
     # and no thread but the caller is running (a worker left in the pool
-    # busy-waits for about 0.1 s after each call)
+    # busy-waits for about 0.1 s after each call); the calls ran ?sytrd,
+    # ?ormtr and ?potrf on the raised pool, and ?syevd's other stages on
+    # one thread
     if not sys.platform.startswith("linux"):
         pytest.skip("reads /proc/self/task")
     lib = _scipy_lib()
@@ -828,16 +938,29 @@ def test_no_scipy_worker_runs_after_a_call():
         "            .rsplit(')', 1)[1].split()[0]\n"
         "            for t in os.listdir('/proc/self/task')}\n"
         "imported = len(states())\n"
+        "lib, pools = _blas.scipy_openblas(), {}\n"
+        "def spy(name, handle):\n"
+        "    def call(*args):\n"
+        "        pools.setdefault(name, set()).add(\n"
+        "            lib.scipy_openblas_get_num_threads())\n"
+        "        return handle(*args)\n"
+        "    return call\n"
+        "for name, handle in list(_blas._HANDLES.items()):\n"
+        "    _blas._HANDLES[name] = spy(name, handle)\n"
         "from test_blas import _pool_calls\n"
         "_pool_calls()\n"
         "after = states()\n"
         "after.pop(threading.get_native_id())\n"
-        "print(json.dumps([_blas.scipy_openblas()\n"
-        "                  .scipy_openblas_get_num_threads(),\n"
+        "print(json.dumps([lib.scipy_openblas_get_num_threads(),\n"
         "                  imported, len(after) + 1,\n"
-        "                  sorted(after.values())]))\n")
-    threads, imported, after, states = json.loads(
+        "                  sorted(after.values()),\n"
+        "                  {name: max(sizes) for name, sizes in\n"
+        "                   pools.items()}]))\n")
+    threads, imported, after, states, pools = json.loads(
         _fresh_interpreter(code).splitlines()[-1])
+    pool = _blas._POOL_SIZE
+    assert pools == {"syevd": 1, "lansy": 1, "sytrd": pool, "stedc": 1,
+                     "ormtr": pool, "lacpy": 1, "potrf": pool, "trtrs": 1}
     assert threads == 1
     assert after <= imported
     assert "R" not in states, states

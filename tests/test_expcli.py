@@ -488,6 +488,10 @@ class TestCli:
         ('experiment = "fig4"\n[params]\nperiod = 5e-324\n', "period"),
         ('experiment = "fig1"\n[params.temporal]\nfamily = "rbf"\n'
          'lengthscale = 1e-300\n', "temporal"),
+        ('experiment = "fig1"\n[params.temporal]\nfamily = "sinc_squared"\n'
+         'bandlimit = 1e308\n', "temporal"),
+        ('experiment = "fig1"\n[params.temporal]\nfamily = "cosine_sum"\n'
+         'lines = [[0.0, 0.5], [1e308, 0.5]]\n', "temporal"),
     ], ids=["fig1_delta_string", "fig1_delta_negative", "fig5_noise_negative",
             "fig5_delta_zero", "fig5_interval_reversed", "fig5_interval_string",
             "table1_noise_string", "table1_delta_nan", "table1_interval_bool",
@@ -497,7 +501,8 @@ class TestCli:
             "fig5_times_overflow", "fig5_size_beyond_float_range",
             "table1_times_overflow",
             "regret_times_overflow", "fig4_step_overflow",
-            "fig4_step_underflow", "fig1_lengthscale_underflow"])
+            "fig4_step_underflow", "fig1_lengthscale_underflow",
+            "fig1_bandlimit_overflow", "fig1_line_frequency_overflow"])
     def test_malformed_number_fields_exit_code(self, tmp_path, capsys, text,
                                                field):
         cfg = tmp_path / "cfg.toml"

@@ -254,10 +254,11 @@ class TestPosterior:
 
     @staticmethod
     def _trtrs_reporting(monkeypatch, info):
-        def trtrs(*args):
-            args[-1].value = info
+        def trtrs(uplo, trans, diag, n, nrhs, a, lda, b, ldb, trtrs_info,
+                  *lengths):
+            trtrs_info.value = info
 
-        monkeypatch.setattr(_blas, "_TRTRS", trtrs)
+        monkeypatch.setitem(_blas._HANDLES, "trtrs", trtrs)
 
     def test_singular_factor_raises_linalg_error(self, monkeypatch):
         sp, tp = SpatialKernel.rbf([0.3]), TemporalKernel.rbf(1.0)

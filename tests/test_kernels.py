@@ -417,6 +417,23 @@ class TestNumberFields:
         with pytest.raises(ValueError, match="^lengthscale "):
             build(10 ** 200)  # an int whose square no float holds
 
+    # The largest bandlimit (2 pi b for sinc, pi b for sinc squared) and
+    # cosine-sum frequency (2 pi f) whose factor of the lag in
+    # eval_temporal is finite.
+    @pytest.mark.parametrize("build, field, edge", [
+        (TemporalKernel.sinc, "bandlimit", 2.861117485757028e+307),
+        (TemporalKernel.sinc_squared, "bandlimit", 5.722234971514056e+307),
+        (lambda v: TemporalKernel.cosine_sum([(0.0, 0.5), (v, 0.5)]),
+         "lines", 2.861117485757028e+307),
+    ], ids=["sinc", "sinc_squared", "cosine_sum"])
+    def test_lag_factor_keeps_unit_value_at_zero_lag(self, build, field,
+                                                      edge):
+        assert eval_temporal(build(edge), 0.0) == 1.0
+        for beyond in (math.nextafter(edge, math.inf), 1e308):
+            with pytest.raises(ValueError,
+                               match=f"^{field} .* not a finite float"):
+                build(beyond)
+
     @pytest.mark.parametrize("lines", [[], "x", 5, [(0.0, 0.5, 0.5)], [-1]],
                              ids=["empty", "string", "number", "triple",
                                   "not_pairs"])

@@ -176,11 +176,16 @@ class TestEigSym:
 
     @staticmethod
     def _syevd_reporting(monkeypatch, info):
-        def syevd(*args):
-            args[-1].value = info
+        # ?syevd returns the info of ?sterf (eigenvalues only) or ?stedc
+        def sterf(n, d, e, stage_info):
+            stage_info.value = info
 
-        monkeypatch.setattr(_blas, "_SYEVD", syevd)
-        monkeypatch.setattr(_blas, "_syevd_lwork", lambda n, vectors: (1, 1))
+        def stedc(compz, n, d, e, z, ldz, work, lwork, iwork, liwork,
+                  stage_info, compz_length):
+            stage_info.value = info
+
+        monkeypatch.setitem(_blas._HANDLES, "sterf", sterf)
+        monkeypatch.setitem(_blas._HANDLES, "stedc", stedc)
 
     def test_nonconvergence_raises_convergence_failure(self, monkeypatch):
         self._syevd_reporting(monkeypatch, 2)
