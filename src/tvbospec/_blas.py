@@ -58,13 +58,13 @@ need Bessel or gamma functions.  The module holds scipy's library handle
 (``scipy_openblas()``, None in that case).
 
 numpy and scipy wheels each bundle an OpenBLAS with its own thread pool,
-and an idle pool's workers busy-wait for a while after each call (about
-0.1 s: OpenBLAS's 2^28-cycle ``THREAD_TIMEOUT``).  All of tvbospec's
-LAPACK calls go to scipy's library, so numpy's is left with matmul, gemv
-and short dot products, which OpenBLAS splits across threads by output
-element: their bits do not depend on the thread count.  Running them on
-one thread keeps numpy's spinning workers from taking the cores that
-scipy's pool needs.
+and an idle pool's workers busy-wait for a while after each call before
+they sleep (about 0.1 s: OpenBLAS's default ``THREAD_TIMEOUT`` of 2^28
+cycles).  All of tvbospec's LAPACK calls go to scipy's library, so
+numpy's is left with matmul, gemv and short dot products, which OpenBLAS
+splits across threads by output element: their bits do not depend on the
+thread count.  Running them on one thread keeps numpy's spinning workers
+from taking the cores that scipy's pool needs.
 
 scipy's pool runs at one thread too, except for the calls whose bits
 depend on its size.  The size it started with is recorded when this
@@ -93,23 +93,32 @@ there, so no entry reads "never".  ``tests/test_blas.py`` checks on the
 installed library that each routine, at every order below its entry,
 gives the bits that the pool's size gives.
 
-``?sytrd`` runs at the pool size from 145 only because its bits do.  On
-the lower bound's steps of order 145..199 of 8 regret traces (2-vCPU Xeon
-VM, the pool's raise and stop included) it took 0.65 s CPU and 0.35 s
-wall at two threads against 0.30 s and 0.30 s on one, but one thread
-moves the artifact bytes (ROADMAP item 2).  Splitting it further, into
-``?latrd``'s panels and ``?syr2k``'s trailing updates, so that only the
-part whose bits depend on the pool size runs on it, is the follow-up; it
-is not done here.
+``?sytrd`` runs at the pool size from 145 only because its bits do.
+Splitting it further, into ``?latrd``'s panels and ``?syr2k``'s trailing
+updates, so that only the part whose bits depend on the pool size runs on
+it, is the follow-up; it is not done here.
 
-A threaded call raises the pool to the recorded size, sets it back to one
-thread and stops its workers with the library's ``blas_thread_shutdown_``
-(skipped where the library does not export it), so no worker busy-waits
-between calls, nor between the stages of one eigensolve: none spins
-through ``?stedc``.  The next threaded call starts the pool again.  This
-assumes that no other Python thread uses scipy's pool at the same moment:
-a call on another thread could run at the raised size, or lose its worker
-to the stop.  Without the bundled library, or when the pool started at
+scipy's idle workers park themselves: when this module loads, it sets
+``OPENBLAS_THREAD_TIMEOUT`` to 4 in ``os.environ``, has the library re-read
+its variables (its exported ``openblas_read_env``) and puts the variable
+back as it found it, absent or the caller's own text.  4 is OpenBLAS's
+floor, 2^4 cycles: a worker with no job sleeps at once on a condition
+variable, which the next threaded call signals.  ``blas_thread_init``
+reads the timeout when it starts the workers, so ``pin_scipy_openblas``
+stops the ones the library started at load, and the next threaded call
+starts them with it.  A threaded call raises the pool to the recorded
+size and sets it back to one thread; its worker sleeps until the next
+one, and none spins between the stages of an eigensolve.  With the
+default timeout a worker spun through each threaded call's serial steps
+as well as after it: in one regret pass (2-vCPU Xeon VM) the threaded
+``?sytrd`` calls took 3.6 s CPU for 1.9 s wall even with the workers
+stopped after each call, and with the timeout at 4 they take 2.1 s CPU
+for the same wall and give the same bits (``BENCH_thread_timeout.json``).
+Where the library does not export ``openblas_read_env``, each threaded
+call instead stops the workers after it with ``blas_thread_shutdown_``
+(when exported).  This assumes that no other Python thread uses scipy's
+pool at the same moment: a call on another thread could run at the
+raised size.  Without the bundled library, or when the pool started at
 one thread, every call goes straight through.
 """
 
@@ -118,6 +127,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +241,33 @@ def _started_pool_size() -> int:
 
 _POOL_SIZE = _started_pool_size()
 _SHUTDOWN = getattr(scipy_openblas(), "blas_thread_shutdown_", None)
+_READ_ENV = getattr(scipy_openblas(), "openblas_read_env", None)
+
+# OpenBLAS's floor for the 2-log of the cycles an idle worker spins for
+# before it sleeps (its default is 28).
+_THREAD_TIMEOUT = "4"
+
+
+def _set_thread_timeout() -> None:
+    """Have scipy's library read ``OPENBLAS_THREAD_TIMEOUT`` =
+    ``_THREAD_TIMEOUT``, leaving ``os.environ`` as it was; the workers
+    started after this use it."""
+    found = os.environ.get("OPENBLAS_THREAD_TIMEOUT")
+    os.environ["OPENBLAS_THREAD_TIMEOUT"] = _THREAD_TIMEOUT
+    try:
+        _READ_ENV()
+    finally:
+        if found is None:
+            del os.environ["OPENBLAS_THREAD_TIMEOUT"]
+        else:
+            os.environ["OPENBLAS_THREAD_TIMEOUT"] = found
+
+
+if _READ_ENV is not None:
+    _set_thread_timeout()
+# With the timeout set, a threaded call's worker sleeps by itself after
+# it; without, the call stops the workers.
+_STOP_AFTER_CALL = _SHUTDOWN if _READ_ENV is None else None
 
 # The first order past the measured range, 1..259.  A routine whose bits
 # did not depend on the pool size at any measured order runs at the pool
@@ -260,17 +297,18 @@ def pool_threads(routine: str, order: int) -> int:
 
 
 def _sleep_pool() -> None:
-    """Set scipy's pool to one thread and stop its workers."""
+    """Set scipy's pool to one thread, stopping its workers where they do
+    not sleep by themselves."""
     scipy_openblas().scipy_openblas_set_num_threads(1)
-    if _SHUTDOWN is not None:
-        _SHUTDOWN()
+    if _STOP_AFTER_CALL is not None:
+        _STOP_AFTER_CALL()
 
 
 def _call(routine: str, order: int, *args):
     """Call ``routine`` with ``args`` and its hidden CHARACTER lengths at
     ``pool_threads(routine, order)`` scipy threads, leaving the pool at one
-    thread with no worker; return what it returns.  The handles are read at
-    call time, so that tests can replace them."""
+    thread with no worker running; return what it returns.  The handles
+    are read at call time, so that tests can replace them."""
     handle = _HANDLES[routine]
     args += _LENGTHS[routine]
     threads = pool_threads(routine, order)
@@ -447,7 +485,10 @@ def pin_numpy_openblas() -> None:
 
 
 def pin_scipy_openblas() -> None:
-    """Set scipy's bundled OpenBLAS to one thread and stop its workers;
+    """Set scipy's bundled OpenBLAS to one thread and stop its workers, so
+    that the next threaded call starts them with ``_THREAD_TIMEOUT``;
     no-op without it or when it started at one thread."""
     if _POOL_SIZE > 1:
-        _sleep_pool()
+        scipy_openblas().scipy_openblas_set_num_threads(1)
+        if _SHUTDOWN is not None:
+            _SHUTDOWN()

@@ -25,6 +25,7 @@ from ..errors import InvalidConfig
 from ..gp import DEFAULT_SAMPLING_CAP
 from ..kernels import (
     TemporalKernel,
+    _check_lag_range,
     _finite_real,
     classify,
     eval_temporal,
@@ -146,6 +147,13 @@ def _checked(field, build, *args, **kwargs):
                             else f"field {exc}") from exc
 
 
+def _lags_in_range(field: str, temporal, n: int, delta: float) -> None:
+    """Refuses the kernel ``temporal`` at ``field`` when eval_temporal
+    overflows at a lag of a run's grid of ``n`` steps ``delta``: its lags
+    are at most n * delta, the bound that TimeGrid checks."""
+    _checked(field, _check_lag_range, temporal, float(n) * delta)
+
+
 def _kernel(kind: str, spec, field: str | None = None):
     """The ``kind`` ("spatial" or "temporal") kernel the config table
     ``spec`` at ``field`` (default: ``kind``) describes."""
@@ -193,6 +201,7 @@ def _parse_fig1(params: dict):
                                _real(params["delta"], "delta")),
               "spatial": _kernel("spatial", params["spatial"]),
               "temporal": _kernel("temporal", params["temporal"])}
+    _lags_in_range("temporal", inputs["temporal"], n, inputs["grid"].delta)
     return inputs, [(n, 3)]
 
 
@@ -285,6 +294,8 @@ def _parse_panels(params: dict):
             f"field temporal: a {temporal.family.value} kernel has discrete "
             "spectral support; the sampled-density panels need a broadband "
             "or band-limited kernel")
+    for grid in grids:
+        _lags_in_range("temporal", temporal, grid.n, grid.delta)
     inputs = {"temporal": temporal, "grids": grids}
     return inputs, [(grid.n, 1) for grid in grids]
 
@@ -417,6 +428,8 @@ def _parse_scaling(params: dict):
               "delta": _checked(None, TimeGrid, max(ns),
                                 _real(params["delta"], "delta")).delta,
               "noise": noise, "interval": (a, b)}
+    for label, temporal in inputs["kernels"].items():
+        _lags_in_range(f"kernels.{label}", temporal, max(ns), inputs["delta"])
     if "replications" in params:
         inputs["replications"] = _count(params["replications"],
                                         "replications")
@@ -555,6 +568,9 @@ def _parse_regret(params: dict):
                                horizon=horizon, grid_resolution=resolution,
                                **floats)
                for label, temporal in _kernels(params["kernels"]).items()}
+    for label, config in configs.items():
+        _lags_in_range(f"kernels.{label}", config.temporal, horizon,
+                       config.delta)
     # Per run with bounds: bound_report's h x h eigensolve, and the lower
     # bound's k x k one at each k < h, sum k^3 = (h (h - 1) / 2)^2 in all,
     # listed as that many unit cubes.  The GP-UCB loop solves no eigenproblem.

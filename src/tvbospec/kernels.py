@@ -179,13 +179,8 @@ class TemporalKernel:
                 raise ValueError(
                     f"lines must have weights summing to 1, got {total!r}")
         # k(0) is NaN (inf * 0) once a factor of eval_temporal's lag
-        # overflows
-        factors = _lag_factors(self)
-        if not all(map(math.isfinite, factors)):
-            field = "lines" if f is TemporalFamily.COSINE_SUM else "bandlimit"
-            raise ValueError(
-                f"{field} {getattr(self, field)!r} makes eval_temporal's "
-                f"lag factor {max(factors)!r}, not a finite float")
+        # overflows, that is once it overflows at lag 1
+        _check_lag_range(self, 1.0)
 
     # -- constructors -----------------------------------------------------
 
@@ -279,6 +274,21 @@ def _lag_factors(kernel: TemporalKernel) -> tuple[float, ...]:
     if f is TemporalFamily.COSINE_SUM:
         return tuple(2.0 * np.pi * freq for freq, _ in kernel.lines)
     return ()
+
+
+def _check_lag_range(kernel: TemporalKernel, largest: float) -> None:
+    """Raises ValueError, starting with the field, when a factor of the lag
+    in eval_temporal times a lag up to ``largest`` is not a finite float
+    (sin or cos of it is NaN).  The rounded product grows with the lag, so
+    the largest lag decides."""
+    products = [factor * largest for factor in _lag_factors(kernel)]
+    if not all(map(math.isfinite, products)):
+        field = ("lines" if kernel.family is TemporalFamily.COSINE_SUM
+                 else "bandlimit")
+        raise ValueError(
+            f"{field} {getattr(kernel, field)!r} makes eval_temporal's lag "
+            f"factor times lag {largest!r} {max(products)!r}, not a finite "
+            "float")
 
 
 def eval_temporal(kernel: TemporalKernel, u):

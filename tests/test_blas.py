@@ -296,7 +296,8 @@ def test_guard_sees_eigh_descending_uses():
 # The LAPACK handles, read only by _blas._call, which sets scipy's pool
 # size around them; the pool functions, named only in _blas.
 LAPACK_HANDLES = {"_HANDLES"}
-POOL_FUNCTIONS = {"scipy_openblas_set_num_threads", "blas_thread_shutdown_"}
+POOL_FUNCTIONS = {"scipy_openblas_set_num_threads", "blas_thread_shutdown_",
+                  "openblas_read_env"}
 
 
 def _name_uses(tree, names):
@@ -347,18 +348,25 @@ def test_guard_sees_handle_and_pool_function_uses():
         "def f():\n    _blas._HANDLES['trtrs'](b)\n"
         "    lib.scipy_openblas_set_num_threads(1)\n"
         "    getattr(lib, 'blas_thread_shutdown_')()\n"
-        "    lib.scipy_openblas_set_num_threads64_(1)\n")
+        "    lib.scipy_openblas_set_num_threads64_(1)\n"
+        "read = getattr(lib, 'openblas_read_env', None)\n"
+        "def g():\n    lib.openblas_read_env()\n")
     assert _name_uses(tree, LAPACK_HANDLES | POOL_FUNCTIONS) == [
         ("_call", "_HANDLES"), ("_call", "_HANDLES"), ("f", "_HANDLES"),
         ("f", "scipy_openblas_set_num_threads"),
-        ("f", "blas_thread_shutdown_")]
+        ("f", "blas_thread_shutdown_"), (None, "openblas_read_env"),
+        ("g", "openblas_read_env")]
 
 
-def _fresh_interpreter(code: str) -> str:
+def _fresh_interpreter(code: str, **variables) -> str:
     """stdout of ``code`` run by a new interpreter that imports this
-    tvbospec."""
+    tvbospec, with the environment ``variables`` set (None: unset)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    for name, value in variables.items():
+        env.pop(name, None)
+        if value is not None:
+            env[name] = value
     return subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True, timeout=300).stdout
 
@@ -906,30 +914,45 @@ def _pool_calls():
 
 
 def test_threaded_calls_run_without_the_stop_to_the_same_bits(monkeypatch):
-    with_stop = _pool_calls()
-    monkeypatch.setattr(_blas, "_SHUTDOWN", None)
-    without = _pool_calls()
-    assert _scipy_lib().scipy_openblas_get_num_threads() == 1
-    for a, b in zip(with_stop, without):
+    # a pool whose workers are stopped before each call, so that every
+    # threaded call starts them afresh, against the parked pool
+    lib = _scipy_lib()
+    if _blas._SHUTDOWN is None:
+        pytest.skip("the library cannot stop its pool's workers")
+    parked = _pool_calls()
+
+    def stopped_first(handle):
+        def call(*args):
+            _blas._SHUTDOWN()
+            return handle(*args)
+        return call
+
+    for name, handle in list(_blas._HANDLES.items()):
+        monkeypatch.setitem(_blas._HANDLES, name, stopped_first(handle))
+    stopped = _pool_calls()
+    assert lib.scipy_openblas_get_num_threads() == 1
+    assert len(parked) == len(stopped)
+    for a, b in zip(parked, stopped):
         assert np.array_equal(a, b)
 
 
 def test_no_scipy_worker_runs_after_a_call():
-    # in a fresh interpreter: after threaded calls, scipy's pool is back at
-    # one thread, the process has no more threads than after the import,
-    # and no thread but the caller is running (a worker left in the pool
-    # busy-waits for about 0.1 s after each call); the calls ran ?sytrd,
-    # ?ormtr and ?potrf on the raised pool, and ?syevd's other stages on
-    # one thread
+    # in a fresh interpreter: over a 0.2 s sleep right after threaded calls
+    # the process spends less than 10 ms of CPU (a worker with OpenBLAS's
+    # default timeout busy-waits for about 0.1 s after each call); then
+    # scipy's pool is back at one thread, the calls added at most its size
+    # less one threads, each asleep, and no thread but the caller is
+    # running; the calls ran ?sytrd, ?ormtr and ?potrf on the raised pool,
+    # and ?syevd's other stages on one thread
     if not sys.platform.startswith("linux"):
         pytest.skip("reads /proc/self/task")
-    lib = _scipy_lib()
+    _scipy_lib()
     if _blas._POOL_SIZE == 1:
         pytest.skip("scipy's pool started at one thread")
-    if not hasattr(lib, "blas_thread_shutdown_"):
-        pytest.skip("the library cannot stop its pool's workers")
+    if _blas._READ_ENV is None and _blas._SHUTDOWN is None:
+        pytest.skip("the library can neither park nor stop its workers")
     code = (
-        "import json, os, sys, threading\n"
+        "import json, os, sys, threading, time\n"
         f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
         "import tvbospec\n"
         "from tvbospec import _blas\n"
@@ -937,7 +960,7 @@ def test_no_scipy_worker_runs_after_a_call():
         "    return {int(t): open(f'/proc/self/task/{t}/stat').read()\n"
         "            .rsplit(')', 1)[1].split()[0]\n"
         "            for t in os.listdir('/proc/self/task')}\n"
-        "imported = len(states())\n"
+        "imported = set(states())\n"
         "lib, pools = _blas.scipy_openblas(), {}\n"
         "def spy(name, handle):\n"
         "    def call(*args):\n"
@@ -949,18 +972,71 @@ def test_no_scipy_worker_runs_after_a_call():
         "    _blas._HANDLES[name] = spy(name, handle)\n"
         "from test_blas import _pool_calls\n"
         "_pool_calls()\n"
+        "start = time.process_time()\n"
+        "time.sleep(0.2)\n"
+        "idle_cpu = time.process_time() - start\n"
         "after = states()\n"
         "after.pop(threading.get_native_id())\n"
         "print(json.dumps([lib.scipy_openblas_get_num_threads(),\n"
-        "                  imported, len(after) + 1,\n"
         "                  sorted(after.values()),\n"
+        "                  sorted(after[t] for t in set(after) - imported),\n"
+        "                  idle_cpu,\n"
         "                  {name: max(sizes) for name, sizes in\n"
         "                   pools.items()}]))\n")
-    threads, imported, after, states, pools = json.loads(
+    threads, states, added, idle_cpu, pools = json.loads(
         _fresh_interpreter(code).splitlines()[-1])
     pool = _blas._POOL_SIZE
     assert pools == {"syevd": 1, "lansy": 1, "sytrd": pool, "stedc": 1,
                      "ormtr": pool, "lacpy": 1, "potrf": pool, "trtrs": 1}
+    assert idle_cpu < 0.010, idle_cpu
     assert threads == 1
-    assert after <= imported
+    assert len(added) <= pool - 1
+    assert set(added) <= {"S"}, added
     assert "R" not in states, states
+
+
+def _pool_events(code: str, **variables):
+    """The JSON of the last line that ``code`` prints in a fresh
+    interpreter with the environment ``variables`` set."""
+    return json.loads(_fresh_interpreter(code, **variables).splitlines()[-1])
+
+
+@pytest.mark.parametrize("timeout", [None, "20"], ids=["unset", "set"])
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_import_sets_only_the_thread_timeout(threads, timeout):
+    # in a fresh interpreter: after `import tvbospec`, scipy's library
+    # reads the minimum idle-worker timeout, os.environ holds
+    # OPENBLAS_THREAD_TIMEOUT as it was started with, the pool size and
+    # thread count read what loading the library, pinning it to one thread
+    # and stopping its workers give without the re-read, and the import
+    # left no scipy worker (numpy's, started before, are not counted)
+    if not sys.platform.startswith("linux"):
+        pytest.skip("reads /proc/self/task")
+    lib = _scipy_lib()
+    if not hasattr(lib, "openblas_read_env"):
+        pytest.skip("the library cannot re-read its variables")
+    variables = {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": None,
+                 "GOTO_NUM_THREADS": None,
+                 "OPENBLAS_THREAD_TIMEOUT": timeout}
+    reference = _pool_events(
+        "import ctypes, json, numpy, scipy\n"
+        f"lib = ctypes.CDLL({lib._name!r})\n"
+        "started = lib.scipy_openblas_get_num_threads()\n"
+        "lib.scipy_openblas_set_num_threads(1)\n"
+        "lib.blas_thread_shutdown_()\n"
+        "print(json.dumps([started, lib.scipy_openblas_get_num_threads()]))\n",
+        **variables)
+    got = _pool_events(
+        "import json, os, numpy\n"
+        "before = len(os.listdir('/proc/self/task'))\n"
+        "import tvbospec\n"
+        "from tvbospec import _blas\n"
+        "lib = _blas.scipy_openblas()\n"
+        "print(json.dumps([lib.openblas_thread_timeout(),\n"
+        "                  os.environ.get('OPENBLAS_THREAD_TIMEOUT'),\n"
+        "                  [_blas._POOL_SIZE,\n"
+        "                   lib.scipy_openblas_get_num_threads()],\n"
+        "                  len(os.listdir('/proc/self/task')) - before]))\n",
+        **variables)
+    assert got == [4, timeout, reference, 0]
+    assert reference[0] == min(int(threads), len(os.sched_getaffinity(0)))

@@ -513,6 +513,44 @@ class TestCli:
                      "--out", str(tmp_path / "out")]) == 2
         assert f"field {field}" in capsys.readouterr().err
 
+    # Configs on 2-step grids, whose lags reach 2 * delta, at the largest
+    # delta for which every factor of the lag in eval_temporal times
+    # 2 * delta is finite: the sinc at its constructor's edge bandlimit
+    # (lags up to 1), a sinc squared of bandlimit 1, a cosine-sum line and
+    # a sinc of 1e300.  One nextafter beyond, sin or cos of the product is
+    # NaN, and validate names the kernel's field.
+    @pytest.mark.parametrize("text, field, edge", [
+        ('experiment = "fig1"\n[params]\nn = 2\ndelta = {}\n'
+         '[params.temporal]\nfamily = "sinc"\n'
+         'bandlimit = 2.861117485757028e307\n', "temporal", 0.5),
+        ('experiment = "fig3"\n[params]\npanels = [{{n = 2, delta = {}}}]\n',
+         "temporal", 2.861117485757028e307),
+        ('experiment = "fig5"\n[params]\nns = [2]\ndelta = {}\n'
+         'replications = 1\n[params.kernels.cos]\nfamily = "cosine_sum"\n'
+         'lines = [[0.0, 0.5], [1e300, 0.5]]\n', "kernels.cos",
+         14305587.42878514),
+        ('experiment = "regret"\n[params]\nhorizon = 2\n'
+         'grid_resolution = 2\nreplications = 1\ndelta = {}\n'
+         '[params.kernels.s]\nfamily = "sinc"\nbandlimit = 1e300\n',
+         "kernels.s", 14305587.42878514),
+    ], ids=["fig1_sinc", "fig3_sinc_squared", "fig5_cosine_sum",
+            "regret_sinc"])
+    def test_lag_factor_times_largest_lag_edge(self, tmp_path, capsys, text,
+                                               field, edge):
+        cfg = tmp_path / "cfg.toml"
+        cfg.write_text(text.format(repr(edge)))
+        assert main(["validate", str(cfg)]) == 0
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        cfg.write_text(text.format(repr(math.nextafter(edge, math.inf))))
+        assert main(["validate", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"field {field}: " in err and "not a finite float" in err, err
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "beyond")]) == 2
+        assert f"field {field}: " in capsys.readouterr().err
+
     def test_fig4_divisor_beyond_float_range_named(self):
         # a JSON config can hold an integer that no float holds
         with pytest.raises(InvalidConfig, match=r"^field divisors\[1\]: "):

@@ -22,7 +22,7 @@ from tvbospec.kernels import (
     spectral_density,
     spectral_lines,
 )
-from tvbospec.kernels import _LINE_TOL, _matern
+from tvbospec.kernels import _LINE_TOL, _check_lag_range, _matern
 
 
 class TestEvaluation:
@@ -433,6 +433,26 @@ class TestNumberFields:
             with pytest.raises(ValueError,
                                match=f"^{field} .* not a finite float"):
                 build(beyond)
+
+    # The largest lag at which a factor of the lag stays finite in
+    # eval_temporal: the check's edge is where k turns NaN.
+    @pytest.mark.parametrize("kernel, field, edge", [
+        (TemporalKernel.sinc(2.861117485757028e+307), "bandlimit", 1.0),
+        (TemporalKernel.sinc_squared(1.0), "bandlimit",
+         5.722234971514056e+307),
+        (TemporalKernel.cosine_sum([(0.0, 0.5), (1e300, 0.5)]), "lines",
+         28611174.85757028),
+    ], ids=["sinc", "sinc_squared", "cosine_sum"])
+    def test_lag_range_edge_is_where_k_turns_nan(self, kernel, field, edge):
+        beyond = math.nextafter(edge, math.inf)
+        _check_lag_range(kernel, edge)
+        with pytest.raises(ValueError,
+                           match=f"^{field} .* not a finite float"):
+            _check_lag_range(kernel, beyond)
+        with np.errstate(over="ignore", invalid="ignore"):
+            at_edge, past = eval_temporal(kernel, [edge, beyond])
+        assert math.isfinite(at_edge)
+        assert math.isnan(past)
 
     @pytest.mark.parametrize("lines", [[], "x", 5, [(0.0, 0.5, 0.5)], [-1]],
                              ids=["empty", "string", "number", "triple",
