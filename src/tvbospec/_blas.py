@@ -114,9 +114,9 @@ as well as after it: in one regret pass (2-vCPU Xeon VM) the threaded
 ``?sytrd`` calls took 3.6 s CPU for 1.9 s wall even with the workers
 stopped after each call, and with the timeout at 4 they take 2.1 s CPU
 for the same wall and give the same bits (``BENCH_thread_timeout.json``).
-Where the library does not export ``openblas_read_env``, each threaded
-call instead stops the workers after it with ``blas_thread_shutdown_``
-(when exported).  This assumes that no other Python thread uses scipy's
+A library that does not export ``openblas_read_env`` keeps its default
+timeout, and its workers spin after each threaded call before they sleep.
+This assumes that no other Python thread uses scipy's
 pool at the same moment: a call on another thread could run at the
 raised size.  Without the bundled library, or when the pool started at
 one thread, every call goes straight through.
@@ -265,9 +265,6 @@ def _set_thread_timeout() -> None:
 
 if _READ_ENV is not None:
     _set_thread_timeout()
-# With the timeout set, a threaded call's worker sleeps by itself after
-# it; without, the call stops the workers.
-_STOP_AFTER_CALL = _SHUTDOWN if _READ_ENV is None else None
 
 # The first order past the measured range, 1..259.  A routine whose bits
 # did not depend on the pool size at any measured order runs at the pool
@@ -297,11 +294,8 @@ def pool_threads(routine: str, order: int) -> int:
 
 
 def _sleep_pool() -> None:
-    """Set scipy's pool to one thread, stopping its workers where they do
-    not sleep by themselves."""
+    """Set scipy's pool to one thread; its workers sleep by themselves."""
     scipy_openblas().scipy_openblas_set_num_threads(1)
-    if _STOP_AFTER_CALL is not None:
-        _STOP_AFTER_CALL()
 
 
 def _call(routine: str, order: int, *args):
