@@ -14,8 +14,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+# multiprocessing.popen_fork and .synchronize are what ProcessPoolExecutor
+# loads when it starts a fork pool; importing them here keeps a pooled run
+# from loading modules after set-up.
+import multiprocessing
+import multiprocessing.popen_fork  # noqa: F401
+import multiprocessing.synchronize  # noqa: F401
 import operator
 import re
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -580,27 +588,63 @@ def _parse_regret(params: dict):
             "bounds": params["bounds"]}, sizes
 
 
-def run_regret(seed: int, outdir: Path, configs, replications, bounds):
+def _regret_replication(task):
+    """One regret replication, ``task`` = (config, seed, bounds): the trace
+    of ``run_replications(config, [seed])`` and its ``bound_report``, None
+    when ``bounds`` is off.  The trace comes back with ``objective`` None:
+    no writer reads the grid x horizon draw (1 MB a trace at defaults), so
+    it neither crosses the process boundary nor stays in the parent."""
+    config, seed, bounds = task
+    [trace] = run_replications(config, [seed])
+    report = bound_report(trace) if bounds else None
+    return replace(trace, objective=None), report
+
+
+def _map_replications(tasks, jobs: int) -> list:
+    """``_regret_replication`` of each task, in task order: in process when
+    ``jobs`` is 1, else in a pool of min(jobs, len(tasks)) forked workers,
+    all of them joined before this returns or raises.
+
+    The workers are forked, never spawned, so that each inherits ``_blas``
+    as the parent loaded it: scipy's pool size as the library started
+    (``_POOL_SIZE``) and its parked-worker timeout.  Every thread-dependent
+    LAPACK call then runs at the size the serial run uses, and the bytes are
+    the serial run's at every ``jobs``.  numpy's and scipy's OpenBLAS each
+    stop their workers in a fork handler, and the executor forks all its
+    workers before it starts its own thread, so no BLAS or executor thread
+    runs in the parent when it forks."""
+    if jobs == 1:
+        return list(map(_regret_replication, tasks))
+    with ProcessPoolExecutor(min(jobs, len(tasks)),
+                             mp_context=multiprocessing.get_context("fork")
+                             ) as pool:
+        return list(pool.map(_regret_replication, tasks, chunksize=1))
+
+
+def run_regret(seed: int, outdir: Path, configs, replications, bounds,
+               jobs: int = 1):
+    seeds = [seed + i for i in range(replications)]
+    results = iter(_map_replications(
+        [(config, s, bounds) for config in configs.values() for s in seeds],
+        jobs))
     files = []
     summary_rows = []
     curve_rows = []
     plot = SvgPlot(title="average regret per step", xlabel="iteration",
                    ylabel="R_n / n")
-    for label, config in configs.items():
-        seeds = [seed + i for i in range(replications)]
-        traces = run_replications(config, seeds)
+    for label in configs:
+        runs = [next(results) for _ in seeds]
         ratio = np.stack([t.cumulative / (np.arange(len(t.times)) + 1)
-                          for t in traces])
+                          for t, _ in runs])
         mean_ratio = ratio.mean(axis=0)
         sem_ratio = _sem(ratio)
         for i in range(len(mean_ratio)):
             curve_rows.append((label, i + 1, mean_ratio[i], sem_ratio[i]))
         plot.add(range(1, len(mean_ratio) + 1), mean_ratio, label=label)
 
-        for s, trace in zip(seeds, traces):
+        for s, (trace, report) in zip(seeds, runs):
             files.append(trace.to_csv(outdir / f"trace_{label}_seed{s}.csv"))
-            if bounds:
-                report = bound_report(trace)
+            if report is not None:
                 ub_ok = bool(np.all(trace.cumulative <= report.upper_curve))
                 summary_rows.append((
                     label, s, trace.total, report.upper, int(ub_ok),
@@ -727,15 +771,21 @@ def validate_config(config: dict) -> dict:
 def run_experiment(config: dict, out, jobs: int = 1) -> dict:
     """Run one experiment; returns the manifest as a dict.
 
-    ``jobs`` has no effect: every experiment runs on the calling thread.
-    It stays in the signature only because the benchmark harness in
-    ``bench/`` still passes it.
+    ``jobs`` (an integer >= 1, else InvalidConfig) is the number of worker
+    processes for regret's (kernel, seed) replications; the other
+    experiments ignore it.  With ``jobs`` > 1 they run in a fork pool (see
+    ``_map_replications``), and the parent writes every artifact, so the
+    bytes are those of ``jobs`` = 1.
     """
+    jobs = _count(jobs, "jobs")
     checked = validate_config(config)
     exp = checked["experiment"]
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
-    files = EXPERIMENTS[exp][0](checked["seed"], outdir, **checked["inputs"])
+    inputs = checked["inputs"]
+    if exp == "regret":  # the experiment whose replications are independent
+        inputs = dict(inputs, jobs=jobs)
+    files = EXPERIMENTS[exp][0](checked["seed"], outdir, **inputs)
     manifest_path = write_manifest(outdir, files)
     with open(manifest_path, "r", encoding="utf-8") as fh:
         return json.load(fh)

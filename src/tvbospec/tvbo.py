@@ -402,7 +402,8 @@ def run_tvbo(config: TVBOConfig) -> RegretTrace:
 
 
 def run_replications(config: TVBOConfig, seeds):
-    """Run seeded replications one after another, in seed order: the
-    artifact bytes depend on the BLAS thread count, so a pool that gave
-    each worker one thread would change them (README, CLI section)."""
+    """Run seeded replications one after another, in seed order, on the
+    calling process.  The regret experiment spreads its (kernel, seed)
+    replications over processes by calling this with one seed per worker
+    (``expcli.experiments._map_replications``)."""
     return [run_tvbo(replace(config, seed=int(s))) for s in seeds]

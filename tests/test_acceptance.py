@@ -4,12 +4,15 @@ Run with ``pytest tests/test_acceptance.py``.  The per-criterion lines are
 collected into the terminal summary (and printed live under ``-s``).
 """
 
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tvbospec import _blas
 from tvbospec.bounds import (
     mutual_info_exact,
     scaling_diagnostic,
@@ -47,6 +50,8 @@ def _report(criterion: str, ok: bool, elapsed: float, detail: str) -> None:
 
 
 SEEDS = list(range(10))
+BENCH_REFERENCE = (Path(__file__).resolve().parent.parent / "bench"
+                   / "reference" / "regret_default")
 
 
 @pytest.fixture(scope="module")
@@ -65,14 +70,15 @@ def fig5_diagnostics():
 
 @pytest.fixture(scope="module")
 def regret_suite(tmp_path_factory):
-    """``tvbospec run regret`` at its defaults (ten seeded GP-UCB runs per
-    kernel class, with bound evaluations), read back from its artifacts:
-    per kernel, one entry per seed with the total regret, the lower bound,
-    whether the upper bound held and the cumulative-regret column of the
-    trace.  Also returns the wall time spent producing them."""
+    """``tvbospec run regret --jobs 2`` at its defaults (ten seeded GP-UCB
+    runs per kernel class, with bound evaluations), read back from its
+    artifacts: per kernel, one entry per seed with the total regret, the
+    lower bound, whether the upper bound held and the cumulative-regret
+    column of the trace.  Also returns the wall time spent producing them
+    and the run's manifest."""
     start = time.perf_counter()
     out = tmp_path_factory.mktemp("regret")
-    run_experiment(default_config("regret"), out)
+    manifest = run_experiment(default_config("regret"), out, jobs=2)
     suite = {}
     for row in read_csv(out / "regret_summary.csv"):
         trace = read_csv(out / f"trace_{row['kernel']}_seed{row['seed']}.csv")
@@ -82,7 +88,18 @@ def regret_suite(tmp_path_factory):
             "lower_total": float(row["lower_bound"]),
             "cumulative": np.array([float(r["R_cumulative"]) for r in trace]),
         })
-    return suite, time.perf_counter() - start
+    return suite, time.perf_counter() - start, manifest
+
+
+def test_regret_suite_matches_bench_reference(regret_suite):
+    # the pooled run writes the bytes of the serial run that made
+    # bench/reference, which holds only at the pool size it was made at
+    if _blas._POOL_SIZE != 2:
+        pytest.skip(f"scipy's pool started at {_blas._POOL_SIZE} threads; "
+                    "bench/reference holds the bytes of 2 (ROADMAP item 2)")
+    reference = json.loads((BENCH_REFERENCE / "seed0.json").read_text(
+        encoding="utf-8"))
+    assert regret_suite[2] == reference["regret"]
 
 
 def test_a1_product_spectrum_fidelity():
@@ -226,7 +243,7 @@ def test_a7_mutual_information_dichotomy(fig5_diagnostics):
 
 
 def test_a8_bound_validity(regret_suite):
-    regret_suite, setup_elapsed = regret_suite
+    regret_suite, setup_elapsed, _ = regret_suite
     start = time.perf_counter()
     details = []
     ok = True

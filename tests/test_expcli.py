@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import multiprocessing
+import os
 import re
 import threading
 import tomllib
@@ -13,10 +15,11 @@ import numpy as np
 import pytest
 
 from tvbospec import tvbo
-from tvbospec.errors import InvalidConfig
+from tvbospec.errors import InvalidConfig, SingularSystem
 from tvbospec.expcli import (
     EXPERIMENTS,
     default_config,
+    experiments,
     run_experiment,
     validate_config,
 )
@@ -28,6 +31,12 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # regret with bounds for all four default kernel classes, two seeds each,
 # on a 6-point grid over 12 steps: well under a second
 TINY_REGRET_PARAMS = {"horizon": 12, "grid_resolution": 6, "replications": 2}
+# one seed per default kernel class over 200 steps: the lower bound's
+# eigensolves reach order 199, past ?sytrd's 145 and ?ormtr's 193, and the
+# prior draw's temporal factor is 200 x 200, past ?potrf's 128, so every
+# LAPACK call whose bits depend on scipy's pool size runs at that size
+THREADED_REGRET_PARAMS = {"horizon": 200, "grid_resolution": 6,
+                          "replications": 1}
 
 
 def read_csv(path):
@@ -248,7 +257,7 @@ class TestExperiments:
         assert (tmp_path / "trace_rbf_seed0.csv").exists()
 
     def test_regret_runs_on_the_calling_thread(self, tmp_path, monkeypatch):
-        # replications run one after another; jobs is accepted and ignored
+        # at jobs = 1 the replications run one after another, in process
         threads = []
         run_tvbo = tvbo.run_tvbo
 
@@ -258,7 +267,7 @@ class TestExperiments:
 
         monkeypatch.setattr(tvbo, "run_tvbo", recording)
         cfg = {"experiment": "regret", "params": dict(TINY_REGRET_PARAMS)}
-        run_experiment(cfg, tmp_path, jobs=2)
+        run_experiment(cfg, tmp_path, jobs=1)
         assert len(threads) == 4 * 2
         assert all(t is threading.main_thread() for t in threads)
 
@@ -286,6 +295,78 @@ class TestExperiments:
         assert all(len(r) == len(header) for r in rows)
 
 
+class TestReplicationPool:
+    """``run_experiment``'s ``jobs``: regret's replications in a fork pool."""
+
+    def test_threaded_orders_same_manifest_at_every_jobs(self, tmp_path):
+        cfg = {"experiment": "regret",
+               "params": dict(THREADED_REGRET_PARAMS)}
+        manifests = [run_experiment(cfg, tmp_path / str(jobs), jobs=jobs)
+                     for jobs in (1, 2, 3)]
+        assert manifests[0] == manifests[1] == manifests[2]
+        assert multiprocessing.active_children() == []
+
+    def test_jobs_workers_run_the_replications(self, tmp_path, monkeypatch):
+        # forked workers inherit the patched bound_report and append their
+        # process ids to one file
+        pids = tmp_path / "pids"
+        bound_report = experiments.bound_report
+
+        def recording(trace):
+            with open(pids, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return bound_report(trace)
+
+        monkeypatch.setattr(experiments, "bound_report", recording)
+        cfg = {"experiment": "regret", "params": dict(TINY_REGRET_PARAMS)}
+        run_experiment(cfg, tmp_path / "1", jobs=1)
+        assert pids.read_text(encoding="utf-8").split() == \
+            [str(os.getpid())] * 4 * 2
+        pids.unlink()
+        run_experiment(cfg, tmp_path / "2", jobs=2)
+        workers = pids.read_text(encoding="utf-8").split()
+        assert len(workers) == 4 * 2
+        # at most two processes, none of them this one
+        assert 1 <= len(set(workers)) <= 2
+        assert str(os.getpid()) not in workers
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs", [0, -1, 1.5, "2", True, None])
+    def test_bad_jobs_named(self, tmp_path, jobs):
+        cfg = {"experiment": "regret", "params": dict(TINY_REGRET_PARAMS)}
+        with pytest.raises(InvalidConfig, match="jobs"):
+            run_experiment(cfg, tmp_path, jobs=jobs)
+
+    def test_worker_failure_same_as_serial(self, tmp_path, monkeypatch,
+                                           capsys):
+        # forked workers inherit the patched bound_report
+        bound_report = experiments.bound_report
+
+        def failing(trace):
+            if trace.config.seed == 1:
+                raise SingularSystem("seed 1 cannot be factored")
+            return bound_report(trace)
+
+        monkeypatch.setattr(experiments, "bound_report", failing)
+        cfg = {"experiment": "regret", "params": dict(TINY_REGRET_PARAMS)}
+        raised = []
+        for jobs in (1, 2):
+            with pytest.raises(SingularSystem) as exc:
+                run_experiment(cfg, tmp_path / str(jobs), jobs=jobs)
+            raised.append((type(exc.value), str(exc.value)))
+            assert multiprocessing.active_children() == []
+        assert raised[0] == raised[1]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        errors = []
+        for jobs in ("1", "2"):
+            assert main(["run", "--config", str(cfg_path), "--out",
+                         str(tmp_path / f"cli{jobs}"), "--jobs", jobs]) == 3
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == \
+            "runtime failure: seed 1 cannot be factored\n"
+
+
 class TestCli:
     def test_list(self, capsys):
         assert main(["list"]) == 0
@@ -307,15 +388,22 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
 
-    def test_jobs_option_removed(self, tmp_path, capsys):
+    def test_jobs_option(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.toml"
         cfg.write_text('experiment = "regret"\n[params]\n' + "".join(
             f"{k} = {v}\n" for k, v in TINY_REGRET_PARAMS.items()))
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
-                  "--jobs", "2"])
-        assert exc.value.code == 2
-        assert "--jobs" in capsys.readouterr().err
+        for jobs in ("1", "2"):
+            assert main(["run", "--config", str(cfg), "--out",
+                         str(tmp_path / jobs), "--jobs", jobs]) == 0
+        assert (tmp_path / "1" / "manifest.json").read_bytes() == \
+            (tmp_path / "2" / "manifest.json").read_bytes()
+        for bad in ("0", "-1", "two", "1.5"):
+            with pytest.raises(SystemExit) as exc:
+                main(["run", "--config", str(cfg), "--out",
+                      str(tmp_path / "bad"), "--jobs", bad])
+            assert exc.value.code == 2
+            assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
 
     def test_validate_command(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.toml"
