@@ -120,10 +120,23 @@ This assumes that no other Python thread uses scipy's
 pool at the same moment: a call on another thread could run at the
 raised size.  Without the bundled library, or when the pool started at
 one thread, every call goes straight through.
+
+Forked processes each run their own copy of the pool, at the same size.
+Two of them in threaded calls at once put twice the pool's threads on the
+cores, and each caller spins while it waits for a worker that is not
+running.  ``share_pool`` gives a process a lock that its siblings share,
+held through each threaded call, so that at most one of them runs one at a
+time while the others go on with their one-thread work or sleep on the
+lock.  In the regret experiment's pool of two workers (default config,
+2-vCPU Xeon VM, medians of ten runs) parent and workers took 11.9 s CPU
+and 6.1 s wall without the lock and 9.7 s CPU and 5.2 s wall with it,
+against 9.0 s CPU and 8.7 s wall in one process, with the same bits
+(``BENCH_process_replications.json``, ``cost``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
@@ -298,6 +311,19 @@ def _sleep_pool() -> None:
     scipy_openblas().scipy_openblas_set_num_threads(1)
 
 
+# Held through every threaded call.  It does nothing until ``share_pool``
+# replaces it with a lock that other processes hold too.
+_POOL_LOCK = contextlib.nullcontext()
+
+
+def share_pool(lock) -> None:
+    """Hold ``lock``, a lock shared with other processes, through each of
+    this process's threaded calls, so that at most one of those processes
+    runs a threaded call at a time (see the module docstring)."""
+    global _POOL_LOCK
+    _POOL_LOCK = lock
+
+
 def _call(routine: str, order: int, *args):
     """Call ``routine`` with ``args`` and its hidden CHARACTER lengths at
     ``pool_threads(routine, order)`` scipy threads, leaving the pool at one
@@ -308,11 +334,12 @@ def _call(routine: str, order: int, *args):
     threads = pool_threads(routine, order)
     if threads == 1:
         return handle(*args)
-    scipy_openblas().scipy_openblas_set_num_threads(threads)
-    try:
-        return handle(*args)
-    finally:
-        _sleep_pool()
+    with _POOL_LOCK:
+        scipy_openblas().scipy_openblas_set_num_threads(threads)
+        try:
+            return handle(*args)
+        finally:
+            _sleep_pool()
 
 
 _BUFFER = ctypes.c_char * 0

@@ -46,18 +46,6 @@ def _load_config(path: str) -> dict:
         raise ConfigParseError(f"{path}: {exc}") from exc
 
 
-def _jobs(text: str) -> int:
-    """The value of ``--jobs``: an integer >= 1."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer >= 1, got {text!r}")
-    return jobs
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tvbospec",
@@ -72,10 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
     run_p.add_argument("--out", default=None, help="output directory")
-    run_p.add_argument("--jobs", type=_jobs, default=1,
-                       help="worker processes for the regret replications "
-                            "(default 1); the artifacts are the same at "
-                            "every value")
 
     val_p = sub.add_parser("validate", help="check a config without running")
     val_p.add_argument("config", help="TOML or JSON config file")
@@ -126,7 +110,7 @@ def main(argv=None) -> int:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
     try:
-        manifest = run_experiment(config, out, jobs=args.jobs)
+        manifest = run_experiment(config, out)
     except InvalidConfig as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2

@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .. import _blas
 from ..bounds import bound_report, scaling_diagnostic
 from ..errors import InvalidConfig
 from ..gp import DEFAULT_SAMPLING_CAP
@@ -612,12 +613,18 @@ def _map_replications(tasks, jobs: int) -> list:
     the serial run's at every ``jobs``.  numpy's and scipy's OpenBLAS each
     stop their workers in a fork handler, and the executor forks all its
     workers before it starts its own thread, so no BLAS or executor thread
-    runs in the parent when it forks."""
+    runs in the parent when it forks.  The workers share one lock through
+    ``_blas.share_pool``, so their threaded calls take turns on the cores.
+
+    When a task raises, its error is raised here, and the iterator that
+    ``Executor.map`` returns cancels the tasks no worker has taken yet, so
+    that, as in the serial map, the rest of the run is not done."""
     if jobs == 1:
         return list(map(_regret_replication, tasks))
-    with ProcessPoolExecutor(min(jobs, len(tasks)),
-                             mp_context=multiprocessing.get_context("fork")
-                             ) as pool:
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(min(jobs, len(tasks)), mp_context=context,
+                             initializer=_blas.share_pool,
+                             initargs=(context.Lock(),)) as pool:
         return list(pool.map(_regret_replication, tasks, chunksize=1))
 
 

@@ -70,7 +70,8 @@ def fig5_diagnostics():
 
 @pytest.fixture(scope="module")
 def regret_suite(tmp_path_factory):
-    """``tvbospec run regret --jobs 2`` at its defaults (ten seeded GP-UCB
+    """The regret experiment at its defaults in two worker processes
+    (``run_experiment(..., jobs=2)``: ten seeded GP-UCB
     runs per kernel class, with bound evaluations), read back from its
     artifacts: per kernel, one entry per seed with the total regret, the
     lower bound, whether the upper bound held and the cumulative-regret

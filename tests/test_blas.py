@@ -1040,3 +1040,36 @@ def test_import_sets_only_the_thread_timeout(threads, timeout):
         **variables)
     assert got == [4, timeout, reference, 0]
     assert reference[0] == min(int(threads), len(os.sched_getaffinity(0)))
+
+
+def test_threaded_calls_hold_the_shared_pool_lock(monkeypatch):
+    # share_pool's lock is held through each threaded call, with the pool
+    # raised, and through no one-thread call
+    lib = _scipy_lib()
+    monkeypatch.setattr(_blas, "_POOL_SIZE", max(2, _blas._POOL_SIZE))
+    monkeypatch.setattr(_blas, "_POOL_LOCK", _blas._POOL_LOCK)
+
+    class RecordingLock:
+        held = 0
+
+        def __enter__(self):
+            self.held += 1
+
+        def __exit__(self, *exc):
+            self.held -= 1
+
+    lock = RecordingLock()
+    _blas.share_pool(lock)
+    seen = []
+    potrf = _blas._HANDLES["potrf"]
+
+    def recording(*args):
+        seen.append((lock.held, lib.scipy_openblas_get_num_threads()))
+        return potrf(*args)
+
+    monkeypatch.setitem(_blas._HANDLES, "potrf", recording)
+    threaded = _blas._THREAD_DEPENDENT_FROM["potrf"]
+    for n in (threaded - 1, threaded):
+        _blas.cholesky_lower(np.eye(n) + np.ones((n, n)))
+    assert seen == [(0, 1), (1, _blas._POOL_SIZE)]
+    assert lock.held == 0

@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import re
 import threading
+import time
 import tomllib
 import tracemalloc
 from pathlib import Path
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tvbospec import tvbo
+from tvbospec import _blas, tvbo
 from tvbospec.errors import InvalidConfig, SingularSystem
 from tvbospec.expcli import (
     EXPERIMENTS,
@@ -337,14 +338,19 @@ class TestReplicationPool:
         with pytest.raises(InvalidConfig, match="jobs"):
             run_experiment(cfg, tmp_path, jobs=jobs)
 
-    def test_worker_failure_same_as_serial(self, tmp_path, monkeypatch,
-                                           capsys):
-        # forked workers inherit the patched bound_report
+    def test_worker_failure_same_as_serial(self, tmp_path, monkeypatch):
+        # forked workers inherit the patched bound_report, which records
+        # each call's process id and fails at seed 0; the other replications
+        # take long enough that the failure is seen before they all ran
+        pids = tmp_path / "pids"
         bound_report = experiments.bound_report
 
         def failing(trace):
-            if trace.config.seed == 1:
-                raise SingularSystem("seed 1 cannot be factored")
+            with open(pids, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            if trace.config.seed == 0:
+                raise SingularSystem("seed 0 cannot be factored")
+            time.sleep(0.2)
             return bound_report(trace)
 
         monkeypatch.setattr(experiments, "bound_report", failing)
@@ -355,16 +361,51 @@ class TestReplicationPool:
                 run_experiment(cfg, tmp_path / str(jobs), jobs=jobs)
             raised.append((type(exc.value), str(exc.value)))
             assert multiprocessing.active_children() == []
+            ran = pids.read_text(encoding="utf-8").split()
+            pids.unlink()
+            # jobs = 1 stops at the first task; the pool drops the tasks
+            # that no worker had taken when the first one failed
+            if jobs == 1:
+                assert len(ran) == 1
+            else:
+                assert 1 <= len(ran) < 4 * 2
         assert raised[0] == raised[1]
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
-        errors = []
-        for jobs in ("1", "2"):
-            assert main(["run", "--config", str(cfg_path), "--out",
-                         str(tmp_path / f"cli{jobs}"), "--jobs", jobs]) == 3
-            errors.append(capsys.readouterr().err)
-        assert errors[0] == errors[1] == \
-            "runtime failure: seed 1 cannot be factored\n"
+
+    def test_workers_take_turns_at_threaded_calls(self, tmp_path,
+                                                  monkeypatch):
+        # each prior draw factors a 130 x 130 temporal Gram, past ?potrf's
+        # threaded order; the patched handle, which the forked workers
+        # inherit, records when each threaded call ran, and no two of those
+        # calls overlap, with more workers than cores
+        if _blas._POOL_SIZE == 1:
+            pytest.skip("scipy's pool started at one thread: no threaded call")
+        lib = _blas.scipy_openblas()
+        calls = tmp_path / "calls"
+        potrf = _blas._HANDLES["potrf"]
+
+        def recording(*args):
+            threaded = lib.scipy_openblas_get_num_threads() > 1
+            start = time.monotonic()
+            if threaded:
+                time.sleep(0.05)
+            try:
+                return potrf(*args)
+            finally:
+                if threaded:
+                    with open(calls, "a", encoding="utf-8") as fh:
+                        fh.write(f"{start} {time.monotonic()}\n")
+
+        monkeypatch.setitem(_blas._HANDLES, "potrf", recording)
+        cfg = {"experiment": "regret",
+               "params": {"horizon": 130, "grid_resolution": 6,
+                          "replications": 2, "bounds": False}}
+        run_experiment(cfg, tmp_path / "out", jobs=(os.cpu_count() or 1) + 1)
+        spans = sorted(tuple(map(float, line.split())) for line in
+                       calls.read_text(encoding="utf-8").splitlines())
+        assert len(spans) == 4 * 2
+        assert all(end <= start for (_, end), (start, _)
+                   in zip(spans, spans[1:]))
+        assert multiprocessing.active_children() == []
 
 
 class TestCli:
@@ -388,22 +429,15 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
 
-    def test_jobs_option(self, tmp_path, capsys):
+    def test_jobs_option_removed(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.toml"
         cfg.write_text('experiment = "regret"\n[params]\n' + "".join(
             f"{k} = {v}\n" for k, v in TINY_REGRET_PARAMS.items()))
-        for jobs in ("1", "2"):
-            assert main(["run", "--config", str(cfg), "--out",
-                         str(tmp_path / jobs), "--jobs", jobs]) == 0
-        assert (tmp_path / "1" / "manifest.json").read_bytes() == \
-            (tmp_path / "2" / "manifest.json").read_bytes()
-        for bad in ("0", "-1", "two", "1.5"):
-            with pytest.raises(SystemExit) as exc:
-                main(["run", "--config", str(cfg), "--out",
-                      str(tmp_path / "bad"), "--jobs", bad])
-            assert exc.value.code == 2
-            assert "--jobs" in capsys.readouterr().err
-        assert not (tmp_path / "bad").exists()
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                  "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_validate_command(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.toml"
